@@ -7,8 +7,8 @@ can be overridden with a flag of the same dotted path, e.g.
 Frequencies are angular (s⁻¹).  Oracle propagation always substitutes the
 synthetic frequency triple (Δω₁/2, 0, 0) for the configured frequencies:
 witness values depend on the frequencies only through the detuning
-Δω₁ = 2ω_a − ω_b − ω_c, and the substitution removes optical-frequency
-stiffness from the integrator.
+Δω₁ = 2ω_a − ω_b − ω_c, and the substitution keeps the exactly diagonalized
+Hamiltonian blocks at the scale of Δω₁ and g rather than optical frequencies.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from .model import ConfigError, ModelParams, coefficients
-from .oracle import ConvergenceError
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, UsageError, apply_overrides, compare_report_text,
                     default_compare_config, presets, rows_to_csv, rows_to_json,
@@ -69,6 +68,14 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _parse_value(raw: str):
+    """A JSON literal when ``raw`` is one, else the string itself."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def _parse_overrides(extra: list[str]) -> dict:
     out = {}
     i = 0
@@ -84,11 +91,7 @@ def _parse_overrides(extra: list[str]) -> dict:
             if i >= len(extra):
                 raise UsageError(f"override {tok!r} needs a value")
             raw = extra[i]
-        try:
-            val = json.loads(raw)
-        except json.JSONDecodeError:
-            val = raw
-        out[key] = val
+        out[key] = _parse_value(raw)
         i += 1
     return out
 
@@ -97,8 +100,11 @@ def _load_config(args, overrides, default=None) -> RunConfig:
     if args.config and args.preset:
         raise UsageError("give either --config or --preset, not both")
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
     elif args.preset:
         avail = presets()
         if args.preset not in avail:
@@ -120,7 +126,7 @@ def _load_config(args, overrides, default=None) -> RunConfig:
         cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"output.path": args.out}))
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("FWM_WORKERS", "1"))
+        workers = _parse_value(os.environ.get("FWM_WORKERS", "1"))
     cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"workers": workers}))
     if args.seed is not None:
         cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"seed": args.seed}))
@@ -229,7 +235,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (ConvergenceError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

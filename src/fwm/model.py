@@ -56,8 +56,8 @@ class ModelParams:
         """Synthetic frequencies (Δω₁/2, 0, 0) realizing a given detuning.
 
         Witness values depend on the frequencies only through Δω₁, so this
-        choice is observationally equivalent to any physical triple and far
-        less stiff to propagate exactly.
+        choice is observationally equivalent to any physical triple and keeps
+        the Hamiltonian's spectrum at the scale of Δω₁ and g.
         """
         return cls(omega_a=delta_omega1 / 2.0, omega_b=0.0, omega_c=0.0, g=g)
 

@@ -5,8 +5,9 @@ witnesses (and optionally the Fock oracle) and emitting a deterministic row
 stream plus a negativity-onset summary.  All sweeps are parameterized in the
 dimensionless interaction time gt; the oracle always propagates with the
 synthetic frequency triple (Δω₁/2, 0, 0), which is observationally
-equivalent (witnesses depend on frequencies only through Δω₁) and avoids
-optical-frequency stiffness.
+equivalent (witnesses depend on frequencies only through Δω₁) and keeps the
+Hamiltonian's spectrum at the scale of Δω₁ and g rather than optical
+frequencies.
 """
 from __future__ import annotations
 
@@ -67,6 +68,10 @@ class InputSpec:
         if not self.phi:
             raise UsageError("input.phi: need at least one pump phase")
         for p in self.phi:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise UsageError(f"input.phi: phases must be numbers, got {p!r}")
+            if not math.isfinite(p):
+                raise UsageError(f"input.phi: phases must be finite, got {p!r}")
             if not (0.0 <= p < TWO_PI):
                 raise UsageError(f"input.phi: phases must lie in [0, 2pi), got {p!r}")
 
@@ -95,9 +100,7 @@ class GtGrid:
 class OracleSpec:
     enabled: bool = False
     cutoffs: tuple[int, int, int] | None = None
-    tolerance: float = 1e-10
     ladder_rungs: int = 3
-    method: str = "rk4"
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,11 @@ class RunConfig:
     output: OutputSpec = OutputSpec()
     workers: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if (isinstance(self.workers, bool) or not isinstance(self.workers, int)
+                or self.workers < 1):
+            raise UsageError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def witness_ids(self) -> list[WitnessId]:
         return [WitnessId.parse(s) for s in self.witnesses]
@@ -152,10 +160,10 @@ class RunConfig:
                                      **({"cutoffs": tuple(d["oracle"]["cutoffs"])}
                                         if d.get("oracle", {}).get("cutoffs") else {})}),
                 output=OutputSpec(**d.get("output", {})),
-                workers=int(d.get("workers", 1)),
+                workers=d.get("workers", 1),
                 seed=int(d.get("seed", 0)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
 
     @classmethod
@@ -212,13 +220,17 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows, summary) -> str:
+    """Strict RFC 8259 JSON: a non-finite value (an ``oracle_failed`` row)
+    is written as null."""
     payload = {
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [{**vars(r),
+                  "value": r.value if math.isfinite(r.value) else None}
+                 for r in rows],
         "summary": [
             {"witness": label, "phi": phi, "onset_gt": onset}
             for (label, phi), onset in summary.items()],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _onset(gts, values) -> float | None:
@@ -252,20 +264,13 @@ def _oracle_rows_for_phi(args) -> list[SweepRow]:
     try:
         basis = oracle_mod.FockBasis(cutoffs)
         psi0 = oracle_mod.coherent_state(basis, inp)
-        H = oracle_mod.build_hamiltonian(synth, basis)
-        nz = [t for t in times if t > 0.0]
-        states_nz = oracle_mod.evolve_grid(H, psi0, nz,
-                                           tolerance=config.oracle.tolerance,
-                                           method=config.oracle.method)
-        states = []
-        it = iter(states_nz)
-        for t in times:
-            states.append(psi0 if t == 0.0 else next(it))
-    except (oracle_mod.ConvergenceError, oracle_mod.CutoffError):
+    except oracle_mod.CutoffError:
         return [SweepRow(gt=float(gt), phi=phi, criterion=w.criterion.value,
                          modes=w.mode_string, m=w.m, n=w.n, value=float("nan"),
                          entangled=False, source="oracle_failed")
                 for w in wids for gt in gts]
+    H = oracle_mod.build_hamiltonian(synth, basis)
+    states = oracle_mod.evolve_grid(H, psi0, times)
     rows = []
     for w in wids:
         for gt, t, psi in zip(gts, times, states):
@@ -358,8 +363,7 @@ def _compare_phi_task(args):
               for k in range(config.oracle.ladder_rungs)]
     times = [float(gt / g0) for gt in config.gt_grid.values() if gt > 0.0]
     res = oracle_mod.compare(config.witness_ids(), ladder, inp, times,
-                             cutoffs=cutoffs, tolerance=config.oracle.tolerance,
-                             method=config.oracle.method)
+                             cutoffs=cutoffs)
     return phi, res
 
 
@@ -367,7 +371,7 @@ def run_compare(config: RunConfig):
     """Run the certification ladder for every φ; returns a report dict.
 
     Raises UsageError unless the oracle is enabled and the ladder has >= 3
-    rungs.  Non-converged evolutions surface as per-φ failure entries.
+    rungs.
     """
     if not config.oracle.enabled:
         raise UsageError("compare requires oracle (set oracle.enabled)")

@@ -3,17 +3,19 @@
 Criterion 6 has two clauses; the error-scaling clause (6a) passes, while the
 absolute-agreement clause (6b) is left asserting its stated 1e-3 bound even
 though the genuine third-order truncation error of the cross-term-dominated
-witnesses measures 1.4-5.4e-3 at the smallest rung under the pinned settings
-(see the failure message for the live numbers).
+witnesses measures 1.4e-3 to 5.1e-2 at the smallest rung under the pinned
+settings (see the failure message for the live numbers).
 """
 import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import fwm.oracle as oracle_mod
-from fwm.fockspace import FockBasis, coherent_state, cutoffs_for
+from fwm.fockspace import (FockBasis, FockStateVector, coherent_state,
+                           cutoffs_for)
 from fwm.model import CoherentInput, ModelParams, coefficients
 from fwm.residuals import residual_scaling_slope
 from fwm.sweep import (GtGrid, InputSpec, OracleSpec, ParamsSpec, RunConfig,
@@ -211,8 +213,8 @@ def test_criterion_6a_certification_exponents(certification_report):
 def test_criterion_6b_certification_agreement(certification_report):
     """Absolute agreement <= 1e-3 x max(|oracle|, |f2|^2-scale floor) at the
     smallest rung.  The genuine O(g^3) truncation error of the cross-term
-    witnesses measures 1.4-5.4e-3 under the pinned ladder and grid, so this
-    clause fails; the live margins are in the assertion message."""
+    witnesses measures 1.4e-3 to 5.1e-2 under the pinned ladder and grid, so
+    this clause fails; the live margins are in the assertion message."""
     margins = {label: s["max_rel_err"]
                for label, s in certification_report["witnesses"].items()}
     bad = {k: v for k, v in margins.items() if v > 1e-3}
@@ -237,7 +239,8 @@ def test_criterion_7_oracle_physics(certification_report):
     diag_ok &= worst_norm <= 1e-9 and worst_q <= 1e-8
 
     # cutoff doubling and frame invariance at the certification setting,
-    # exact-exponential propagation, top rung, phi = pi/2, last grid time
+    # propagated by scipy's expm_multiply, independently of the oracle's
+    # sector propagator; top rung, phi = pi/2, last grid time
     inp = CoherentInput.from_pump_phase(1.2, math.pi / 2, 0.9, 0.6)
     params = ModelParams.from_detuning(-100.0, 1.0)
     t = 0.1
@@ -251,7 +254,9 @@ def test_criterion_7_oracle_physics(certification_report):
         basis = FockBasis(cutoffs)
         psi0 = coherent_state(basis, inp)
         H = oracle_mod.build_hamiltonian(p, basis)
-        psi = oracle_mod.evolve(H, psi0, t, method="expm")
+        amps = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
+        psi = FockStateVector(amplitudes=amps, basis=basis,
+                              tail_mass=psi0.tail_mass)
         return np.array([oracle_mod.oracle_witness(w, psi, p, t).value
                          for w in wids])
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
                            conserved_charges, cutoffs_for, moment)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
-from fwm.oracle import (ComparisonReport, ConvergenceError, build_hamiltonian,
-                        certification_summary, compare, evolve, evolve_grid,
-                        oracle_witness, spectral_radius)
+from fwm.oracle import (ComparisonReport, build_hamiltonian,
+                        certification_summary, charge_sectors, compare, evolve,
+                        evolve_grid, oracle_witness, sector_blocks)
 from fwm.witnesses import Criterion, WitnessId, evaluate
 
 SMALL_INPUT = CoherentInput(0.8, 0.6, 0.5)
@@ -65,6 +67,35 @@ class TestHamiltonian:
         assert H.clipped_transitions == want
 
 
+class TestSectors:
+    def test_sectors_partition_basis(self):
+        _, basis, _, _ = small_setup()
+        groups = charge_sectors(basis)
+        flat = np.concatenate([idx.ravel() for idx in groups])
+        assert np.array_equal(np.sort(flat), np.arange(basis.dimension))
+        occ = basis.occupations()
+        for idx in groups:
+            sector = occ[idx]                       # (sectors, size, 3)
+            q1 = sector[..., 0] + 2 * sector[..., 1]
+            q2 = sector[..., 1] - sector[..., 2]
+            assert np.all(q1 == q1[:, :1]) and np.all(q2 == q2[:, :1])
+            assert np.all(np.diff(sector[..., 1], axis=1) == 1)
+        assert [idx.shape[1] for idx in groups] == sorted({idx.shape[1] for idx in groups})
+
+    def test_blocks_reassemble_hamiltonian(self):
+        _, _, _, H = small_setup()
+        assert H.clipped_transitions > 0
+        rows, cols, vals = [], [], []
+        for idx, blocks in sector_blocks(H):
+            rows.append(np.broadcast_to(idx[:, :, None], blocks.shape).ravel())
+            cols.append(np.broadcast_to(idx[:, None, :], blocks.shape).ravel())
+            vals.append(blocks.ravel())
+        rebuilt = sp.csr_matrix((np.concatenate(vals),
+                                 (np.concatenate(rows), np.concatenate(cols))),
+                                shape=H.matrix.shape)
+        assert abs(rebuilt - H.matrix).max() == 0.0
+
+
 class TestEvolve:
     def test_t0_identity(self):
         _, _, psi0, H = small_setup()
@@ -77,7 +108,7 @@ class TestEvolve:
         psi0 = coherent_state(basis, CoherentInput(0.7, 0.5, 0.4), tail_tol=1e-4)
         H = build_hamiltonian(params, basis)
         t = 0.8
-        out = evolve(H, psi0, t, tolerance=1e-12)
+        out = evolve(H, psi0, t)
         occ = basis.occupations()
         phases = np.exp(-1j * t * (1.1 * occ[:, 0] + 0.4 * occ[:, 1] + 0.9 * occ[:, 2]))
         assert np.max(np.abs(out.amplitudes - phases * psi0.amplitudes)) < 1e-10
@@ -95,36 +126,24 @@ class TestEvolve:
         assert q1[0] == pytest.approx(q0[0], abs=1e-8)
         assert q1[1] == pytest.approx(q0[1], abs=1e-8)
 
-    def test_step_halving_stability(self):
-        params, basis, psi0, H = small_setup()
-        a = evolve(H, psi0, 1.5)
-        b = evolve(H, psi0, 1.5, h_scale=0.5)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
-
-    def test_rk4_matches_expm(self):
+    def test_matches_expm_on_clipped_grid(self):
+        """Exact propagation against scipy's expm_multiply on the clipped
+        (8, 6, 6) basis, over a multi-time grid."""
         _, _, psi0, H = small_setup()
-        a = evolve(H, psi0, 1.2, method="rk4")
-        b = evolve(H, psi0, 1.2, method="expm")
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
-
-    def test_budget_exceeded_raises(self):
-        _, _, psi0, H = small_setup()
-        with pytest.raises(ConvergenceError):
-            evolve_grid(H, psi0, [50.0], tolerance=1e-14, max_steps=100)
+        assert H.clipped_transitions == 91
+        times = [0.0, 0.4, 1.2, 2.5, 4.0]
+        states = evolve_grid(H, psi0, times)
+        assert len(states) == len(times)
+        for t, psi in zip(times, states):
+            ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
+            assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
 
     def test_bad_grid_rejected(self):
         _, _, psi0, H = small_setup()
         with pytest.raises(ConfigError):
             evolve_grid(H, psi0, [0.2, 0.1])
         with pytest.raises(ConfigError):
-            evolve_grid(H, psi0, [0.1], method="leapfrog")
-
-    def test_spectral_radius_upper_bounds_eigs(self):
-        _, _, _, H = small_setup()
-        import numpy.linalg as la
-        eigs = la.eigvalsh(H.matrix.toarray())
-        rho = spectral_radius(H)
-        assert rho >= np.max(np.abs(eigs)) * 0.999
+            evolve_grid(H, psi0, [-0.1])
 
 
 class TestOracleWitness:

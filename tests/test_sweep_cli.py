@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,7 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fwm import cli
 from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, OracleSpec, ParamsSpec,
                        RunConfig, UsageError, apply_overrides,
                        default_compare_config, presets, rows_to_csv,
@@ -247,3 +252,97 @@ class TestCli:
             env={**__import__("os").environ, "FWM_WORKERS": "2"})
         assert out.returncode == 0
         assert f.exists()
+
+
+def main_in_process(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_usage_error(code, err, *needles):
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("usage error: "), err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, err
+
+
+SWEEP = ("sweep", "--preset", "fig5", "--gt_grid.count", "2")
+
+# Values a user may type after --input.phi that are not a phase in [0, 2pi):
+# out-of-range and non-finite floats (repr gives 'nan', 'inf', '1e+300'),
+# bare words (strings, or the JSON literals true/false/null).
+BAD_PHASES = st.one_of(
+    st.floats().filter(lambda x: not 0.0 <= x < 2 * math.pi).map(repr),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
+)
+
+
+class TestCliBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(BAD_PHASES)
+    def test_bad_phase_is_one_line_usage_error(self, raw):
+        code, out, err = main_in_process(*SWEEP, "--input.phi", raw)
+        assert_one_line_usage_error(code, err, "input.phi")
+        assert out == ""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True))
+    def test_good_phase_runs(self, phi):
+        code, out, err = main_in_process(*SWEEP, "--input.phi", repr(phi))
+        assert code == 0, err
+        assert out.startswith(CSV_HEADER)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(max_value=0))
+    def test_nonpositive_workers_is_one_line_usage_error(self, workers):
+        code, _, err = main_in_process(*SWEEP, f"--workers={workers}")
+        assert_one_line_usage_error(code, err, "workers")
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", "true"])
+    def test_bad_workers_env_is_one_line_usage_error(self, raw, monkeypatch):
+        monkeypatch.setenv("FWM_WORKERS", raw)
+        code, _, err = main_in_process(*SWEEP)
+        assert_one_line_usage_error(code, err, "workers")
+
+    @pytest.mark.parametrize("field, value", [("tolerance", 1e-10), ("method", "rk4")])
+    def test_removed_oracle_fields_rejected(self, field, value, tmp_path):
+        code, _, err = main_in_process("compare", f"--oracle.{field}", json.dumps(value))
+        assert_one_line_usage_error(code, err, field)
+        cfg = default_compare_config().to_dict()
+        cfg["oracle"][field] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = main_in_process("compare", "--config", str(path))
+        assert_one_line_usage_error(code, err, field)
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_unreadable_config_is_one_line_usage_error(self, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = main_in_process("sweep", "--config", str(path))
+        assert_one_line_usage_error(code, err, "cannot read config")
+
+    def test_failed_oracle_rows_are_strict_json(self, tmp_path):
+        """Rows the oracle cannot produce (cutoffs too small for the input)
+        carry value null in JSON and nan in CSV."""
+        args = (*SWEEP, "--oracle", "--oracle.cutoffs", "[3,2,2]",
+                "--input.phi", "0")
+        js, csv = tmp_path / "rows.json", tmp_path / "rows.csv"
+        assert main_in_process(*args, "--format", "json", "--out", str(js))[0] == 0
+        assert main_in_process(*args, "--out", str(csv))[0] == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        payload = json.loads(js.read_text(), parse_constant=reject)
+        failed = [r for r in payload["rows"] if r["source"] == "oracle_failed"]
+        assert len(failed) == 4 * 2
+        assert all(r["value"] is None and r["entangled"] is False for r in failed)
+        csv_failed = [line for line in csv.read_text().splitlines()
+                      if line.endswith(",oracle_failed")]
+        assert len(csv_failed) == 4 * 2
+        assert all(line.split(",")[6] == "nan" for line in csv_failed)
