@@ -1,53 +1,29 @@
-import os
-import subprocess
-import sys
+"""Tests of the propagation kernel: the batched per-sector eigendecomposition
+behind ``fwm.oracle.evolve_grid``, applied to arbitrary states."""
 
 import numpy as np
-import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from fwm import kernels
+from fwm.fockspace import FockBasis, FockStateVector
+from fwm.model import ModelParams
+from fwm.oracle import build_hamiltonian, evolve_grid
 
 
-def small_system(n=40, seed=2):
+def small_system(cutoffs=(6, 4, 5), seed=5):
+    """Distinct mode frequencies, a clipped basis and a random state that
+    populates every charge sector."""
     rng = np.random.default_rng(seed)
-    H = sp.random(n, n, density=0.15, random_state=rng,
-                  data_rvs=lambda k: rng.standard_normal(k))
-    H = (H + H.T) / 2
-    M = (-1j * H.tocsr()).astype(np.complex128)
-    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis = FockBasis(cutoffs)
+    H = build_hamiltonian(ModelParams(1.3, 0.2, -0.7, 0.35), basis)
+    psi = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
     psi /= np.linalg.norm(psi)
-    return M.tocsr(), psi
-
-
-def test_numpy_path_preserves_norm():
-    M, psi = small_system()
-    out = kernels.rk4_propagate_numpy(M, psi, 1e-3, 200)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-8
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable or disabled")
-def test_numba_matches_numpy_bitwise_arithmetic():
-    M, psi = small_system()
-    a = kernels.rk4_propagate_numpy(M, psi, 1e-3, 150)
-    b = kernels.rk4_propagate_numba(M, psi, 1e-3, 150)
-    assert np.max(np.abs(a - b)) < 1e-13
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = ("import fwm.kernels as k; "
-            "print(k.USING_NUMBA)")
-    env = dict(os.environ, FWM_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return H, FockStateVector(amplitudes=psi, basis=basis)
 
 
 def test_propagation_matches_expm():
-    M, psi = small_system(n=24, seed=5)
+    H, psi0 = small_system()
+    assert H.clipped_transitions > 0
     t = 0.3
-    nsteps = 3000
-    out = kernels.rk4_propagate(M, psi, t / nsteps, nsteps)
-    import scipy.sparse.linalg as spla
-    ref = spla.expm_multiply(M * t, psi)
-    assert np.max(np.abs(out - ref)) < 1e-9
+    out = evolve_grid(H, psi0, [t])[0]
+    ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-9

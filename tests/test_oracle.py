@@ -126,6 +126,15 @@ class TestEvolve:
         assert q1[0] == pytest.approx(q0[0], abs=1e-8)
         assert q1[1] == pytest.approx(q0[1], abs=1e-8)
 
+    def test_rk4_matches_expm(self):
+        """Single-time agreement of evolve with scipy's expm_multiply. The
+        name dates from the step integrator this test first checked; the
+        propagator it now checks is exact."""
+        _, _, psi0, H = small_setup()
+        a = evolve(H, psi0, 1.2)
+        b = spla.expm_multiply((-1.2j) * H.matrix, psi0.amplitudes)
+        assert np.max(np.abs(a.amplitudes - b)) < 1e-8
+
     def test_matches_expm_on_clipped_grid(self):
         """Exact propagation against scipy's expm_multiply on the clipped
         (8, 6, 6) basis, over a multi-time grid."""
