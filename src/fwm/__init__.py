@@ -9,7 +9,7 @@ from .fockspace import (CutoffError, FockBasis, FockStateVector, MomentSpec,
                         coherent_state, conserved_charges, cutoffs_for, moment)
 from .model import (ConfigError, CoherentInput, ModelParams,
                     PerturbativeCoefficients, coefficient_derivatives,
-                    coefficients, delta_omega1)
+                    coefficients)
 from .oracle import (ComparisonReport, CompareResult, Hamiltonian,
                      build_hamiltonian, certification_summary, compare, evolve,
                      evolve_grid, oracle_witness)
@@ -26,7 +26,7 @@ __all__ = [
     "CutoffError", "FockBasis", "FockStateVector", "MomentSpec",
     "coherent_state", "conserved_charges", "cutoffs_for", "moment",
     "ConfigError", "CoherentInput", "ModelParams", "PerturbativeCoefficients",
-    "coefficient_derivatives", "coefficients", "delta_omega1",
+    "coefficient_derivatives", "coefficients",
     "ComparisonReport", "CompareResult", "Hamiltonian", "build_hamiltonian",
     "certification_summary", "compare", "evolve", "evolve_grid",
     "oracle_witness",

@@ -1,7 +1,8 @@
 """Command-line front end: sweep, compare, presets, check.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.  Any config field
-can be overridden with a flag of the same dotted path, e.g.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (also when any
+row of ``sweep --oracle`` is oracle_failed).  Any config field can be
+overridden with a flag of the same dotted path, e.g.
 ``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``.
 
 Frequencies are angular (s⁻¹).  Oracle propagation always substitutes the
@@ -115,22 +116,15 @@ def _load_config(args, overrides, default=None) -> RunConfig:
         base = default.to_dict()
     else:
         raise UsageError("need --config or --preset")
-    if overrides:
-        base = apply_overrides(base, overrides)
-    cfg = RunConfig.from_dict(base)
-    if getattr(args, "oracle", False):
-        cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"oracle.enabled": True}))
-    if args.format:
-        cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"output.format": args.format}))
-    if args.out:
-        cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"output.path": args.out}))
     workers = args.workers
     if workers is None:
         workers = _parse_value(os.environ.get("FWM_WORKERS", "1"))
-    cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"workers": workers}))
-    if args.seed is not None:
-        cfg = RunConfig.from_dict(apply_overrides(cfg.to_dict(), {"seed": args.seed}))
-    return cfg
+    flags = {"oracle.enabled": getattr(args, "oracle", False) or None,
+             "output.format": args.format, "output.path": args.out,
+             "workers": workers, "seed": args.seed}
+    # flags are applied last, so they win over dotted overrides of the same field
+    overrides = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
+    return RunConfig.from_dict(apply_overrides(base, overrides))
 
 
 def _emit(text: str, path: str | None):
@@ -153,6 +147,11 @@ def _cmd_sweep(args, overrides) -> int:
     for (label, phi), onset in summary.items():
         txt = "none" if onset is None else f"{onset:.6g}"
         sys.stderr.write(f"  onset {label} phi={phi:.6g}: {txt}\n")
+    failed = sum(r.source == "oracle_failed" for r in rows)
+    if failed:
+        sys.stderr.write(f"numerical failure: {failed} oracle_failed rows, oracle.cutoffs "
+                         f"{cfg.oracle.cutoffs} too small for the coherent input\n")
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Truncated three-mode occupation-number space: basis, states, moments.
 
 The flat index runs row-major over (n_a, n_b, n_c); amplitudes reshape to a
-(N_a+1, N_b+1, N_c+1) tensor for ladder operations.  Moments are evaluated
-by applying only annihilation powers to ket and bra,
-⟨a†ᵖaᵠb†ʳbˢc†ᵘcᵛ⟩ = ⟨(aᵖbʳcᵘ)ψ | (aᵠbˢcᵛ)ψ⟩, which is exact on the
-truncated space (no creation operator ever pushes population past a cutoff).
+(N_a+1, N_b+1, N_c+1) tensor, and a stack of states with (T, dim)
+amplitudes to a (T, N_a+1, N_b+1, N_c+1) one.  A moment
+⟨a†ᵖaᵠb†ʳbˢc†ᵘcᵛ⟩ = ⟨(aᵖbʳcᵘ)ψ | (aᵠbˢcᵛ)ψ⟩ applies only annihilation
+powers, so it pairs the slices ψ[k+p] and ψ[k+q] on each mode axis; this is
+exact on the truncated space (no creation operator ever pushes population
+past a cutoff), and gives one value per stacked state.
 """
 from __future__ import annotations
 
@@ -65,7 +67,8 @@ class FockBasis:
 
 @dataclass
 class FockStateVector:
-    """Complex amplitudes over a FockBasis, with truncation bookkeeping."""
+    """Complex (dim,) amplitudes over a FockBasis, or a (T, dim) stack of
+    states, with truncation bookkeeping."""
 
     amplitudes: np.ndarray
     basis: FockBasis
@@ -75,7 +78,7 @@ class FockStateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.basis.shape)
+        return self.amplitudes.reshape(self.amplitudes.shape[:-1] + self.basis.shape)
 
 
 def coherent_amplitudes(cutoff: int, z: complex) -> tuple[np.ndarray, float]:
@@ -148,27 +151,22 @@ class MomentSpec:
                 f"moment order {sum(exps)} exceeds maximum {MAX_MOMENT_ORDER}")
 
 
-def _lower(tensor: np.ndarray, mode: int, power: int) -> np.ndarray:
-    """Apply the annihilation operator ``power`` times along one mode axis."""
-    out = tensor
-    for _ in range(power):
-        n = out.shape[mode]
-        factors = np.sqrt(np.arange(1, n))
-        shape = [1, 1, 1]
-        shape[mode] = n - 1
-        shifted = np.take(out, np.arange(1, n), axis=mode) * factors.reshape(shape)
-        pad = [(0, 0)] * 3
-        pad[mode] = (0, 1)
-        out = np.pad(shifted, pad)
-    return out
+def moment(psi: FockStateVector, spec: MomentSpec):
+    """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩, one value per stacked state.
 
-
-def moment(psi: FockStateVector, spec: MomentSpec) -> complex:
-    """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩ by ladder action on the state."""
+    On each mode axis the bra is the view ψ[k+p] and the ket the view
+    ψ[k+q], k = 0 … n−1−max(p, q), weighted by √((k+1)…(k+p)·(k+1)…(k+q)).
+    """
     ten = psi.tensor()
-    bra = _lower(_lower(_lower(ten, 0, spec.p), 1, spec.r), 2, spec.u)
-    ket = _lower(_lower(_lower(ten, 0, spec.q), 1, spec.s), 2, spec.v)
-    return complex(np.vdot(bra, ket))
+    bra, ket, weight = [Ellipsis], [Ellipsis], np.ones(())
+    for (p, q), n in zip(((spec.p, spec.q), (spec.r, spec.s), (spec.u, spec.v)),
+                         psi.basis.shape):
+        k = np.arange(max(n - max(p, q), 0), dtype=float)
+        bra.append(slice(p, p + k.size))
+        ket.append(slice(q, q + k.size))
+        factors = k[:, None] + np.r_[1:p + 1, 1:q + 1]
+        weight = np.multiply.outer(weight, np.sqrt(factors.prod(axis=1)))
+    return np.vecdot(ten[tuple(bra)], weight * ten[tuple(ket)]).sum(axis=(-2, -1))
 
 
 def mean_occupations(psi: FockStateVector) -> tuple[float, float, float]:

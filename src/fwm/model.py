@@ -62,11 +62,6 @@ class ModelParams:
         return cls(omega_a=delta_omega1 / 2.0, omega_b=0.0, omega_c=0.0, g=g)
 
 
-def delta_omega1(params: ModelParams) -> float:
-    """Detuning Δω₁ = 2ω_a − ω_b − ω_c (sign preserved)."""
-    return params.delta_omega1
-
-
 @dataclass(frozen=True)
 class CoherentInput:
     """Complex amplitudes of the initial three-mode coherent product state.

@@ -7,8 +7,9 @@ Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
 so each block is tridiagonal and small.  Blocks are diagonalized exactly
 (equal sizes in one batched ``eigh``) and ψ(t) = V e^{-iEt} V†ψ0 is formed
 at every grid time, with no time stepping.  Witnesses are assembled from raw
-moments of the propagated state; `compare` certifies every closed form
-against the oracle over a coupling-halving ladder.
+moments of the propagated states, stacked ``TIME_CHUNK`` at a time
+(`witness_grid`); `compare` certifies every closed form against the oracle
+over a coupling-halving ladder.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from . import witnesses
 from .fockspace import (CutoffError, FockBasis, FockStateVector, MomentSpec,
                         coherent_state, conserved_charges, cutoffs_for, moment)
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
-from .witnesses import Criterion, WitnessId, WitnessValue
+from .witnesses import Criterion, WitnessId
 
-TIME_CHUNK = 16   # grid times propagated together; bounds the temporaries
+TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the temporaries
 
 
 @dataclass
@@ -165,9 +166,9 @@ def _pair_specs(pair, m, n):
     return quad, cross_hz1, cross_hz2, ni, nj
 
 
-def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams,
-                   t: float) -> WitnessValue:
-    """Witness value assembled from raw moments of ψ(t).
+def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams, t):
+    """Witness value assembled from raw moments of ψ(t); one value per
+    stacked state when ``psi`` holds a stack and ``t`` its times.
 
     HZ and trimodal criteria involve only moduli and number operators, so no
     frame correction is applied; the Duan quadratures use co-rotated
@@ -176,10 +177,10 @@ def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams,
     if wid.criterion in (Criterion.HZ1, Criterion.HZ2):
         quad, x1, x2, ni, nj = _pair_specs(wid.modes, m, n)
         if wid.criterion is Criterion.HZ1:
-            val = moment(psi, quad).real - abs(moment(psi, x1)) ** 2
+            val = moment(psi, quad).real - np.abs(moment(psi, x1)) ** 2
         else:
             val = (moment(psi, ni).real * moment(psi, nj).real
-                   - abs(moment(psi, x2)) ** 2)
+                   - np.abs(moment(psi, x2)) ** 2)
     elif wid.criterion is Criterion.DUAN:
         i, j = wid.modes
         _, x1, _, ni, nj = _pair_specs(wid.modes, 1, 1)
@@ -192,20 +193,31 @@ def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams,
         mi = moment(psi, mono[i]) * rot_i
         mj = moment(psi, mono[j]) * rot_j
         cij = moment(psi, x1) * rot_i * np.conj(rot_j)
-        val = (2 * (moment(psi, ni).real - abs(mi) ** 2)
-               + 2 * (moment(psi, nj).real - abs(mj) ** 2)
+        val = (2 * (moment(psi, ni).real - np.abs(mi) ** 2)
+               + 2 * (moment(psi, nj).real - np.abs(mj) ** 2)
                + 4 * (cij - mi * np.conj(mj)).real)
     elif wid.criterion is Criterion.TRI_HZ1:
         nnn = moment(psi, MomentSpec(1, 1, 1, 1, 1, 1)).real
-        val = nnn - abs(moment(psi, _TRI_CROSS[wid.modes])) ** 2
+        val = nnn - np.abs(moment(psi, _TRI_CROSS[wid.modes])) ** 2
     else:
         na = moment(psi, MomentSpec(1, 1, 0, 0, 0, 0)).real
         nb = moment(psi, MomentSpec(0, 0, 1, 1, 0, 0)).real
         nc = moment(psi, MomentSpec(0, 0, 0, 0, 1, 1)).real
-        val = na * nb * nc - abs(moment(psi, MomentSpec(0, 1, 0, 1, 0, 1))) ** 2
-    val = float(val)
-    return WitnessValue(id=wid, value=val, entangled=bool(val < 0.0),
-                        t=float(t), phi=0.0)
+        val = na * nb * nc - np.abs(moment(psi, MomentSpec(0, 1, 0, 1, 0, 1))) ** 2
+    return val
+
+
+def witness_grid(wids, states, params: ModelParams, times) -> np.ndarray:
+    """(witness, time) oracle values of propagated ``states``, every witness
+    evaluated once per stack of ``TIME_CHUNK`` states."""
+    out = np.empty((len(wids), len(states)))
+    for lo in range(0, len(states), TIME_CHUNK):
+        chunk = states[lo:lo + TIME_CHUNK]
+        stack = FockStateVector(np.stack([s.amplitudes for s in chunk]), chunk[0].basis)
+        t = np.asarray(times[lo:lo + TIME_CHUNK], dtype=float)
+        for i, wid in enumerate(wids):
+            out[i, lo:lo + len(chunk)] = oracle_witness(wid, stack, params, t)
+    return out
 
 
 @dataclass
@@ -275,7 +287,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     diag = {"cutoffs": cutoffs, "dimension": basis.dimension,
             "norm_drift": 0.0, "q1_drift": 0.0, "q2_drift": 0.0,
             "clipped_transitions": 0}
-    per_rung_states = []
+    per_rung_values = []
     for p in ladder:
         H = build_hamiltonian(p, basis)
         diag["clipped_transitions"] = max(diag["clipped_transitions"],
@@ -286,7 +298,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
             q1, q2 = conserved_charges(s)
             diag["q1_drift"] = max(diag["q1_drift"], abs(q1 - q1_0))
             diag["q2_drift"] = max(diag["q2_drift"], abs(q2 - q2_0))
-        per_rung_states.append(states)
+        per_rung_values.append(witness_grid(wids, states, p, times))
 
     gs = np.array([p.g for p in ladder])
     log_g = np.log(gs)
@@ -294,15 +306,11 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     delta = ladder[0].delta_omega1
     g_top = ladder[0].g
     reports = []
-    for wid in wids:
+    for i, wid in enumerate(wids):
         for k, t in enumerate(times):
-            oracle_vals = []
-            pert_vals = []
-            for p, states in zip(ladder, per_rung_states):
-                ov = oracle_witness(wid, states[k], p, t).value
-                pv = perturbative_fn(wid, coefficients(p, t), inp).value
-                oracle_vals.append(ov)
-                pert_vals.append(pv)
+            oracle_vals = [float(vals[i, k]) for vals in per_rung_values]
+            pert_vals = [perturbative_fn(wid, coefficients(p, t), inp).value
+                         for p in ladder]
             errs = np.abs(np.array(oracle_vals) - np.array(pert_vals))
             gate = errs > eps_gate * np.maximum(1.0, np.abs(oracle_vals))
             if np.all(gate):

@@ -36,6 +36,17 @@ class UsageError(ConfigError):
     """Bad run configuration or CLI usage."""
 
 
+def _real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise UsageError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ParamsSpec:
     """Either full frequencies or a {Δω₁, g} shorthand."""
@@ -47,6 +58,9 @@ class ParamsSpec:
     delta_omega1: float | None = None
 
     def __post_init__(self):
+        for name in ("g", "omega_a", "omega_b", "omega_c", "delta_omega1"):
+            if getattr(self, name) is not None:
+                _real(f"params.{name}", getattr(self, name))
         full = all(v is not None for v in (self.omega_a, self.omega_b, self.omega_c))
         if not full and self.delta_omega1 is None:
             raise UsageError("params: give omega_a/omega_b/omega_c or delta_omega1")
@@ -65,13 +79,12 @@ class InputSpec:
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha_abs", "beta", "gamma"):
+            _real(f"input.{name}", getattr(self, name))
         if not self.phi:
             raise UsageError("input.phi: need at least one pump phase")
         for p in self.phi:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise UsageError(f"input.phi: phases must be numbers, got {p!r}")
-            if not math.isfinite(p):
-                raise UsageError(f"input.phi: phases must be finite, got {p!r}")
+            _real("input.phi", p)
             if not (0.0 <= p < TWO_PI):
                 raise UsageError(f"input.phi: phases must lie in [0, 2pi), got {p!r}")
 
@@ -86,8 +99,9 @@ class GtGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 2:
-            raise UsageError(f"gt_grid.count must be >= 2, got {self.count}")
+        _real("gt_grid.start", self.start)
+        _real("gt_grid.stop", self.stop)
+        _integer("gt_grid.count", self.count, 2)
         if not (self.stop > self.start >= 0.0):
             raise UsageError(f"gt_grid must be strictly increasing from >= 0, "
                              f"got [{self.start}, {self.stop}]")
@@ -102,6 +116,17 @@ class OracleSpec:
     cutoffs: tuple[int, int, int] | None = None
     ladder_rungs: int = 3
 
+    def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise UsageError(f"oracle.enabled must be true or false, got {self.enabled!r}")
+        _integer("oracle.ladder_rungs", self.ladder_rungs, 1)
+        if self.cutoffs is not None:
+            if not isinstance(self.cutoffs, (list, tuple)) or len(self.cutoffs) != 3:
+                raise UsageError(f"oracle.cutoffs must be three integers, got {self.cutoffs!r}")
+            for c in self.cutoffs:
+                _integer("oracle.cutoffs", c, 0)
+            object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
+
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -109,6 +134,8 @@ class OutputSpec:
     format: str = "csv"
 
     def __post_init__(self):
+        if self.path is not None and not isinstance(self.path, str):
+            raise UsageError(f"output.path must be a string, got {self.path!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"output.format must be csv or json, got {self.format!r}")
 
@@ -125,9 +152,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (isinstance(self.workers, bool) or not isinstance(self.workers, int)
-                or self.workers < 1):
-            raise UsageError(f"workers must be an integer >= 1, got {self.workers!r}")
+        _integer("workers", self.workers, 1)
 
     def witness_ids(self) -> list[WitnessId]:
         return [WitnessId.parse(s) for s in self.witnesses]
@@ -156,9 +181,7 @@ class RunConfig:
                     beta=d["input"]["beta"], gamma=d["input"]["gamma"]),
                 gt_grid=GtGrid(**d["gt_grid"]),
                 witnesses=tuple(d["witnesses"]),
-                oracle=OracleSpec(**{**d.get("oracle", {}),
-                                     **({"cutoffs": tuple(d["oracle"]["cutoffs"])}
-                                        if d.get("oracle", {}).get("cutoffs") else {})}),
+                oracle=OracleSpec(**d.get("oracle", {})),
                 output=OutputSpec(**d.get("output", {})),
                 workers=d.get("workers", 1),
                 seed=int(d.get("seed", 0)),
@@ -255,39 +278,37 @@ def _oracle_phi_payload(config: RunConfig, phi: float):
     return synth, inp, cutoffs
 
 
-def _oracle_rows_for_phi(args) -> list[SweepRow]:
+def _oracle_values_for_phi(args) -> np.ndarray:
+    """(witness, gt) oracle values at one pump phase; all NaN when the
+    configured cutoffs cannot hold the coherent input."""
     config, phi = args
     synth, inp, cutoffs = _oracle_phi_payload(config, phi)
-    gts = config.gt_grid.values()
-    times = [float(gt / synth.g) for gt in gts]
+    times = [float(gt / synth.g) for gt in config.gt_grid.values()]
     wids = config.witness_ids()
     try:
-        basis = oracle_mod.FockBasis(cutoffs)
-        psi0 = oracle_mod.coherent_state(basis, inp)
+        psi0 = oracle_mod.coherent_state(oracle_mod.FockBasis(cutoffs), inp)
     except oracle_mod.CutoffError:
-        return [SweepRow(gt=float(gt), phi=phi, criterion=w.criterion.value,
-                         modes=w.mode_string, m=w.m, n=w.n, value=float("nan"),
-                         entangled=False, source="oracle_failed")
-                for w in wids for gt in gts]
-    H = oracle_mod.build_hamiltonian(synth, basis)
+        return np.full((len(wids), len(times)), np.nan)
+    H = oracle_mod.build_hamiltonian(synth, psi0.basis)
     states = oracle_mod.evolve_grid(H, psi0, times)
-    rows = []
-    for w in wids:
-        for gt, t, psi in zip(gts, times, states):
-            wv = oracle_mod.oracle_witness(w, psi, synth, t)
-            rows.append(SweepRow(gt=float(gt), phi=phi, criterion=w.criterion.value,
-                                 modes=w.mode_string, m=w.m, n=w.n,
-                                 value=wv.value, entangled=wv.entangled,
-                                 source="oracle"))
-    return rows
+    return oracle_mod.witness_grid(wids, states, synth, times)
+
+
+def _series_rows(w: WitnessId, phi: float, gts, values, source: str) -> list[SweepRow]:
+    return [SweepRow(gt=float(gt), phi=phi, criterion=w.criterion.value,
+                     modes=w.mode_string, m=w.m, n=w.n, value=float(v),
+                     entangled=bool(v < 0.0), source=source)
+            for gt, v in zip(gts, values)]
 
 
 def run_sweep(config: RunConfig):
     """Execute a sweep; returns (rows, summary).
 
     Rows are ordered by (witness as listed, phi as listed, gt ascending) with
-    perturbative rows first, then oracle rows when enabled.  The summary maps
-    (witness label, phi) to the first negativity onset gt* or None.
+    perturbative rows first, then oracle rows when enabled; an oracle series
+    whose cutoffs cannot hold the input is written as ``oracle_failed`` rows
+    with NaN values.  The summary maps (witness label, phi) to the first
+    negativity onset gt* or None.
     """
     wids = config.witness_ids()
     params = config.params.to_model()
@@ -299,32 +320,22 @@ def run_sweep(config: RunConfig):
     for w in wids:
         for phi in config.input.phi:
             inp = config.input.coherent(phi)
-            vals = []
-            for gt in gts:
-                t = gt / params.g
-                wv = wit_mod.evaluate(w, coefficients(params, t), inp)
-                vals.append(wv.value)
-                rows.append(SweepRow(gt=float(gt), phi=phi,
-                                     criterion=w.criterion.value,
-                                     modes=w.mode_string, m=w.m, n=w.n,
-                                     value=wv.value, entangled=wv.entangled,
-                                     source="perturbative"))
+            vals = [wit_mod.evaluate(w, coefficients(params, gt / params.g), inp).value
+                    for gt in gts]
+            rows.extend(_series_rows(w, phi, gts, vals, "perturbative"))
             summary[(w.label(), phi)] = _onset(gts, vals)
 
     if config.oracle.enabled and wids:
         tasks = [(config, phi) for phi in config.input.phi]
         if config.workers > 1:
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_oracle_rows_for_phi, tasks))
+                results = list(pool.map(_oracle_values_for_phi, tasks))
         else:
-            results = [_oracle_rows_for_phi(t) for t in tasks]
-        # regroup: witness-major, phi as listed (deterministic regardless of pool)
-        by_phi = dict(zip(config.input.phi, results))
-        for w in wids:
-            for phi in config.input.phi:
-                rows.extend(r for r in by_phi[phi]
-                            if (r.criterion, r.modes, r.m, r.n)
-                            == (w.criterion.value, w.mode_string, w.m, w.n))
+            results = [_oracle_values_for_phi(t) for t in tasks]
+        for i, w in enumerate(wids):
+            for phi, vals in zip(config.input.phi, results):
+                source = "oracle_failed" if np.isnan(vals[i]).all() else "oracle"
+                rows.extend(_series_rows(w, phi, gts, vals[i], source))
     return rows, summary
 
 

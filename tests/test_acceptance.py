@@ -257,7 +257,7 @@ def test_criterion_7_oracle_physics(certification_report):
         amps = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
         psi = FockStateVector(amplitudes=amps, basis=basis,
                               tail_mass=psi0.tail_mass)
-        return np.array([oracle_mod.oracle_witness(w, psi, p, t).value
+        return np.array([oracle_mod.oracle_witness(w, psi, p, t)
                          for w in wids])
 
     base_vals = witness_values(params, base_cut)

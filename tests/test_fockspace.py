@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwm.fockspace import (CutoffError, FockBasis, MomentSpec,
-                           coherent_amplitudes, coherent_state,
-                           conserved_charges, cutoffs_for, edge_population,
-                           moment)
+from fwm.fockspace import (MAX_MOMENT_ORDER, CutoffError, FockBasis,
+                           FockStateVector, MomentSpec, coherent_amplitudes,
+                           coherent_state, conserved_charges, cutoffs_for,
+                           edge_population, moment)
 from fwm.model import CoherentInput, ConfigError
+from fwm.residuals import _ladders
 
 
 class TestBasisIndexing:
@@ -122,6 +123,36 @@ class TestMoments:
         fwd = moment(psi, MomentSpec(0, 2, 1, 0, 0, 1))
         rev = moment(psi, MomentSpec(2, 0, 0, 1, 1, 0))
         assert fwd == pytest.approx(rev.conjugate(), abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+           exps=st.tuples(*[st.integers(0, 5)] * 6).filter(
+               lambda e: sum(e) <= MAX_MOMENT_ORDER),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_sparse_ladder_product(self, cut, exps, seed):
+        """⟨ψ|A†ᵖAᵠB†ʳBˢC†ᵘCᵛ|ψ⟩ from the sparse ladder matrices, applied
+        right to left, for random states and exponents (some above a
+        cutoff); a stack of three states gives the same value row by row."""
+        basis = FockBasis(cut)
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(3, basis.dimension)) + 1j * rng.normal(size=(3, basis.dimension))
+        A, B, C = _ladders(basis)
+        spec = MomentSpec(*exps)
+        ops = ([C] * spec.v + [C.conj().T] * spec.u + [B] * spec.s
+               + [B.conj().T] * spec.r + [A] * spec.q + [A.conj().T] * spec.p)
+        stacked = moment(FockStateVector(amps, basis), spec)
+        assert stacked.shape == (3,)
+        for row, got in zip(amps, stacked):
+            ket = row
+            for op in ops:
+                ket = op @ ket
+            want = np.vdot(row, ket)
+            single = moment(FockStateVector(row, basis), spec)
+            assert single == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(single, rel=1e-12, abs=1e-12)
+        if max(spec.p, spec.q) > cut[0] or max(spec.r, spec.s) > cut[1] \
+                or max(spec.u, spec.v) > cut[2]:
+            assert np.all(stacked == 0)
 
 
 def test_edge_population_decreases_with_margin():

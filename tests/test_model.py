@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwm.model import (SERIES_SWITCHOVER, CoherentInput, ConfigError,
-                       ModelParams, coefficient_derivatives, coefficients,
-                       delta_omega1)
+                       ModelParams, coefficient_derivatives, coefficients)
 
 FIG_PARAMS = ModelParams(242.38e13, 36.05e13, 448.98e13, 2.7e9)
 
@@ -23,16 +22,16 @@ def coeff_tuple(c):
 
 class TestDeltaOmega1:
     def test_figure_frequencies(self):
-        assert delta_omega1(FIG_PARAMS) == pytest.approx(-0.27e13, rel=1e-12)
+        assert FIG_PARAMS.delta_omega1 == pytest.approx(-0.27e13, rel=1e-12)
 
     def test_equal_frequencies_resonant(self):
-        assert delta_omega1(ModelParams(1.0, 1.0, 1.0, 0.0)) == 0.0
+        assert ModelParams(1.0, 1.0, 1.0, 0.0).delta_omega1 == 0.0
 
     def test_resonance_by_construction(self):
-        assert delta_omega1(ModelParams(2.0, 1.0, 3.0, 0.0)) == 0.0
+        assert ModelParams(2.0, 1.0, 3.0, 0.0).delta_omega1 == 0.0
 
     def test_sign_preserved(self):
-        assert delta_omega1(ModelParams(1.0, 5.0, 0.0, 0.0)) == -3.0
+        assert ModelParams(1.0, 5.0, 0.0, 0.0).delta_omega1 == -3.0
 
 
 class TestValidation:

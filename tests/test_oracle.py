@@ -8,9 +8,11 @@ import scipy.sparse.linalg as spla
 from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
                            conserved_charges, cutoffs_for, moment)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
-from fwm.oracle import (ComparisonReport, build_hamiltonian,
+from fwm.oracle import (TIME_CHUNK, ComparisonReport, build_hamiltonian,
                         certification_summary, charge_sectors, compare, evolve,
-                        evolve_grid, oracle_witness, sector_blocks)
+                        evolve_grid, oracle_witness, sector_blocks,
+                        witness_grid)
+from fwm.sweep import certification_witnesses
 from fwm.witnesses import Criterion, WitnessId, evaluate
 
 SMALL_INPUT = CoherentInput(0.8, 0.6, 0.5)
@@ -163,7 +165,7 @@ class TestOracleWitness:
         for label in ["HZ1:ab", "HZ2:bc", "DUAN:ac", "TRI_HZ1:bca", "TRI_SYM"]:
             wid = WitnessId.parse(label)
             wv = oracle_witness(wid, psi0, params, 0.0)
-            assert abs(wv.value) < 1e-9
+            assert abs(wv) < 1e-9
 
     def test_matches_closed_form_at_small_g(self):
         g = 0.005
@@ -178,11 +180,28 @@ class TestOracleWitness:
         for label in ["HZ1:ab", "HZ1:bc", "HZ2:ac", "HZ1:ab:2,1", "HZ2:bc:1,2",
                       "DUAN:ab", "TRI_HZ1:abc", "TRI_SYM"]:
             wid = WitnessId.parse(label)
-            ov = oracle_witness(wid, psi, params, t).value
+            ov = oracle_witness(wid, psi, params, t)
             pv = evaluate(wid, coeffs, SMALL_INPUT).value
             # a wrong closed-form term would miss by O(|f2|²·poly), 30-100x this
             scale = max(abs(ov), abs(pv), f2s)
             assert abs(ov - pv) < 5e-3 * scale, label
+
+
+    def test_grid_matches_per_state(self):
+        """Chunked (witness, time) values equal per-state evaluation for
+        every certified witness, on a grid whose length is not a multiple
+        of the chunk size."""
+        params, _, psi0, H = small_setup()
+        times = np.linspace(0.0, 3.0, 37)
+        assert len(times) % TIME_CHUNK != 0
+        states = evolve_grid(H, psi0, times)
+        wids = [WitnessId.parse(s) for s in certification_witnesses()]
+        assert len(wids) == 31
+        grid = witness_grid(wids, states, params, times)
+        assert grid.shape == (31, 37)
+        for i, wid in enumerate(wids):
+            want = [oracle_witness(wid, psi, params, t) for psi, t in zip(states, times)]
+            assert np.allclose(grid[i], want, rtol=1e-12, atol=1e-12), wid.label()
 
 
 class TestCompare:

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwm import cli
@@ -280,8 +280,35 @@ BAD_PHASES = st.one_of(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
 )
 
+WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+
+# (dotted field, raw value) pairs that are not a valid value of the field:
+# non-integer counts and rungs, words and lists as amplitudes, cutoff lists
+# of the wrong length.
+BAD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["gt_grid.count", "oracle.ladder_rungs"]),
+              st.floats().filter(lambda x: not x.is_integer()).map(repr)),
+    st.tuples(st.sampled_from(["input.alpha_abs", "input.beta", "input.gamma"]),
+              st.one_of(WORDS, st.lists(st.integers(), max_size=3).map(json.dumps))),
+    st.tuples(st.just("oracle.cutoffs"),
+              st.lists(st.integers(0, 9), max_size=5)
+              .filter(lambda c: len(c) != 3).map(json.dumps)),
+)
+
 
 class TestCliBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(BAD_FIELDS)
+    @example(("gt_grid.count", "3.5"))
+    @example(("input.alpha_abs", "abc"))
+    @example(("input.beta", "[1]"))
+    @example(("oracle.cutoffs", "[3,2]"))
+    def test_bad_field_is_one_line_usage_error(self, case):
+        field, raw = case
+        code, out, err = main_in_process(*SWEEP, "--oracle", f"--{field}", raw)
+        assert_one_line_usage_error(code, err, field)
+        assert out == ""
+
     @settings(max_examples=60, deadline=None)
     @given(BAD_PHASES)
     def test_bad_phase_is_one_line_usage_error(self, raw):
@@ -329,12 +356,16 @@ class TestCliBoundary:
 
     def test_failed_oracle_rows_are_strict_json(self, tmp_path):
         """Rows the oracle cannot produce (cutoffs too small for the input)
-        carry value null in JSON and nan in CSV."""
+        carry value null in JSON and nan in CSV, and the run exits 2."""
         args = (*SWEEP, "--oracle", "--oracle.cutoffs", "[3,2,2]",
                 "--input.phi", "0")
         js, csv = tmp_path / "rows.json", tmp_path / "rows.csv"
-        assert main_in_process(*args, "--format", "json", "--out", str(js))[0] == 0
-        assert main_in_process(*args, "--out", str(csv))[0] == 0
+        assert main_in_process(*args, "--format", "json", "--out", str(js))[0] == 2
+        code, _, err = main_in_process(*args, "--out", str(csv))
+        assert code == 2
+        assert err.splitlines()[-1] == ("numerical failure: 8 oracle_failed rows, "
+                                        "oracle.cutoffs (3, 2, 2) too small for the "
+                                        "coherent input")
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
