@@ -11,12 +11,17 @@ coupling g are
 with all fifteen coefficients closed functions of (Δω₁, g, t), where
 Δω₁ = 2ω_a − ω_b − ω_c.  Only Δω₁·t and g·t enter any observable; the ω's
 are treated as angular frequencies (s⁻¹).
+
+`coefficients` takes a scalar time or an array of times; for an array every
+coefficient is an array over t, computed in one numpy pass.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Below this value of |Δω₁·t| the coefficient helpers switch to a 4-term
 # Taylor series so the two-photon-resonance limit is smooth.
@@ -94,7 +99,8 @@ class CoherentInput:
 
 @dataclass(frozen=True)
 class PerturbativeCoefficients:
-    """The fifteen operator coefficients at time t.
+    """The fifteen operator coefficients at time t (arrays over t when t is
+    an array).
 
     Exact identities: |f1| = |g1| = |h1| = 1, f4 = f5 = −f3/2,
     g4 = g5 = −2·g3, h4 = h5 = −2·h3, and g2/g1 = h2/h1.
@@ -121,53 +127,61 @@ class PerturbativeCoefficients:
     perturbative_valid: bool
 
 
-def _ramp(x: float, series: bool | None = None) -> complex:
-    """(1 − e^{ix}) / x, series branch below the switchover.
+def _ramp(x, series=None):
+    """(1 − e^{ix}) / x elementwise, series branch below the switchover.
 
     Equals −i at x = 0.  The closed form uses 1 − e^{ix} =
-    2sin²(x/2) − i·sin(x), which has no subtractive cancellation.
+    2sin²(x/2) − i·sin(x), which has no subtractive cancellation.  Each
+    branch sees only its own elements (the other slots hold 0 or 1), so the
+    closed form never divides by zero.
     """
     if series is None:
-        series = abs(x) < SERIES_SWITCHOVER
-    if series:
-        return -1j + x / 2.0 + 1j * x * x / 6.0 - x ** 3 / 24.0
-    s = math.sin(0.5 * x)
-    return complex(2.0 * s * s, -math.sin(x)) / x
+        series = np.abs(x) < SERIES_SWITCHOVER
+    xs = np.where(series, x, 0.0)
+    xc = np.where(series, 1.0, x)
+    s = np.sin(0.5 * xc)
+    return np.where(series, -1j + xs / 2.0 + 1j * xs * xs / 6.0 - xs ** 3 / 24.0,
+                    (2.0 * s * s - 1j * np.sin(xc)) / xc)
 
 
-def _ramp2(x: float, series: bool | None = None) -> complex:
-    """(1 − e^{ix} + ix) / x², series branch below the switchover.
+def _ramp2(x, series=None):
+    """(1 − e^{ix} + ix) / x² elementwise, series branch below the switchover.
 
     Equals 1/2 at x = 0.  The imaginary part (x − sin x)/x² loses relative
     accuracy near the switchover but stays ~1e-12 below the dominant real
     part there, keeping the whole value accurate to ~1e-12.
     """
     if series is None:
-        series = abs(x) < SERIES_SWITCHOVER
-    if series:
-        return 0.5 + 1j * x / 6.0 - x * x / 24.0 - 1j * x ** 3 / 120.0
-    s = math.sin(0.5 * x)
-    return complex(2.0 * s * s, x - math.sin(x)) / (x * x)
+        series = np.abs(x) < SERIES_SWITCHOVER
+    xs = np.where(series, x, 0.0)
+    xc = np.where(series, 1.0, x)
+    s = np.sin(0.5 * xc)
+    return np.where(series, 0.5 + 1j * xs / 6.0 - xs * xs / 24.0 - 1j * xs ** 3 / 120.0,
+                    (2.0 * s * s + 1j * (xc - np.sin(xc))) / (xc * xc))
 
 
-def coefficients(params: ModelParams, t: float,
-                 _force_series: bool | None = None) -> PerturbativeCoefficients:
-    """Evaluate all fifteen coefficients at time t ≥ 0.
+def coefficients(params: ModelParams, t, _force_series: bool | None = None
+                 ) -> PerturbativeCoefficients:
+    """Evaluate all fifteen coefficients at a time t ≥ 0 or an array of them.
 
-    The resonant case Δω₁ → 0 is handled by the series branch of the ramp
-    helpers, not by an error.  ``_force_series`` overrides branch selection
+    Every field is an array over ``t`` for array input and a scalar for a
+    scalar ``t``.  The resonant case Δω₁ → 0 is handled by the series branch
+    of the ramp helpers, not by an error.  Raises ConfigError when any phase
+    ω·t or Δω₁·t is not finite.  ``_force_series`` overrides branch selection
     (used by the branch-continuity tests only).
     """
-    t = float(t)
-    if t < 0:
-        raise ConfigError(f"t must be nonnegative, got {t!r}")
+    t = np.asarray(t, dtype=float)[()]
+    if np.any(t < 0):
+        raise ConfigError(f"t must be nonnegative, got {float(np.min(t))!r}")
     g = params.g
-    d = params.delta_omega1
-    x = d * t
-
-    f1 = cmath.exp(-1j * params.omega_a * t)
-    g1 = cmath.exp(-1j * params.omega_b * t)
-    h1 = cmath.exp(-1j * params.omega_c * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.multiply.outer((params.omega_a, params.omega_b, params.omega_c,
+                                    params.delta_omega1), t)
+    if not np.isfinite(phases).all():
+        raise ConfigError(f"phases omega*t and delta_omega1*t must be finite, "
+                          f"got t up to {float(np.max(t))!r}")
+    f1, g1, h1 = np.exp(-1j * phases[:3])
+    x = phases[3]
 
     # f2 = (2g/Δω₁) f1 (1 − e^{iΔω₁t})      = 2g·t·f1·ramp(Δω₁t)
     # f3 = (2g/Δω₁)(f2 + 2igt f1)           = 4g²t²·f1·ramp2(Δω₁t)
@@ -191,7 +205,7 @@ def coefficients(params: ModelParams, t: float,
     )
 
 
-def coefficient_derivatives(params: ModelParams, t: float) -> dict[str, complex]:
+def coefficient_derivatives(params: ModelParams, t) -> dict[str, complex]:
     """Analytic d/dt of every coefficient (used by the equation-of-motion check).
 
     No Δω₁ division appears, so there is no resonant branch here.
@@ -199,8 +213,8 @@ def coefficient_derivatives(params: ModelParams, t: float) -> dict[str, complex]
     c = coefficients(params, t)
     g = params.g
     d = params.delta_omega1
-    e_p = cmath.exp(1j * d * t)
-    e_m = cmath.exp(-1j * d * t)
+    e_p = np.exp(1j * d * c.t)
+    e_m = np.exp(-1j * d * c.t)
     df1 = -1j * params.omega_a * c.f1
     df2 = -1j * params.omega_a * c.f2 - 2j * g * c.f1 * e_p
     df3 = -1j * params.omega_a * c.f3 + 2j * g * c.f2

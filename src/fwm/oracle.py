@@ -269,7 +269,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
         raise ConfigError("ladder rungs must share the detuning")
     if perturbative_fn is None:
         perturbative_fn = witnesses.evaluate
-    times = [float(t) for t in times]
+    times = tuple(float(t) for t in times)
 
     if all(p.g == 0.0 for p in ladder):
         reports = [ComparisonReport(witness=w, t=t, gt_top=0.0, oracle=0.0,
@@ -287,7 +287,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     diag = {"cutoffs": cutoffs, "dimension": basis.dimension,
             "norm_drift": 0.0, "q1_drift": 0.0, "q2_drift": 0.0,
             "clipped_transitions": 0}
-    per_rung_values = []
+    oracle_vals, pert_vals = [], []
     for p in ladder:
         H = build_hamiltonian(p, basis)
         diag["clipped_transitions"] = max(diag["clipped_transitions"],
@@ -298,7 +298,11 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
             q1, q2 = conserved_charges(s)
             diag["q1_drift"] = max(diag["q1_drift"], abs(q1 - q1_0))
             diag["q2_drift"] = max(diag["q2_drift"], abs(q2 - q2_0))
-        per_rung_values.append(witness_grid(wids, states, p, times))
+        oracle_vals.append(witness_grid(wids, states, p, times))
+        coeffs = coefficients(p, times)
+        pert_vals.append([perturbative_fn(w, coeffs, inp).value for w in wids])
+    oracle_vals = np.array(oracle_vals)      # (rung, witness, time)
+    pert_vals = np.array(pert_vals)
 
     gs = np.array([p.g for p in ladder])
     log_g = np.log(gs)
@@ -308,18 +312,16 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     reports = []
     for i, wid in enumerate(wids):
         for k, t in enumerate(times):
-            oracle_vals = [float(vals[i, k]) for vals in per_rung_values]
-            pert_vals = [perturbative_fn(wid, coefficients(p, t), inp).value
-                         for p in ladder]
-            errs = np.abs(np.array(oracle_vals) - np.array(pert_vals))
-            gate = errs > eps_gate * np.maximum(1.0, np.abs(oracle_vals))
+            o_vals, p_vals = oracle_vals[:, i, k], pert_vals[:, i, k]
+            errs = np.abs(o_vals - p_vals)
+            gate = errs > eps_gate * np.maximum(1.0, np.abs(o_vals))
             if np.all(gate):
                 slope = float(np.polyfit(log_g, np.log(errs), 1)[0])
                 note = ""
             else:
                 slope = None
                 note = "below roundoff gate"
-            o_small, p_small = oracle_vals[-1], pert_vals[-1]
+            o_small, p_small = float(o_vals[-1]), float(p_vals[-1])
             abs_err = abs(o_small - p_small)
             floor = _error_floor(ladder[-1].g, delta, inp)
             rel_err = abs_err / max(abs(o_small), floor)

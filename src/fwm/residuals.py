@@ -13,11 +13,16 @@ numeric values scale as g³ (asserted by the scaling tests).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from .fockspace import FockBasis
 from .model import ConfigError, ModelParams, coefficient_derivatives, coefficients
+
+# Largest low-occupation block (states) whose norm is taken densely: 64 MB.
+MAX_LOW_BLOCK = 2048
 
 
 def _single_mode_lowering(n: int) -> sp.csr_matrix:
@@ -78,6 +83,9 @@ def _block_norm(M: sp.spmatrix, idx: np.ndarray) -> float:
 def _validate_cutoffs(cutoffs) -> FockBasis:
     if any(c < 4 for c in cutoffs):
         raise ConfigError(f"residual checks need cutoffs >= 4, got {cutoffs!r}")
+    if math.prod(c - 2 for c in cutoffs) > MAX_LOW_BLOCK:
+        raise ConfigError(f"cutoffs {cutoffs!r} give a low-occupation block above "
+                          f"{MAX_LOW_BLOCK} states")
     return FockBasis(tuple(int(c) for c in cutoffs))
 
 

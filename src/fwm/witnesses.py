@@ -2,6 +2,8 @@
 
 Each function maps (coefficients, coherent input) to a real witness value;
 a strictly negative value certifies inseparability of the named mode set.
+The arithmetic is elementwise, so coefficients over an array of times give
+a value (and an ``entangled`` flag) per time in one pass.
 Criteria:
 
     HZ1      ⟨N_i N_j⟩ − |⟨i j†⟩|²            (and the (m,n) generalization)
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .model import CoherentInput, PerturbativeCoefficients
 
@@ -106,16 +110,21 @@ class WitnessId:
 
 @dataclass(frozen=True)
 class WitnessValue:
+    """Floats and a bool for a scalar time, arrays over t otherwise."""
+
     id: WitnessId
-    value: float
-    entangled: bool
-    t: float
+    value: float | np.ndarray
+    entangled: bool | np.ndarray
+    t: float | np.ndarray
     phi: float = field(default=0.0)
 
 
 def _value(wid, value, coeffs, inp):
-    value = float(value)
-    return WitnessValue(id=wid, value=value, entangled=bool(value < 0.0),
+    value = np.asarray(value, dtype=float)
+    entangled = value < 0.0
+    if value.ndim == 0:     # a scalar t keeps a Python float and bool
+        value, entangled = float(value), bool(entangled)
+    return WitnessValue(id=wid, value=value, entangled=entangled,
                         t=coeffs.t, phi=inp.phi)
 
 

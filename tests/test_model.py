@@ -51,6 +51,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             coefficients(FIG_PARAMS, -1.0)
 
+    @pytest.mark.parametrize("params, t", [
+        *[(FIG_PARAMS, t) for t in (1e308, math.inf, math.nan, np.array([0.0, 1e-9, 1e308]))],
+        (ModelParams.from_detuning(-1.0, 1.0), math.inf),    # 0·inf phases
+    ])
+    def test_nonfinite_phase_rejected(self, params, t):
+        with pytest.raises(ConfigError, match="finite"):
+            coefficients(params, t)
+
 
 class TestCoefficientBasics:
     def test_identity_at_t0(self):

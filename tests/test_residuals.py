@@ -16,6 +16,14 @@ def test_zero_at_g0():
     assert eom_residual(p, 1.7, (5, 4, 4)) < 1e-12
 
 
+def test_oversized_low_block_rejected():
+    p = ModelParams.from_detuning(-2.0, 0.3)
+    with pytest.raises(ConfigError, match="2048"):
+        etcr_residual(p, 0.5, (100, 100, 100))
+    with pytest.raises(ConfigError, match="2048"):
+        eom_residual(p, 0.5, (4, 4, 2051))
+
+
 def test_cutoff_too_small_rejected():
     p = ModelParams.from_detuning(-2.0, 0.3)
     with pytest.raises(ConfigError):

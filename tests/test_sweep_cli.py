@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +297,21 @@ BAD_FIELDS = st.one_of(
               .filter(lambda c: len(c) != 3).map(json.dumps)),
 )
 
+# Values of the config field ``witnesses`` that are not a list of valid
+# labels: a bare string, lists holding a non-string, and lists holding a
+# label that does not parse (unknown criterion, invalid mode pair, Duan
+# at higher order).
+BAD_WITNESSES = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.one_of(st.integers(), st.none(), st.booleans(), st.floats()), min_size=1),
+    st.lists(st.one_of(
+        WORDS,
+        st.builds("{}:{}".format, st.sampled_from(["HZ1", "HZ2", "DUAN"]),
+                  st.sampled_from(["aa", "ba", "cb", "ca", "abc", "x"])),
+        st.builds("DUAN:{}:{},1".format, st.sampled_from(["ab", "bc", "ac"]),
+                  st.integers(2, 5))), min_size=1),
+)
+
 
 class TestCliBoundary:
     @settings(max_examples=60, deadline=None)
@@ -307,6 +324,34 @@ class TestCliBoundary:
         field, raw = case
         code, out, err = main_in_process(*SWEEP, "--oracle", f"--{field}", raw)
         assert_one_line_usage_error(code, err, field)
+        assert out == ""
+
+    @settings(max_examples=40, deadline=None)
+    @given(BAD_WITNESSES)
+    @example(["HZ1:aa"])
+    @example(["DUAN:ab:2,1"])
+    @example([5])
+    @example("HZ1:ab")
+    def test_bad_witnesses_are_one_line_usage_error(self, witnesses):
+        cfg = presets()["fig5"].to_dict()
+        cfg["witnesses"] = witnesses
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            for command in ("sweep", "compare"):
+                code, out, err = main_in_process(command, "--config", str(path))
+                assert_one_line_usage_error(code, err, "witnesses")
+                assert out == ""
+
+    def test_overflowing_phase_is_one_line_usage_error(self):
+        code, out, err = main_in_process("sweep", "--preset", "fig5", "--gt_grid.stop",
+                                         "1e308", "--gt_grid.count", "3")
+        assert_one_line_usage_error(code, err, "finite")
+        assert out == ""
+
+    def test_oversized_check_cutoffs_is_one_line_usage_error(self):
+        code, out, err = main_in_process("check", "--cutoffs", "100,100,100")
+        assert_one_line_usage_error(code, err, "2048")
         assert out == ""
 
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwm.model import CoherentInput, ModelParams, coefficients
+from fwm.model import SERIES_SWITCHOVER, CoherentInput, ModelParams, coefficients
+from fwm.sweep import certification_witnesses
 from fwm.witnesses import (Criterion, InvalidWitness, WitnessId, duan_pair,
                            evaluate, hz1_higher, hz1_pair, hz2_higher,
                            hz2_pair, trimodal_hz, trimodal_symmetric)
@@ -293,3 +294,26 @@ def test_detuning_sufficiency_on_values():
                 pytest.approx(hz1_pair(pair, c1, inp).value, rel=1e-12, abs=1e-15)
         assert trimodal_symmetric(c0, inp).value == \
             pytest.approx(trimodal_symmetric(c1, inp).value, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("delta, times", [
+    # t = 0 and |Δω₁·t| on both sides of the series switchover in one array
+    (-1.0, np.concatenate([SERIES_SWITCHOVER * np.array([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),
+                           [0.01, 0.1, 1.0]])),
+    (0.0, np.array([0.0, 0.01, 0.1, 1.0])),      # exact resonance
+])
+def test_array_evaluation_matches_scalar(delta, times):
+    """One array pass over t agrees with per-point scalar evaluation for every
+    certification witness; scalar t gives a Python float and bool."""
+    params = ModelParams.from_detuning(delta, 0.5)
+    inp = CoherentInput.from_pump_phase(1.2, 0.7, 0.9, 0.6)
+    coeffs = coefficients(params, times)
+    for label in certification_witnesses():
+        wid = WitnessId.parse(label)
+        series = evaluate(wid, coeffs, inp)
+        points = [evaluate(wid, coefficients(params, t), inp) for t in times]
+        assert all(type(v.value) is float and type(v.entangled) is bool for v in points)
+        scalar = np.array([v.value for v in points])
+        np.testing.assert_allclose(series.value, scalar, rtol=1e-13,
+                                   atol=1e-13 * np.abs(scalar).max(), err_msg=label)
+        assert series.entangled.tolist() == [v.entangled for v in points], label
