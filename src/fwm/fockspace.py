@@ -10,6 +10,7 @@ past a cutoff), and gives one value per stacked state.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,6 +152,20 @@ class MomentSpec:
                 f"moment order {sum(exps)} exceeds maximum {MAX_MOMENT_ORDER}")
 
 
+@functools.lru_cache
+def _moment_plan(spec: MomentSpec, shape: tuple[int, int, int]):
+    """(bra slices, ket slices, read-only weight array) of ``moment``."""
+    bra, ket, weight = [Ellipsis], [Ellipsis], np.ones(())
+    for (p, q), n in zip(((spec.p, spec.q), (spec.r, spec.s), (spec.u, spec.v)), shape):
+        k = np.arange(max(n - max(p, q), 0), dtype=float)
+        bra.append(slice(p, p + k.size))
+        ket.append(slice(q, q + k.size))
+        factors = k[:, None] + np.r_[1:p + 1, 1:q + 1]
+        weight = np.multiply.outer(weight, np.sqrt(factors.prod(axis=1)))
+    weight.flags.writeable = False
+    return tuple(bra), tuple(ket), weight
+
+
 def moment(psi: FockStateVector, spec: MomentSpec):
     """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩, one value per stacked state.
 
@@ -158,15 +173,8 @@ def moment(psi: FockStateVector, spec: MomentSpec):
     ψ[k+q], k = 0 … n−1−max(p, q), weighted by √((k+1)…(k+p)·(k+1)…(k+q)).
     """
     ten = psi.tensor()
-    bra, ket, weight = [Ellipsis], [Ellipsis], np.ones(())
-    for (p, q), n in zip(((spec.p, spec.q), (spec.r, spec.s), (spec.u, spec.v)),
-                         psi.basis.shape):
-        k = np.arange(max(n - max(p, q), 0), dtype=float)
-        bra.append(slice(p, p + k.size))
-        ket.append(slice(q, q + k.size))
-        factors = k[:, None] + np.r_[1:p + 1, 1:q + 1]
-        weight = np.multiply.outer(weight, np.sqrt(factors.prod(axis=1)))
-    return np.vecdot(ten[tuple(bra)], weight * ten[tuple(ket)]).sum(axis=(-2, -1))
+    bra, ket, weight = _moment_plan(spec, psi.basis.shape)
+    return np.vecdot(ten[bra], weight * ten[ket]).sum(axis=(-2, -1))
 
 
 def mean_occupations(psi: FockStateVector) -> tuple[float, float, float]:

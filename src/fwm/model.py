@@ -167,8 +167,8 @@ def coefficients(params: ModelParams, t, _force_series: bool | None = None
     Every field is an array over ``t`` for array input and a scalar for a
     scalar ``t``.  The resonant case Δω₁ → 0 is handled by the series branch
     of the ramp helpers, not by an error.  Raises ConfigError when any phase
-    ω·t or Δω₁·t is not finite.  ``_force_series`` overrides branch selection
-    (used by the branch-continuity tests only).
+    ω·t or Δω₁·t, or any coefficient, is not finite.  ``_force_series``
+    overrides branch selection (used by the branch-continuity tests only).
     """
     t = np.asarray(t, dtype=float)[()]
     if np.any(t < 0):
@@ -187,22 +187,26 @@ def coefficients(params: ModelParams, t, _force_series: bool | None = None
     # f3 = (2g/Δω₁)(f2 + 2igt f1)           = 4g²t²·f1·ramp2(Δω₁t)
     # g2 = −(g/Δω₁) g1 (1 − e^{−iΔω₁t})     = g·t·g1·ramp(−Δω₁t)
     # g3 = −(g/Δω₁)(g2 + igt g1)            = g²t²·g1·ramp2(−Δω₁t)
-    rp = _ramp(x, _force_series)
-    rm = _ramp(-x, _force_series)
-    r2m = _ramp2(-x, _force_series)
-    f2 = 2.0 * g * t * f1 * rp
-    f3 = 4.0 * g * g * t * t * f1 * _ramp2(x, _force_series)
-    g2 = g * t * g1 * rm
-    g3 = g * g * t * t * g1 * r2m
-    h2 = g * t * h1 * rm
-    h3 = g * g * t * t * h1 * r2m
-
-    return PerturbativeCoefficients(
-        f1=f1, f2=f2, f3=f3, f4=-f3 / 2.0, f5=-f3 / 2.0,
-        g1=g1, g2=g2, g3=g3, g4=-2.0 * g3, g5=-2.0 * g3,
-        h1=h1, h2=h2, h3=h3, h4=-2.0 * h3, h5=-2.0 * h3,
-        t=t, perturbative_valid=(g * t <= VALIDITY_GT),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rp = _ramp(x, _force_series)
+        rm = _ramp(-x, _force_series)
+        r2m = _ramp2(-x, _force_series)
+        f2 = 2.0 * g * t * f1 * rp
+        f3 = 4.0 * g * g * t * t * f1 * _ramp2(x, _force_series)
+        g2 = g * t * g1 * rm
+        g3 = g * g * t * t * g1 * r2m
+        h2 = g * t * h1 * rm
+        h3 = g * g * t * t * h1 * r2m
+        out = PerturbativeCoefficients(
+            f1=f1, f2=f2, f3=f3, f4=-f3 / 2.0, f5=-f3 / 2.0,
+            g1=g1, g2=g2, g3=g3, g4=-2.0 * g3, g5=-2.0 * g3,
+            h1=h1, h2=h2, h3=h3, h4=-2.0 * h3, h5=-2.0 * h3,
+            t=t, perturbative_valid=(g * t <= VALIDITY_GT),
+        )
+    if not all(np.isfinite(v).all() for k, v in vars(out).items() if k != "t"):
+        raise ConfigError(f"coefficients must be finite, got an overflow at "
+                          f"g*t up to {float(np.max(g * t))!r}")
+    return out
 
 
 def coefficient_derivatives(params: ModelParams, t) -> dict[str, complex]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CoherentInput, PerturbativeCoefficients
+from .model import CoherentInput, ConfigError, PerturbativeCoefficients
 
 _PAIRS = {("a", "b"), ("b", "c"), ("a", "c")}
 _CUTS = {("a", "b", "c"), ("b", "c", "a"), ("a", "c", "b")}
@@ -319,13 +319,20 @@ def trimodal_symmetric(coeffs: PerturbativeCoefficients, inp: CoherentInput) -> 
 
 def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
              inp: CoherentInput) -> WitnessValue:
-    """Dispatch a WitnessId to its evaluator."""
-    if wid.criterion is Criterion.HZ1:
-        return hz1_higher(wid.modes, wid.m, wid.n, coeffs, inp)
-    if wid.criterion is Criterion.HZ2:
-        return hz2_higher(wid.modes, wid.m, wid.n, coeffs, inp)
-    if wid.criterion is Criterion.DUAN:
-        return duan_pair(wid.modes, coeffs, inp)
-    if wid.criterion is Criterion.TRI_HZ1:
-        return trimodal_hz(wid.modes, coeffs, inp)
-    return trimodal_symmetric(coeffs, inp)
+    """Dispatch a WitnessId to its evaluator; raises ConfigError when any
+    value overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if wid.criterion is Criterion.HZ1:
+            out = hz1_higher(wid.modes, wid.m, wid.n, coeffs, inp)
+        elif wid.criterion is Criterion.HZ2:
+            out = hz2_higher(wid.modes, wid.m, wid.n, coeffs, inp)
+        elif wid.criterion is Criterion.DUAN:
+            out = duan_pair(wid.modes, coeffs, inp)
+        elif wid.criterion is Criterion.TRI_HZ1:
+            out = trimodal_hz(wid.modes, coeffs, inp)
+        else:
+            out = trimodal_symmetric(coeffs, inp)
+    if not np.isfinite(out.value).all():
+        raise ConfigError(f"{wid.label()} values must be finite, got an overflow "
+                          f"at t up to {float(np.max(coeffs.t))!r}")
+    return out

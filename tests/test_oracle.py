@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import fwm.oracle as oracle_mod
 from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
                            conserved_charges, cutoffs_for, moment)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
@@ -12,7 +13,7 @@ from fwm.oracle import (TIME_CHUNK, ComparisonReport, build_hamiltonian,
                         certification_summary, charge_sectors, compare, evolve,
                         evolve_grid, oracle_witness, sector_blocks,
                         witness_grid)
-from fwm.sweep import certification_witnesses
+from fwm.sweep import certification_witnesses, presets
 from fwm.witnesses import Criterion, WitnessId, evaluate
 
 SMALL_INPUT = CoherentInput(0.8, 0.6, 0.5)
@@ -149,6 +150,22 @@ class TestEvolve:
             ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
             assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
 
+    def test_matches_expm_across_chunks(self):
+        """Propagation over several chunks, with t = 0 and a repeated time,
+        against scipy's expm_multiply; ψ(0) is ψ0 bit for bit."""
+        _, _, psi0, H = small_setup()
+        grid = np.linspace(0.0, 4.0, 36)
+        # the repeated time sits on both sides of the first chunk boundary
+        times = np.sort(np.append(grid, grid[TIME_CHUNK - 1]))
+        assert len(times) == 37 and len(times) > 2 * TIME_CHUNK
+        assert times[TIME_CHUNK - 1] == times[TIME_CHUNK]
+        states = evolve_grid(H, psi0, times)
+        assert len(states) == len(times)
+        assert np.array_equal(states[0].amplitudes, psi0.amplitudes)
+        for t, psi in zip(times, states):
+            ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
+            assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
+
     def test_bad_grid_rejected(self):
         _, _, psi0, H = small_setup()
         with pytest.raises(ConfigError):
@@ -199,6 +216,35 @@ class TestOracleWitness:
         assert len(wids) == 31
         grid = witness_grid(wids, states, params, times)
         assert grid.shape == (31, 37)
+        for i, wid in enumerate(wids):
+            want = [oracle_witness(wid, psi, params, t) for psi, t in zip(states, times)]
+            assert np.allclose(grid[i], want, rtol=1e-12, atol=1e-12), wid.label()
+
+    @pytest.mark.parametrize("labels, distinct", [
+        (presets()["fig2"].witnesses, 15),
+        (certification_witnesses(), 52),
+    ])
+    def test_grid_computes_each_moment_once_per_chunk(self, monkeypatch,
+                                                      labels, distinct):
+        """witness_grid extracts each distinct moment once per chunk of
+        states, and its values still equal per-state evaluation."""
+        params, _, psi0, H = small_setup()
+        times = np.linspace(0.0, 3.0, 37)
+        chunks = -(-len(times) // TIME_CHUNK)
+        assert chunks == 3
+        states = evolve_grid(H, psi0, times)
+        wids = [WitnessId.parse(s) for s in labels]
+        calls = []
+
+        def counting(psi, spec):
+            calls.append(spec)
+            return moment(psi, spec)
+
+        monkeypatch.setattr(oracle_mod, "moment", counting)
+        grid = witness_grid(wids, states, params, times)
+        assert len(set(calls)) == distinct
+        assert len(calls) == distinct * chunks
+        monkeypatch.undo()
         for i, wid in enumerate(wids):
             want = [oracle_witness(wid, psi, params, t) for psi, t in zip(states, times)]
             assert np.allclose(grid[i], want, rtol=1e-12, atol=1e-12), wid.label()

@@ -349,6 +349,18 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, "finite")
         assert out == ""
 
+    @pytest.mark.parametrize("preset, stop, needle", [
+        ("fig5", "1e200", "coefficients"),     # 4g²t² overflows
+        ("fig2", "1e153", "HZ1:ab values"),    # coefficients finite, |f2|²·|α|⁶ is not
+    ])
+    def test_overflowing_values_are_one_line_usage_error(self, preset, stop, needle):
+        zero = [a for mode in "abc" for a in (f"--params.omega_{mode}", "0")]
+        code, out, err = main_in_process("sweep", "--preset", preset, *zero,
+                                         "--params.g", "1", "--gt_grid.stop", stop,
+                                         "--gt_grid.count", "3")
+        assert_one_line_usage_error(code, err, needle, "finite")
+        assert out == ""
+
     def test_oversized_check_cutoffs_is_one_line_usage_error(self):
         code, out, err = main_in_process("check", "--cutoffs", "100,100,100")
         assert_one_line_usage_error(code, err, "2048")
