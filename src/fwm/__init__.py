@@ -10,9 +10,9 @@ from .fockspace import (CutoffError, FockBasis, FockStateVector, MomentSpec,
 from .model import (ConfigError, CoherentInput, ModelParams,
                     PerturbativeCoefficients, coefficient_derivatives,
                     coefficients)
-from .oracle import (ComparisonReport, CompareResult, Hamiltonian,
-                     build_hamiltonian, certification_summary, compare, evolve,
-                     evolve_grid, oracle_witness)
+from .oracle import (CompareResult, Hamiltonian, build_hamiltonian,
+                     certification_summary, compare, evolve, evolve_grid,
+                     oracle_witness)
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, SweepRow, UsageError, default_compare_config,
                     presets, run_compare, run_sweep)
@@ -27,7 +27,7 @@ __all__ = [
     "coherent_state", "conserved_charges", "cutoffs_for", "moment",
     "ConfigError", "CoherentInput", "ModelParams", "PerturbativeCoefficients",
     "coefficient_derivatives", "coefficients",
-    "ComparisonReport", "CompareResult", "Hamiltonian", "build_hamiltonian",
+    "CompareResult", "Hamiltonian", "build_hamiltonian",
     "certification_summary", "compare", "evolve", "evolve_grid",
     "oracle_witness",
     "eom_residual", "etcr_residual", "residual_scaling_slope",

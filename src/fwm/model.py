@@ -27,9 +27,6 @@ import numpy as np
 # Taylor series so the two-photon-resonance limit is smooth.
 SERIES_SWITCHOVER = 1e-4
 
-# g·t beyond this is outside the documented validity regime of the solution.
-VALIDITY_GT = 0.1
-
 
 class ConfigError(ValueError):
     """Invalid physical configuration (bad frequency, coupling, cutoff...)."""
@@ -104,8 +101,6 @@ class PerturbativeCoefficients:
 
     Exact identities: |f1| = |g1| = |h1| = 1, f4 = f5 = −f3/2,
     g4 = g5 = −2·g3, h4 = h5 = −2·h3, and g2/g1 = h2/h1.
-    ``perturbative_valid`` is False once g·t exceeds the documented 0.1
-    operating cutoff (the solution itself is not clipped).
     """
 
     f1: complex
@@ -124,7 +119,6 @@ class PerturbativeCoefficients:
     h4: complex
     h5: complex
     t: float
-    perturbative_valid: bool
 
 
 def _ramp(x, series=None):
@@ -200,9 +194,7 @@ def coefficients(params: ModelParams, t, _force_series: bool | None = None
         out = PerturbativeCoefficients(
             f1=f1, f2=f2, f3=f3, f4=-f3 / 2.0, f5=-f3 / 2.0,
             g1=g1, g2=g2, g3=g3, g4=-2.0 * g3, g5=-2.0 * g3,
-            h1=h1, h2=h2, h3=h3, h4=-2.0 * h3, h5=-2.0 * h3,
-            t=t, perturbative_valid=(g * t <= VALIDITY_GT),
-        )
+            h1=h1, h2=h2, h3=h3, h4=-2.0 * h3, h5=-2.0 * h3, t=t)
     if not all(np.isfinite(v).all() for k, v in vars(out).items() if k != "t"):
         raise ConfigError(f"coefficients must be finite, got an overflow at "
                           f"g*t up to {float(np.max(g * t))!r}")

@@ -11,12 +11,14 @@ stepping.  Witnesses are assembled from raw moments of the propagated
 states, stacked ``TIME_CHUNK`` at a time (`witness_grid`); each distinct
 moment is computed once per stack and shared by every witness that needs
 it.  `compare` certifies every closed form against the oracle over a
-coupling-halving ladder.
+coupling-halving ladder; it returns (rung, witness, time) value arrays and
+fits the error exponents of all (witness, time) points in one least-squares
+call.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -232,25 +234,19 @@ def witness_grid(wids, states, params: ModelParams, times) -> np.ndarray:
 
 
 @dataclass
-class ComparisonReport:
-    """Per (witness, grid-time) certification record across a g ladder."""
-
-    witness: WitnessId
-    t: float
-    gt_top: float
-    oracle: float          # smallest rung
-    perturbative: float    # smallest rung
-    abs_err: float
-    rel_err: float
-    exponent: float | None
-    note: str = ""
-    rung_errors: tuple = ()
-
-
-@dataclass
 class CompareResult:
-    reports: list[ComparisonReport]
-    diagnostics: dict = field(default_factory=dict)
+    """Certification arrays over a g ladder.
+
+    ``oracle`` and ``perturbative`` are (rung, witness, time); ``exponent``
+    and ``rel_err`` are (witness, time), the latter at the smallest rung.
+    ``exponent`` is NaN wherever some rung's error is at the roundoff gate.
+    """
+
+    oracle: np.ndarray
+    perturbative: np.ndarray
+    exponent: np.ndarray
+    rel_err: np.ndarray
+    diagnostics: dict
 
 
 def _error_floor(g: float, delta: float, inp: CoherentInput) -> float:
@@ -269,8 +265,9 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     """Certify closed forms against the oracle over a g-halving ladder.
 
     ``params_ladder`` must share the detuning and descend in g (≥ 3 rungs).
-    The fitted exponent is the least-squares slope of ln|err| vs ln g; it is
-    reported only where every rung's error is above 100× unit roundoff.
+    The exponent at each (witness, time) is the least-squares slope of
+    ln|err| vs ln g, fitted for all points in one ``np.polyfit`` call; it is
+    NaN unless every rung's error is above 100× unit roundoff.
     """
     ladder = list(params_ladder)
     if len(ladder) < 3:
@@ -282,12 +279,11 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
         perturbative_fn = witnesses.evaluate
     times = tuple(float(t) for t in times)
 
+    shape = (len(ladder), len(wids), len(times))
     if all(p.g == 0.0 for p in ladder):
-        reports = [ComparisonReport(witness=w, t=t, gt_top=0.0, oracle=0.0,
-                                    perturbative=0.0, abs_err=0.0, rel_err=0.0,
-                                    exponent=None, note="degenerate, skipped")
-                   for w in wids for t in times]
-        return CompareResult(reports=reports, diagnostics={"degenerate": True})
+        return CompareResult(np.zeros(shape), np.zeros(shape),
+                             np.full(shape[1:], np.nan), np.zeros(shape[1:]),
+                             {"degenerate": True})
 
     if cutoffs is None:
         cutoffs = cutoffs_for(inp)
@@ -296,70 +292,47 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     q1_0, q2_0 = conserved_charges(psi0)
 
     diag = {"cutoffs": cutoffs, "dimension": basis.dimension,
-            "norm_drift": 0.0, "q1_drift": 0.0, "q2_drift": 0.0,
-            "clipped_transitions": 0}
-    oracle_vals, pert_vals = [], []
-    for p in ladder:
+            "norm_drift": 0.0, "q1_drift": 0.0, "q2_drift": 0.0}
+    oracle_vals, pert_vals = np.empty(shape), np.empty(shape)
+    for r, p in enumerate(ladder):
         H = build_hamiltonian(p, basis)
-        diag["clipped_transitions"] = max(diag["clipped_transitions"],
-                                          H.clipped_transitions)
+        diag["clipped_transitions"] = H.clipped_transitions   # the same on every rung
         states = evolve_grid(H, psi0, times)
         for s in states:
             diag["norm_drift"] = max(diag["norm_drift"], abs(s.norm() - 1.0))
             q1, q2 = conserved_charges(s)
             diag["q1_drift"] = max(diag["q1_drift"], abs(q1 - q1_0))
             diag["q2_drift"] = max(diag["q2_drift"], abs(q2 - q2_0))
-        oracle_vals.append(witness_grid(wids, states, p, times))
+        oracle_vals[r] = witness_grid(wids, states, p, times)
         coeffs = coefficients(p, times)
-        pert_vals.append([perturbative_fn(w, coeffs, inp).value for w in wids])
-    oracle_vals = np.array(oracle_vals)      # (rung, witness, time)
-    pert_vals = np.array(pert_vals)
+        for i, w in enumerate(wids):
+            pert_vals[r, i] = perturbative_fn(w, coeffs, inp).value
 
-    gs = np.array([p.g for p in ladder])
-    log_g = np.log(gs)
-    eps_gate = 100.0 * np.finfo(float).eps
-    delta = ladder[0].delta_omega1
-    g_top = ladder[0].g
-    reports = []
-    for i, wid in enumerate(wids):
-        for k, t in enumerate(times):
-            o_vals, p_vals = oracle_vals[:, i, k], pert_vals[:, i, k]
-            errs = np.abs(o_vals - p_vals)
-            gate = errs > eps_gate * np.maximum(1.0, np.abs(o_vals))
-            if np.all(gate):
-                slope = float(np.polyfit(log_g, np.log(errs), 1)[0])
-                note = ""
-            else:
-                slope = None
-                note = "below roundoff gate"
-            o_small, p_small = float(o_vals[-1]), float(p_vals[-1])
-            abs_err = abs(o_small - p_small)
-            floor = _error_floor(ladder[-1].g, delta, inp)
-            rel_err = abs_err / max(abs(o_small), floor)
-            reports.append(ComparisonReport(
-                witness=wid, t=t, gt_top=g_top * t, oracle=o_small,
-                perturbative=p_small, abs_err=abs_err, rel_err=rel_err,
-                exponent=slope, note=note, rung_errors=tuple(errs)))
-    return CompareResult(reports=reports, diagnostics=diag)
+    errs = np.abs(oracle_vals - pert_vals)
+    gated = np.all(errs > 100.0 * np.finfo(float).eps
+                   * np.maximum(1.0, np.abs(oracle_vals)), axis=0)
+    # gated-out points get a dummy log error of 0; their slope is discarded
+    logs = np.log(np.where(gated, errs, 1.0))
+    log_g = np.log([p.g for p in ladder])
+    slope = np.polyfit(log_g, logs.reshape(len(ladder), -1), 1)[0]
+    exponent = np.where(gated, slope.reshape(gated.shape), np.nan)
+    floor = _error_floor(ladder[-1].g, ladder[0].delta_omega1, inp)
+    rel_err = errs[-1] / np.maximum(np.abs(oracle_vals[-1]), floor)
+    return CompareResult(oracle_vals, pert_vals, exponent, rel_err, diag)
 
 
-def certification_summary(result: CompareResult) -> dict[str, dict]:
-    """Aggregate reports per witness: median exponent over admissible grid
-    points, worst relative error at the smallest rung, and a pass flag
-    (exponent ≥ 2.5 and relative agreement ≤ 1e-3)."""
-    by_wid: dict[str, list[ComparisonReport]] = {}
-    for r in result.reports:
-        by_wid.setdefault(r.witness.label(), []).append(r)
+def certification_summary(result: CompareResult, wids) -> dict[str, dict]:
+    """Per witness of ``wids`` (the witnesses ``result`` was computed for):
+    median exponent over the ungated grid points, worst relative error at
+    the smallest rung, and a pass flag (exponent ≥ 2.5 and relative
+    agreement ≤ 1e-3)."""
+    degenerate = result.diagnostics.get("degenerate", False)
     out = {}
-    for label, reps in by_wid.items():
-        exps = [r.exponent for r in reps if r.exponent is not None]
-        max_rel = max((r.rel_err for r in reps), default=0.0)
-        if any(r.note == "degenerate, skipped" for r in reps):
-            out[label] = {"exponent": None, "max_rel_err": 0.0,
-                          "passed": True, "note": "degenerate, skipped"}
-            continue
-        med = float(np.median(exps)) if exps else None
-        passed = (med is not None and med >= 2.5 and max_rel <= 1e-3)
-        out[label] = {"exponent": med, "max_rel_err": max_rel,
-                      "passed": passed, "note": ""}
+    for wid, exps, rel in zip(wids, result.exponent, result.rel_err):
+        exps = exps[~np.isnan(exps)]
+        med = float(np.median(exps)) if exps.size else None
+        max_rel = float(rel.max(initial=0.0))
+        passed = degenerate or (med is not None and med >= 2.5 and max_rel <= 1e-3)
+        out[wid.label()] = {"exponent": med, "max_rel_err": max_rel, "passed": passed,
+                            "note": "degenerate, skipped" if degenerate else ""}
     return out

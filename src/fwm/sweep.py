@@ -153,6 +153,7 @@ class RunConfig:
 
     def __post_init__(self):
         _integer("workers", self.workers, 1)
+        _integer("seed", self.seed, 0)
         if not isinstance(self.witnesses, (list, tuple)) \
                 or not all(isinstance(s, str) for s in self.witnesses):
             raise UsageError(f"witnesses must be a list of labels, got {self.witnesses!r}")
@@ -192,7 +193,7 @@ class RunConfig:
                 oracle=OracleSpec(**d.get("oracle", {})),
                 output=OutputSpec(**d.get("output", {})),
                 workers=d.get("workers", 1),
-                seed=int(d.get("seed", 0)),
+                seed=d.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
@@ -384,9 +385,8 @@ def _compare_phi_task(args):
     ladder = [ModelParams.from_detuning(synth.delta_omega1, g0 / 2 ** k)
               for k in range(config.oracle.ladder_rungs)]
     times = [float(gt / g0) for gt in config.gt_grid.values() if gt > 0.0]
-    res = oracle_mod.compare(config.witness_ids(), ladder, inp, times,
-                             cutoffs=cutoffs)
-    return phi, res
+    return oracle_mod.compare(config.witness_ids(), ladder, inp, times,
+                              cutoffs=cutoffs)
 
 
 def run_compare(config: RunConfig):
@@ -406,26 +406,20 @@ def run_compare(config: RunConfig):
     else:
         results = [_compare_phi_task(t) for t in tasks]
 
+    wids = config.witness_ids()
     report = {"settings": config.to_dict(), "per_phi": {}, "witnesses": {}}
-    merged: dict[str, dict] = {}
-    for phi, res in sorted(results, key=lambda pr: config.input.phi.index(pr[0])):
-        summary = oracle_mod.certification_summary(res)
-        report["per_phi"][_fmt(phi)] = {
-            "diagnostics": {k: (list(v) if isinstance(v, tuple) else v)
-                            for k, v in res.diagnostics.items()},
-            "witnesses": summary,
-        }
+    for phi, res in zip(config.input.phi, results):
+        summary = oracle_mod.certification_summary(res, wids)
+        report["per_phi"][_fmt(phi)] = {"diagnostics": res.diagnostics,
+                                        "witnesses": summary}
         for label, s in summary.items():
-            slot = merged.setdefault(label, {"exponents": [], "max_rel_err": 0.0,
-                                             "passed": True, "note": s["note"]})
-            if s["exponent"] is not None:
-                slot["exponents"].append(s["exponent"])
+            slot = report["witnesses"].setdefault(
+                label, {"exponent_min": None, "max_rel_err": 0.0, "passed": True,
+                        "note": s["note"]})
+            exps = [e for e in (slot["exponent_min"], s["exponent"]) if e is not None]
+            slot["exponent_min"] = min(exps, default=None)
             slot["max_rel_err"] = max(slot["max_rel_err"], s["max_rel_err"])
             slot["passed"] = slot["passed"] and s["passed"]
-    for label, slot in merged.items():
-        exps = slot.pop("exponents")
-        slot["exponent_min"] = min(exps) if exps else None
-    report["witnesses"] = merged
     return report
 
 

@@ -76,11 +76,6 @@ class TestCoefficientBasics:
             if v not in (c.f1, c.g1, c.h1):
                 assert v == 0.0
 
-    def test_validity_flag(self):
-        p = ModelParams.from_detuning(-1.0, 1.0)
-        assert coefficients(p, 0.05).perturbative_valid
-        assert not coefficients(p, 0.11).perturbative_valid
-
     def test_from_detuning_synthetic_triple(self):
         p = ModelParams.from_detuning(-0.27e13, 1.0)
         assert (p.omega_a, p.omega_b, p.omega_c) == (-0.135e13, 0.0, 0.0)

@@ -9,10 +9,9 @@ import fwm.oracle as oracle_mod
 from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
                            conserved_charges, cutoffs_for, moment)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
-from fwm.oracle import (TIME_CHUNK, ComparisonReport, build_hamiltonian,
-                        certification_summary, charge_sectors, compare, evolve,
-                        evolve_grid, oracle_witness, sector_blocks,
-                        witness_grid)
+from fwm.oracle import (TIME_CHUNK, build_hamiltonian, certification_summary,
+                        charge_sectors, compare, evolve, evolve_grid,
+                        oracle_witness, sector_blocks, witness_grid)
 from fwm.sweep import certification_witnesses, presets
 from fwm.witnesses import Criterion, WitnessId, evaluate
 
@@ -258,7 +257,7 @@ class TestCompare:
         wids = [WitnessId.parse(s) for s in
                 ["HZ1:ab", "HZ1:bc", "HZ2:ac", "HZ1:ac:2,1", "DUAN:bc", "TRI_SYM"]]
         res = compare(wids, self._ladder(), SMALL_INPUT, [0.5, 1.0])
-        summary = certification_summary(res)
+        summary = certification_summary(res, wids)
         for label, s in summary.items():
             assert s["exponent"] is None or s["exponent"] >= 2.5, (label, s)
         assert res.diagnostics["norm_drift"] < 1e-9
@@ -268,9 +267,47 @@ class TestCompare:
         wids = [WitnessId.parse("HZ1:ab")]
         ladder = [ModelParams.from_detuning(-3.0, 0.0)] * 3
         res = compare(wids, ladder, SMALL_INPUT, [0.5])
-        assert all(r.note == "degenerate, skipped" for r in res.reports)
-        summary = certification_summary(res)
+        assert res.diagnostics == {"degenerate": True}
+        assert np.isnan(res.exponent).all() and res.exponent.shape == (1, 1)
+        summary = certification_summary(res, wids)
         assert summary["HZ1:ab"]["passed"]
+        assert summary["HZ1:ab"]["note"] == "degenerate, skipped"
+
+    def test_arrays_match_per_point_fit(self):
+        """The one-call ladder fit equals np.polyfit point by point, bit for
+        bit; the exponent is NaN exactly where some rung's error is at the
+        roundoff gate, and rel_err is the smallest-rung error over
+        max(|oracle|, floor).  At g0 = 3e-4 part of the grid is gated."""
+        wids = [WitnessId.parse(s) for s in certification_witnesses()]
+        ladder = self._ladder(g0=3e-4)
+        times = [0.5, 1.0]
+        res = compare(wids, ladder, SMALL_INPUT, times)
+        assert res.oracle.shape == res.perturbative.shape == (3, len(wids), 2)
+        assert res.exponent.shape == res.rel_err.shape == (len(wids), 2)
+        for r, p in enumerate(ladder):
+            coeffs = coefficients(p, times)
+            for i, wid in enumerate(wids):
+                assert np.array_equal(res.perturbative[r, i],
+                                      evaluate(wid, coeffs, SMALL_INPUT).value)
+        log_g = np.log([p.g for p in ladder])
+        floor = oracle_mod._error_floor(ladder[-1].g, ladder[0].delta_omega1,
+                                        SMALL_INPUT)
+        eps_gate = 100.0 * np.finfo(float).eps
+        gated = 0
+        for i in range(len(wids)):
+            for k in range(len(times)):
+                o_vals, p_vals = res.oracle[:, i, k], res.perturbative[:, i, k]
+                errs = np.abs(o_vals - p_vals)
+                if np.all(errs > eps_gate * np.maximum(1.0, np.abs(o_vals))):
+                    slope = np.polyfit(log_g, np.log(errs), 1)[0]
+                    assert res.exponent[i, k] == slope, (wids[i].label(), k)
+                else:
+                    assert np.isnan(res.exponent[i, k]), (wids[i].label(), k)
+                    gated += 1
+                o_small, p_small = float(o_vals[-1]), float(p_vals[-1])
+                rel = abs(o_small - p_small) / max(abs(o_small), floor)
+                assert res.rel_err[i, k] == rel, (wids[i].label(), k)
+        assert 0 < gated < res.exponent.size
 
     def test_too_few_rungs_rejected(self):
         with pytest.raises(ConfigError):
@@ -300,5 +337,5 @@ class TestCompare:
         wids = [WitnessId.parse("HZ1:bc")]
         res = compare(wids, self._ladder(g0=0.02), SMALL_INPUT, [0.8, 1.2],
                       perturbative_fn=corrupted)
-        exps = [r.exponent for r in res.reports if r.exponent is not None]
-        assert exps and max(exps) < 1.5
+        exps = res.exponent[~np.isnan(res.exponent)]
+        assert exps.size and exps.max() < 1.5

@@ -411,6 +411,34 @@ class TestCliBoundary:
         code, _, err = main_in_process("sweep", "--config", str(path))
         assert_one_line_usage_error(code, err, "cannot read config")
 
+    @pytest.mark.parametrize("seed", [-3, 2.7, True, "abc"])
+    def test_bad_config_seed_is_one_line_usage_error(self, seed, tmp_path):
+        cfg = presets()["fig2"].to_dict()
+        cfg["seed"] = seed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = main_in_process("check", "--config", str(path))
+        assert_one_line_usage_error(code, err, "seed")
+        assert out == ""
+
+    @pytest.mark.parametrize("raw", ["-3", "abc"])
+    def test_bad_seed_flag_is_one_line_usage_error(self, raw):
+        code, out, err = main_in_process("check", "--preset", "fig2", "--seed", raw)
+        assert_one_line_usage_error(code, err, "seed")
+        assert out == ""
+
+    def test_compare_without_witnesses_reports_none(self, tmp_path):
+        cfg = default_compare_config().to_dict()
+        cfg["witnesses"] = []
+        path, report = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = main_in_process("compare", "--config", str(path),
+                                       "--out", str(report))
+        assert code == 0, err
+        payload = json.loads(report.read_text())
+        assert payload["witnesses"] == {}
+        assert all(per["witnesses"] == {} for per in payload["per_phi"].values())
+
     def test_failed_oracle_rows_are_strict_json(self, tmp_path):
         """Rows the oracle cannot produce (cutoffs too small for the input)
         carry value null in JSON and nan in CSV, and the run exits 2."""
