@@ -14,10 +14,10 @@ from .oracle import (CompareResult, Hamiltonian, build_hamiltonian,
                      certification_summary, compare, evolve, evolve_grid,
                      oracle_witness)
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
-from .sweep import (RunConfig, SweepRow, UsageError, default_compare_config,
+from .sweep import (RunConfig, Series, UsageError, default_compare_config,
                     presets, run_compare, run_sweep)
-from .witnesses import (Criterion, InvalidWitness, WitnessId, WitnessValue,
-                        duan_pair, evaluate, hz1_higher, hz1_pair, hz2_higher,
+from .witnesses import (Criterion, InvalidWitness, WitnessId, duan_pair,
+                        evaluate, hz1_higher, hz1_pair, hz2_higher,
                         hz2_pair, trimodal_hz, trimodal_symmetric)
 
 __version__ = "0.1.0"
@@ -31,10 +31,10 @@ __all__ = [
     "certification_summary", "compare", "evolve", "evolve_grid",
     "oracle_witness",
     "eom_residual", "etcr_residual", "residual_scaling_slope",
-    "RunConfig", "SweepRow", "UsageError", "default_compare_config",
+    "RunConfig", "Series", "UsageError", "default_compare_config",
     "presets", "run_compare", "run_sweep",
-    "Criterion", "InvalidWitness", "WitnessId", "WitnessValue",
-    "duan_pair", "evaluate", "hz1_higher", "hz1_pair", "hz2_higher",
+    "Criterion", "InvalidWitness", "WitnessId", "duan_pair",
+    "evaluate", "hz1_higher", "hz1_pair", "hz2_higher",
     "hz2_pair", "trimodal_hz", "trimodal_symmetric",
     "__version__",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -47,7 +46,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
         sp.add_argument("--workers", type=int, default=None,
-                        help="parallel worker budget (env FWM_WORKERS as fallback)")
+                        help="parallel worker budget (default 1)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for randomized diagnostics")
 
@@ -116,12 +115,9 @@ def _load_config(args, overrides, default=None) -> RunConfig:
         base = default.to_dict()
     else:
         raise UsageError("need --config or --preset")
-    workers = args.workers
-    if workers is None:
-        workers = _parse_value(os.environ.get("FWM_WORKERS", "1"))
     flags = {"oracle.enabled": getattr(args, "oracle", False) or None,
              "output.format": args.format, "output.path": args.out,
-             "workers": workers, "seed": args.seed}
+             "workers": args.workers, "seed": args.seed}
     # flags are applied last, so they win over dotted overrides of the same field
     overrides = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
     return RunConfig.from_dict(apply_overrides(base, overrides))
@@ -137,17 +133,17 @@ def _emit(text: str, path: str | None):
 
 def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args, overrides)
-    rows, summary = run_sweep(cfg)
+    series, summary = run_sweep(cfg)
     if cfg.output.format == "csv":
-        _emit(rows_to_csv(rows), cfg.output.path)
+        _emit(rows_to_csv(series), cfg.output.path)
     else:
-        _emit(rows_to_json(rows, summary), cfg.output.path)
+        _emit(rows_to_json(series, summary), cfg.output.path)
     n_witness = len(cfg.witnesses)
     sys.stderr.write(f"{n_witness} witnesses evaluated\n")
     for (label, phi), onset in summary.items():
         txt = "none" if onset is None else f"{onset:.6g}"
         sys.stderr.write(f"  onset {label} phi={phi:.6g}: {txt}\n")
-    failed = sum(r.source == "oracle_failed" for r in rows)
+    failed = sum(len(s.value) for s in series if s.source == "oracle_failed")
     if failed:
         sys.stderr.write(f"numerical failure: {failed} oracle_failed rows, oracle.cutoffs "
                          f"{cfg.oracle.cutoffs} too small for the coherent input\n")
@@ -181,6 +177,8 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_check(args, overrides) -> int:
+    if args.format is not None:
+        raise UsageError(f"check writes a text report only, not --format {args.format}")
     cfg = _load_config(args, overrides, default=presets()["fig2"])
     try:
         cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
@@ -196,13 +194,14 @@ def _cmd_check(args, overrides) -> int:
     p0 = ModelParams(params.omega_a, params.omega_b, params.omega_c, g0)
 
     ok = True
+    report = []
     r0 = etcr_residual(ModelParams(p0.omega_a, p0.omega_b, p0.omega_c, 0.0), t, cutoffs)
-    sys.stdout.write(f"etcr residual (g=0): {r0:.3e}\n")
+    report.append(f"etcr residual (g=0): {r0:.3e}")
     ok &= r0 < 1e-12
     etcr_slope = residual_scaling_slope(p0, t, cutoffs, "etcr")
     eom_slope = residual_scaling_slope(p0, t, cutoffs, "eom")
-    sys.stdout.write(f"etcr residual scaling slope: {etcr_slope:.3f}\n")
-    sys.stdout.write(f"eom  residual scaling slope: {eom_slope:.3f}\n")
+    report.append(f"etcr residual scaling slope: {etcr_slope:.3f}")
+    report.append(f"eom  residual scaling slope: {eom_slope:.3f}")
     ok &= etcr_slope >= 2.5 and eom_slope >= 2.5
 
     for trial in range(3):
@@ -211,9 +210,10 @@ def _cmd_check(args, overrides) -> int:
         c = coefficients(ModelParams(p0.omega_a, p0.omega_b, p0.omega_c, gg), tt)
         ident = max(abs(c.f4 - (-c.f3 / 2)), abs(c.g4 + 2 * c.g3),
                     abs(c.h5 + 2 * c.h3), abs(abs(c.f1) - 1.0))
-        sys.stdout.write(f"coefficient identities (trial {trial}): {ident:.3e}\n")
+        report.append(f"coefficient identities (trial {trial}): {ident:.3e}")
         ok &= ident < 1e-13
-    sys.stdout.write("check: " + ("PASS" if ok else "FAIL") + "\n")
+    report.append("check: " + ("PASS" if ok else "FAIL"))
+    _emit("\n".join(report) + "\n", cfg.output.path)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

@@ -201,8 +201,9 @@ def coefficients(params: ModelParams, t, _force_series: bool | None = None
     return out
 
 
-def coefficient_derivatives(params: ModelParams, t) -> dict[str, complex]:
-    """Analytic d/dt of every coefficient (used by the equation-of-motion check).
+def coefficient_derivatives(params: ModelParams, t) -> PerturbativeCoefficients:
+    """Analytic d/dt of every coefficient, in the fields of the coefficient
+    set (used by the equation-of-motion check).
 
     No Δω₁ division appears, so there is no resonant branch here.
     """
@@ -220,8 +221,7 @@ def coefficient_derivatives(params: ModelParams, t) -> dict[str, complex]:
     dh1 = -1j * params.omega_c * c.h1
     dh2 = -1j * params.omega_c * c.h2 - 1j * g * c.h1 * e_m
     dh3 = -1j * params.omega_c * c.h3 + 1j * g * c.h2
-    return {
-        "f1": df1, "f2": df2, "f3": df3, "f4": -df3 / 2.0, "f5": -df3 / 2.0,
-        "g1": dg1, "g2": dg2, "g3": dg3, "g4": -2.0 * dg3, "g5": -2.0 * dg3,
-        "h1": dh1, "h2": dh2, "h3": dh3, "h4": -2.0 * dh3, "h5": -2.0 * dh3,
-    }
+    return PerturbativeCoefficients(
+        f1=df1, f2=df2, f3=df3, f4=-df3 / 2.0, f5=-df3 / 2.0,
+        g1=dg1, g2=dg2, g3=dg3, g4=-2.0 * dg3, g5=-2.0 * dg3,
+        h1=dh1, h2=dh2, h3=dh3, h4=-2.0 * dh3, h5=-2.0 * dh3, t=c.t)

@@ -230,6 +230,10 @@ def witness_grid(wids, states, params: ModelParams, times) -> np.ndarray:
         mom = functools.cache(functools.partial(moment, stack))
         for i, wid in enumerate(wids):
             out[i, lo:lo + len(chunk)] = _assemble(wid, mom, params, t)
+    # ψ(0) is the separable product input, so no witness can certify
+    # entanglement there: a negative value at t = 0 is roundoff
+    t0 = np.asarray(times, dtype=float) == 0.0
+    out[:, t0] = np.maximum(out[:, t0], 0.0)
     return out
 
 
@@ -306,7 +310,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
         oracle_vals[r] = witness_grid(wids, states, p, times)
         coeffs = coefficients(p, times)
         for i, w in enumerate(wids):
-            pert_vals[r, i] = perturbative_fn(w, coeffs, inp).value
+            pert_vals[r, i] = perturbative_fn(w, coeffs, inp)
 
     errs = np.abs(oracle_vals - pert_vals)
     gated = np.all(errs > 100.0 * np.finfo(float).eps

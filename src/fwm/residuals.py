@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fockspace import FockBasis
-from .model import ConfigError, ModelParams, coefficient_derivatives, coefficients
+from .model import (ConfigError, ModelParams, PerturbativeCoefficients,
+                    coefficient_derivatives, coefficients)
 
 # Largest low-occupation block (states) whose norm is taken densely: 64 MB.
 MAX_LOW_BLOCK = 2048
@@ -38,31 +39,23 @@ def _ladders(basis: FockBasis):
     return A, B, C
 
 
-def _heisenberg_matrices(coeff_map, basis: FockBasis):
-    """a(t), b(t), c(t) as sparse matrices from a name->coefficient map."""
+def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
+    """a(t), b(t), c(t) as sparse matrices from a coefficient set."""
     A, B, C = _ladders(basis)
     Ad, Bd, Cd = A.conj().T.tocsr(), B.conj().T.tocsr(), C.conj().T.tocsr()
-    c = coeff_map
-    a_t = (c["f1"] * A + c["f2"] * (Ad @ B @ C)
-           + c["f3"] * (A @ Bd @ B @ Cd @ C)
-           + c["f4"] * (Ad @ A @ A @ Cd @ C)
-           + c["f5"] * (Ad @ A @ A @ B @ Bd))
-    b_t = (c["g1"] * B + c["g2"] * (A @ A @ Cd)
-           + c["g3"] * (A @ A @ Ad @ Ad @ B)
-           + c["g4"] * (Ad @ A @ B @ C @ Cd)
-           + c["g5"] * (A @ Ad @ B @ C @ Cd))
-    c_t = (c["h1"] * C + c["h2"] * (A @ A @ Bd)
-           + c["h3"] * (A @ A @ Ad @ Ad @ C)
-           + c["h4"] * (Ad @ A @ C @ B @ Bd)
-           + c["h5"] * (A @ Ad @ C @ B @ Bd))
+    a_t = (c.f1 * A + c.f2 * (Ad @ B @ C)
+           + c.f3 * (A @ Bd @ B @ Cd @ C)
+           + c.f4 * (Ad @ A @ A @ Cd @ C)
+           + c.f5 * (Ad @ A @ A @ B @ Bd))
+    b_t = (c.g1 * B + c.g2 * (A @ A @ Cd)
+           + c.g3 * (A @ A @ Ad @ Ad @ B)
+           + c.g4 * (Ad @ A @ B @ C @ Cd)
+           + c.g5 * (A @ Ad @ B @ C @ Cd))
+    c_t = (c.h1 * C + c.h2 * (A @ A @ Bd)
+           + c.h3 * (A @ A @ Ad @ Ad @ C)
+           + c.h4 * (Ad @ A @ C @ B @ Bd)
+           + c.h5 * (A @ Ad @ C @ B @ Bd))
     return a_t.tocsr(), b_t.tocsr(), c_t.tocsr()
-
-
-def _coeff_dict(params: ModelParams, t: float) -> dict[str, complex]:
-    c = coefficients(params, t)
-    return {k: getattr(c, k) for k in
-            ("f1", "f2", "f3", "f4", "f5", "g1", "g2", "g3", "g4", "g5",
-             "h1", "h2", "h3", "h4", "h5")}
 
 
 def _low_block(basis: FockBasis) -> np.ndarray:
@@ -92,7 +85,7 @@ def _validate_cutoffs(cutoffs) -> FockBasis:
 def etcr_residual(params: ModelParams, t: float, cutoffs) -> float:
     """max over modes of ‖[x(t), x†(t)] − 1‖ on the low-occupation block."""
     basis = _validate_cutoffs(cutoffs)
-    ops = _heisenberg_matrices(_coeff_dict(params, t), basis)
+    ops = _heisenberg_matrices(coefficients(params, t), basis)
     idx = _low_block(basis)
     eye = sp.identity(basis.dimension, format="csr")
     worst = 0.0
@@ -109,7 +102,7 @@ def eom_residual(params: ModelParams, t: float, cutoffs) -> float:
         ȧ + i(ω_a a + 2g a†bc),  ḃ + i(ω_b b + g a²c†),  ċ + i(ω_c c + g a²b†)
     """
     basis = _validate_cutoffs(cutoffs)
-    a_t, b_t, c_t = _heisenberg_matrices(_coeff_dict(params, t), basis)
+    a_t, b_t, c_t = _heisenberg_matrices(coefficients(params, t), basis)
     ad_t, bd_t, cd_t = (a_t.conj().T.tocsr(), b_t.conj().T.tocsr(),
                         c_t.conj().T.tocsr())
     da, db, dc = _heisenberg_matrices(coefficient_derivatives(params, t), basis)

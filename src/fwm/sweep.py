@@ -1,13 +1,14 @@
 """Run configurations, parameter sweeps, figure presets, and reporting.
 
 A sweep walks (witness × pump phase × gt grid), evaluating closed-form
-witnesses (and optionally the Fock oracle) and emitting a deterministic row
-stream plus a negativity-onset summary.  All sweeps are parameterized in the
-dimensionless interaction time gt; the oracle always propagates with the
-synthetic frequency triple (Δω₁/2, 0, 0), which is observationally
-equivalent (witnesses depend on frequencies only through Δω₁) and keeps the
-Hamiltonian's spectrum at the scale of Δω₁ and g rather than optical
-frequencies.
+witnesses (and optionally the Fock oracle) into one value array over the gt
+grid per (witness, phase, source) series, plus a negativity-onset summary;
+the writers expand the series into deterministic CSV or JSON rows.  All
+sweeps are parameterized in the dimensionless interaction time gt; the
+oracle always propagates with the synthetic frequency triple (Δω₁/2, 0, 0),
+which is observationally equivalent (witnesses depend on frequencies only
+through Δω₁) and keeps the Hamiltonian's spectrum at the scale of Δω₁ and g
+rather than optical frequencies.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,17 +222,14 @@ def apply_overrides(d: dict, overrides: dict[str, object]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    gt: float
+class Series(NamedTuple):
+    """One (witness, phi) curve from one source: values over the gt grid."""
+
+    witness: WitnessId
     phi: float
-    criterion: str
-    modes: str
-    m: int
-    n: int
-    value: float
-    entangled: bool
     source: str
+    gt: np.ndarray
+    value: np.ndarray
 
 
 def _fmt(x: float) -> str:
@@ -242,22 +241,30 @@ def _fmt(x: float) -> str:
 CSV_HEADER = "gt,phi,criterion,modes,m,n,value,entangled,source"
 
 
-def rows_to_csv(rows) -> str:
+def rows_to_csv(series) -> str:
+    """One row per (series, gt); a value is entangled when it is negative."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.gt), _fmt(r.phi), r.criterion, r.modes, str(r.m), str(r.n),
-            _fmt(r.value), "true" if r.entangled else "false", r.source]))
+    for s in series:
+        w = s.witness
+        mid = f"{_fmt(s.phi)},{w.criterion.value},{w.mode_string},{w.m},{w.n}"
+        lines.extend(f"{_fmt(gt)},{mid},{_fmt(v)},{'true' if v < 0.0 else 'false'},"
+                     f"{s.source}" for gt, v in zip(s.gt.tolist(), s.value.tolist()))
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows, summary) -> str:
-    """Strict RFC 8259 JSON: a non-finite value (an ``oracle_failed`` row)
-    is written as null."""
+def rows_to_json(series, summary) -> str:
+    """Strict RFC 8259 JSON with the rows of `rows_to_csv`: a non-finite
+    value (an ``oracle_failed`` row) is written as null."""
+    rows = []
+    for s in series:
+        w = s.witness
+        fixed = {"phi": s.phi, "criterion": w.criterion.value, "modes": w.mode_string,
+                 "m": w.m, "n": w.n, "source": s.source}
+        rows.extend({**fixed, "gt": gt, "value": v if math.isfinite(v) else None,
+                     "entangled": v < 0.0}
+                    for gt, v in zip(s.gt.tolist(), s.value.tolist()))
     payload = {
-        "rows": [{**vars(r),
-                  "value": r.value if math.isfinite(r.value) else None}
-                 for r in rows],
+        "rows": rows,
         "summary": [
             {"witness": label, "phi": phi, "onset_gt": onset}
             for (label, phi), onset in summary.items()],
@@ -303,21 +310,14 @@ def _oracle_values_for_phi(args) -> np.ndarray:
     return oracle_mod.witness_grid(wids, states, synth, times)
 
 
-def _series_rows(w: WitnessId, phi: float, gts, values, source: str) -> list[SweepRow]:
-    return [SweepRow(gt=float(gt), phi=phi, criterion=w.criterion.value,
-                     modes=w.mode_string, m=w.m, n=w.n, value=float(v),
-                     entangled=bool(v < 0.0), source=source)
-            for gt, v in zip(gts, values)]
-
-
 def run_sweep(config: RunConfig):
-    """Execute a sweep; returns (rows, summary).
+    """Execute a sweep; returns (series, summary).
 
-    Rows are ordered by (witness as listed, phi as listed, gt ascending) with
-    perturbative rows first, then oracle rows when enabled; an oracle series
-    whose cutoffs cannot hold the input is written as ``oracle_failed`` rows
-    with NaN values.  The summary maps (witness label, phi) to the first
-    negativity onset gt* or None.
+    ``series`` is a list of `Series`, ordered by (witness as listed, phi as
+    listed) with perturbative series first, then oracle series when enabled;
+    an oracle series whose cutoffs cannot hold the input has source
+    ``oracle_failed`` and NaN values.  The summary maps (witness label, phi)
+    to the first negativity onset gt* or None.
     """
     wids = config.witness_ids()
     params = config.params.to_model()
@@ -329,15 +329,15 @@ def run_sweep(config: RunConfig):
     # one coefficient pass serves every series; a tuple of times keeps the
     # call's arguments hashable, as perfbench's tracer needs to count calls
     coeffs = coefficients(params, tuple(gts / params.g))
-    rows: list[SweepRow] = []
+    series: list[Series] = []
     summary: dict[tuple[str, float], float | None] = {}
     for w in wids:
         for phi in config.input.phi:
-            vals = wit_mod.evaluate(w, coeffs, config.input.coherent(phi)).value
-            rows.extend(_series_rows(w, phi, gts, vals, "perturbative"))
+            vals = wit_mod.evaluate(w, coeffs, config.input.coherent(phi))
+            series.append(Series(w, phi, "perturbative", gts, vals))
             summary[(w.label(), phi)] = _onset(gts, vals)
 
-    if config.oracle.enabled and wids:
+    if config.oracle.enabled:
         tasks = [(config, phi) for phi in config.input.phi]
         if config.workers > 1:
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -347,8 +347,8 @@ def run_sweep(config: RunConfig):
         for i, w in enumerate(wids):
             for phi, vals in zip(config.input.phi, results):
                 source = "oracle_failed" if np.isnan(vals[i]).all() else "oracle"
-                rows.extend(_series_rows(w, phi, gts, vals[i], source))
-    return rows, summary
+                series.append(Series(w, phi, source, gts, vals[i]))
+    return series, summary
 
 
 def default_compare_config() -> RunConfig:

@@ -3,7 +3,7 @@
 Each function maps (coefficients, coherent input) to a real witness value;
 a strictly negative value certifies inseparability of the named mode set.
 The arithmetic is elementwise, so coefficients over an array of times give
-a value (and an ``entangled`` flag) per time in one pass.
+an array of values over t in one pass.
 Criteria:
 
     HZ1      ⟨N_i N_j⟩ − |⟨i j†⟩|²            (and the (m,n) generalization)
@@ -22,7 +22,7 @@ three; see tests/bruteforce.py for the independent re-derivation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,26 +108,6 @@ class WitnessId:
         return cls(criterion=crit, modes=modes, m=m, n=n)
 
 
-@dataclass(frozen=True)
-class WitnessValue:
-    """Floats and a bool for a scalar time, arrays over t otherwise."""
-
-    id: WitnessId
-    value: float | np.ndarray
-    entangled: bool | np.ndarray
-    t: float | np.ndarray
-    phi: float = field(default=0.0)
-
-
-def _value(wid, value, coeffs, inp):
-    value = np.asarray(value, dtype=float)
-    entangled = value < 0.0
-    if value.ndim == 0:     # a scalar t keeps a Python float and bool
-        value, entangled = float(value), bool(entangled)
-    return WitnessValue(id=wid, value=value, entangled=entangled,
-                        t=coeffs.t, phi=inp.phi)
-
-
 def _pair_key(pair) -> tuple[str, str]:
     key = tuple(pair)
     if key not in _PAIRS:
@@ -135,7 +115,8 @@ def _pair_key(pair) -> tuple[str, str]:
     return key
 
 
-def hz1_pair(pair, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> WitnessValue:
+def hz1_pair(pair, coeffs: PerturbativeCoefficients,
+             inp: CoherentInput) -> float | np.ndarray:
     """⟨N_i N_j⟩ − |⟨i j†⟩|² for a mode pair."""
     key = _pair_key(pair)
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
@@ -150,10 +131,11 @@ def hz1_pair(pair, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> Witn
         cross = 2 * (coeffs.h1 * coeffs.h2.conjugate()
                      * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma).real
         val = g2s * bracket + cross
-    return _value(WitnessId(Criterion.HZ1, key), val, coeffs, inp)
+    return val
 
 
-def hz2_pair(pair, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> WitnessValue:
+def hz2_pair(pair, coeffs: PerturbativeCoefficients,
+             inp: CoherentInput) -> float | np.ndarray:
     """⟨N_i⟩⟨N_j⟩ − |⟨i j⟩|² for a mode pair."""
     key = _pair_key(pair)
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
@@ -168,10 +150,11 @@ def hz2_pair(pair, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> Witn
         cross = 2 * (coeffs.h1 * coeffs.h2.conjugate()
                      * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma).real
         val = g2s * bracket - cross
-    return _value(WitnessId(Criterion.HZ2, key), val, coeffs, inp)
+    return val
 
 
-def duan_pair(pair, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> WitnessValue:
+def duan_pair(pair, coeffs: PerturbativeCoefficients,
+              inp: CoherentInput) -> float | np.ndarray:
     """Joint-quadrature variance sum minus 2; manifestly ≥ 0 for this model."""
     key = _pair_key(pair)
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
@@ -180,7 +163,7 @@ def duan_pair(pair, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> Wit
         val = f2s * aa ** 2
     else:
         val = f2s * (aa ** 2 / 2 + 2 * bb * cc)
-    return _value(WitnessId(Criterion.DUAN, key), val, coeffs, inp)
+    return val
 
 
 def _hz1_pump_pair(aa, bb, oth, m, n):
@@ -228,12 +211,11 @@ def _bc_cross_terms(coeffs, inp, m, n):
 
 
 def hz1_higher(pair, m: int, n: int, coeffs: PerturbativeCoefficients,
-               inp: CoherentInput) -> WitnessValue:
+               inp: CoherentInput) -> float | np.ndarray:
     """⟨i†ᵐiᵐj†ⁿjⁿ⟩ − |⟨iᵐj†ⁿ⟩|²; reduces bit-for-bit to hz1_pair at (1,1)."""
-    key = _pair_key(pair)
+    key = WitnessId(Criterion.HZ1, tuple(pair), m, n).modes   # validates orders
     if (m, n) == (1, 1):
-        v = hz1_pair(key, coeffs, inp)
-        return _value(WitnessId(Criterion.HZ1, key, 1, 1), v.value, coeffs, inp)
+        return hz1_pair(key, coeffs, inp)
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
     if key == ("a", "b"):
         val = abs(coeffs.f2) ** 2 * _hz1_pump_pair(aa, bb, cc, m, n)
@@ -247,16 +229,15 @@ def hz1_higher(pair, m: int, n: int, coeffs: PerturbativeCoefficients,
                    - 2 * m * n * (1 + 2 * aa) * bb ** m * cc ** n)
         base, t_beta, t_gamma, t_double = _bc_cross_terms(coeffs, inp, m, n)
         val = g2s * bracket + 2 * (base + t_beta + t_gamma + t_double).real
-    return _value(WitnessId(Criterion.HZ1, key, m, n), val, coeffs, inp)
+    return val
 
 
 def hz2_higher(pair, m: int, n: int, coeffs: PerturbativeCoefficients,
-               inp: CoherentInput) -> WitnessValue:
+               inp: CoherentInput) -> float | np.ndarray:
     """⟨i†ᵐiᵐ⟩⟨j†ⁿjⁿ⟩ − |⟨iᵐjⁿ⟩|²; reduces bit-for-bit to hz2_pair at (1,1)."""
-    key = _pair_key(pair)
+    key = WitnessId(Criterion.HZ2, tuple(pair), m, n).modes   # validates orders
     if (m, n) == (1, 1):
-        v = hz2_pair(key, coeffs, inp)
-        return _value(WitnessId(Criterion.HZ2, key, 1, 1), v.value, coeffs, inp)
+        return hz2_pair(key, coeffs, inp)
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
     f2s = abs(coeffs.f2) ** 2
     if key in (("a", "b"), ("a", "c")):
@@ -274,10 +255,11 @@ def hz2_higher(pair, m: int, n: int, coeffs: PerturbativeCoefficients,
                    + 2 * m * n * (1 + 2 * aa) * bb ** m * cc ** n)
         base, t_beta, t_gamma, t_double = _bc_cross_terms(coeffs, inp, m, n)
         val = g2s * bracket - 2 * (base + t_beta + t_gamma + t_double).real
-    return _value(WitnessId(Criterion.HZ2, key, m, n), val, coeffs, inp)
+    return val
 
 
-def trimodal_hz(cut, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> WitnessValue:
+def trimodal_hz(cut, coeffs: PerturbativeCoefficients,
+                inp: CoherentInput) -> float | np.ndarray:
     """⟨N_a N_b N_c⟩ − |⟨i j k†⟩|² for the bipartite cut (i, j | k)."""
     key = tuple(cut)
     if key not in _CUTS:
@@ -298,10 +280,11 @@ def trimodal_hz(cut, coeffs: PerturbativeCoefficients, inp: CoherentInput) -> Wi
                      * coeffs.g1 * coeffs.g2.conjugate()
                      * inp.alpha.conjugate() ** 4 * inp.beta ** 2 * inp.gamma ** 2).real
         val = f2s * poly + cross
-    return _value(WitnessId(Criterion.TRI_HZ1, key), val, coeffs, inp)
+    return val
 
 
-def trimodal_symmetric(coeffs: PerturbativeCoefficients, inp: CoherentInput) -> WitnessValue:
+def trimodal_symmetric(coeffs: PerturbativeCoefficients,
+                       inp: CoherentInput) -> float | np.ndarray:
     """Symmetric three-mode criterion ⟨N_a⟩⟨N_b⟩⟨N_c⟩ − |⟨a b c⟩|²."""
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
     f2s = abs(coeffs.f2) ** 2
@@ -313,14 +296,13 @@ def trimodal_symmetric(coeffs: PerturbativeCoefficients, inp: CoherentInput) -> 
                  * coeffs.h1.conjugate() * coeffs.h2
                  * inp.alpha ** 4 * inp.beta.conjugate() ** 2
                  * inp.gamma.conjugate() ** 2).real
-    val = f2s * poly - cross
-    return _value(WitnessId(Criterion.TRI_SYM, ("a", "b", "c")), val, coeffs, inp)
+    return f2s * poly - cross
 
 
 def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
-             inp: CoherentInput) -> WitnessValue:
-    """Dispatch a WitnessId to its evaluator; raises ConfigError when any
-    value overflows."""
+             inp: CoherentInput) -> float | np.ndarray:
+    """Dispatch a WitnessId to its evaluator: a float for a scalar t, an
+    array over t otherwise; raises ConfigError when any value overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         if wid.criterion is Criterion.HZ1:
             out = hz1_higher(wid.modes, wid.m, wid.n, coeffs, inp)
@@ -332,7 +314,8 @@ def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
             out = trimodal_hz(wid.modes, coeffs, inp)
         else:
             out = trimodal_symmetric(coeffs, inp)
-    if not np.isfinite(out.value).all():
+    value = np.asarray(out, dtype=float)
+    if not np.isfinite(value).all():
         raise ConfigError(f"{wid.label()} values must be finite, got an overflow "
                           f"at t up to {float(np.max(coeffs.t))!r}")
-    return out
+    return float(value) if value.ndim == 0 else value

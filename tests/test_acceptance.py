@@ -81,10 +81,10 @@ def test_criterion_3_order_reduction():
                             gamma=complex(rng.normal(), rng.normal()))
         coeffs = coefficients(params, t)
         for pair in (("a", "b"), ("b", "c"), ("a", "c")):
-            ok &= hz1_higher(pair, 1, 1, coeffs, inp).value == \
-                hz1_pair(pair, coeffs, inp).value
-            ok &= hz2_higher(pair, 1, 1, coeffs, inp).value == \
-                hz2_pair(pair, coeffs, inp).value
+            ok &= hz1_higher(pair, 1, 1, coeffs, inp) == \
+                hz1_pair(pair, coeffs, inp)
+            ok &= hz2_higher(pair, 1, 1, coeffs, inp) == \
+                hz2_pair(pair, coeffs, inp)
     _report("criterion 3 (order reduction bit-for-bit, 1000 random draws)", ok)
     assert ok
 
@@ -93,16 +93,16 @@ def test_criterion_4_hand_evaluated_polynomials():
     coeffs = coefficients(ModelParams.from_detuning(-100.0, 1.0), 0.017)
     f2s = abs(coeffs.f2) ** 2
     checks = {
-        "E_ab": (hz1_pair(("a", "b"), coeffs, FIG_INPUT).value / f2s, -1669.75),
-        "E_ac": (hz1_pair(("a", "c"), coeffs, FIG_INPUT).value / f2s, 1312.25),
-        "D_ab": (duan_pair(("a", "b"), coeffs, FIG_INPUT).value / f2s, 440.5),
-        "D_bc": (duan_pair(("b", "c"), coeffs, FIG_INPUT).value / f2s, 625.0),
+        "E_ab": (hz1_pair(("a", "b"), coeffs, FIG_INPUT) / f2s, -1669.75),
+        "E_ac": (hz1_pair(("a", "c"), coeffs, FIG_INPUT) / f2s, 1312.25),
+        "D_ab": (duan_pair(("a", "b"), coeffs, FIG_INPUT) / f2s, 440.5),
+        "D_bc": (duan_pair(("b", "c"), coeffs, FIG_INPUT) / f2s, 625.0),
         # the certified 5-term (m,n) = (2,1) closed form; the value its own
         # brute-force re-verification yields (the originally quoted -23757.75
         # reproduces only the inconsistent 8-term layout, see docs)
-        "E21_ac": (hz1_higher(("a", "c"), 2, 1, coeffs, FIG_INPUT).value / f2s,
+        "E21_ac": (hz1_higher(("a", "c"), 2, 1, coeffs, FIG_INPUT) / f2s,
                    -20493.75),
-        "E_bca": (trimodal_hz(("b", "c", "a"), coeffs, FIG_INPUT).value / f2s,
+        "E_bca": (trimodal_hz(("b", "c", "a"), coeffs, FIG_INPUT) / f2s,
                   8621.0),
     }
     ok = all(got == pytest.approx(want, rel=1e-9) for got, want in checks.values())
@@ -111,12 +111,9 @@ def test_criterion_4_hand_evaluated_polynomials():
     assert ok
 
 
-def _sign_patterns(rows):
-    series = {}
-    for r in rows:
-        key = (f"{r.criterion}:{r.modes}:{r.m},{r.n}", round(r.phi, 9))
-        series.setdefault(key, []).append((r.gt, r.value))
-    return series
+def _sign_patterns(series):
+    return {(f"{w.criterion.value}:{w.mode_string}:{w.m},{w.n}", round(s.phi, 9)):
+            list(zip(s.gt, s.value)) for s in series for w in [s.witness]}
 
 
 PHI0, PHI1, PHI2 = 0.0, round(math.pi / 2, 9), round(math.pi, 9)

@@ -4,6 +4,8 @@ import pytest
 from fwm.model import ConfigError, ModelParams, coefficient_derivatives, coefficients
 from fwm.residuals import eom_residual, etcr_residual, residual_scaling_slope
 
+COEFFICIENTS = [f"{x}{i}" for x in "fgh" for i in range(1, 6)]
+
 
 def test_zero_at_t0():
     p = ModelParams.from_detuning(-2.0, 0.3)
@@ -71,17 +73,12 @@ def test_residual_insensitive_to_common_frequency_shift():
 def test_eom_derivatives_consistent_with_finite_difference():
     """Replacing the analytic coefficient derivatives by central differences
     must reproduce the same residual to the differencing error."""
-    from fwm.residuals import _coeff_dict, _heisenberg_matrices, _low_block, _block_norm
-    from fwm.fockspace import FockBasis
-    import scipy.sparse as sp
-
     p = ModelParams.from_detuning(-1.3, 0.07)
     t = 0.9
-    basis = FockBasis((7, 6, 6))
     dt = 1e-6 / abs(p.delta_omega1)
-    cp = _coeff_dict(p, t + dt)
-    cm = _coeff_dict(p, t - dt)
-    fd = {k: (cp[k] - cm[k]) / (2 * dt) for k in cp}
+    cp = coefficients(p, t + dt)
+    cm = coefficients(p, t - dt)
     an = coefficient_derivatives(p, t)
-    for k in fd:
-        assert fd[k] == pytest.approx(an[k], rel=1e-6, abs=1e-9)
+    for k in COEFFICIENTS:
+        fd = (getattr(cp, k) - getattr(cm, k)) / (2 * dt)
+        assert fd == pytest.approx(getattr(an, k), rel=1e-6, abs=1e-9)

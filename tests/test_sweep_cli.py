@@ -13,10 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwm import cli
+from fwm.fockspace import FockBasis, coherent_state, cutoffs_for
+from fwm.model import ModelParams
+from fwm.oracle import oracle_witness
 from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, OracleSpec, ParamsSpec,
                        RunConfig, UsageError, apply_overrides,
                        default_compare_config, presets, rows_to_csv,
-                       run_compare, run_sweep)
+                       rows_to_json, run_compare, run_sweep)
 
 
 def tiny_config(**kw):
@@ -93,27 +96,26 @@ class TestPresets:
 class TestRunSweep:
     def test_empty_witness_list(self):
         cfg = tiny_config(witnesses=())
-        rows, summary = run_sweep(cfg)
-        assert rows == [] and summary == {}
+        series, summary = run_sweep(cfg)
+        assert series == [] and summary == {}
 
     def test_row_order_and_count(self):
         cfg = tiny_config()
-        rows, summary = run_sweep(cfg)
-        assert len(rows) == 2 * 2 * 21
-        labels = [(r.criterion, r.modes, r.phi) for r in rows]
-        assert labels == sorted(labels, key=lambda x: (x[0] != "HZ1", x[1], x[2]))
-        gts = [r.gt for r in rows[:21]]
-        assert gts == sorted(gts)
+        series, summary = run_sweep(cfg)
+        assert [(s.witness.label(), s.phi, s.source) for s in series] == [
+            (label, phi, "perturbative") for label in cfg.witnesses
+            for phi in cfg.input.phi]
+        assert all(s.gt.shape == s.value.shape == (21,) for s in series)
+        assert (np.diff(series[0].gt) > 0).all()
+        assert len(rows_to_csv(series).splitlines()) == 1 + 2 * 2 * 21
 
     def test_onset_interpolation_and_consistency(self):
         cfg = tiny_config()
-        rows, summary = run_sweep(cfg)
-        for (label, phi), onset in summary.items():
-            series = [r for r in rows
-                      if f"{r.criterion}:{r.modes}" == label and r.phi == phi
-                      and r.source == "perturbative"]
-            has_negative = any(r.value < 0 for r in series)
-            assert (onset is not None) == has_negative
+        series, summary = run_sweep(cfg)
+        assert len(summary) == len(series)
+        for s in series:
+            onset = summary[(s.witness.label(), s.phi)]
+            assert (onset is not None) == bool((s.value < 0).any())
             if onset is not None:
                 assert cfg.gt_grid.start <= onset <= cfg.gt_grid.stop
 
@@ -131,15 +133,13 @@ class TestRunSweep:
             gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
             witnesses=("HZ1:ab",),
             oracle=OracleSpec(enabled=True))
-        rows, _ = run_sweep(cfg)
-        sources = {r.source for r in rows}
-        assert sources == {"perturbative", "oracle"}
-        orc = [r for r in rows if r.source == "oracle"]
-        prt = [r for r in rows if r.source == "perturbative"]
-        assert len(orc) == len(prt) == 3
+        series, _ = run_sweep(cfg)
+        prt, orc = series
+        assert (prt.source, orc.source) == ("perturbative", "oracle")
+        assert orc.value.shape == prt.value.shape == (3,)
         # oracle and closed form agree to the g³ budget at these settings
-        for o, p in zip(orc, prt):
-            assert o.value == pytest.approx(p.value, abs=2e-4 + 5e-2 * abs(p.value))
+        for o, p in zip(orc.value, prt.value):
+            assert o == pytest.approx(p, abs=2e-4 + 5e-2 * abs(p))
 
     def test_g_zero_sweep_rejected(self):
         cfg = tiny_config(params=ParamsSpec(g=0.0, delta_omega1=-1.0))
@@ -156,7 +156,53 @@ class TestRunSweep:
             oracle=OracleSpec(enabled=True))
         serial, _ = run_sweep(RunConfig(workers=1, **base))
         parallel, _ = run_sweep(RunConfig(workers=2, **base))
-        assert serial == parallel
+        assert rows_to_csv(serial) == rows_to_csv(parallel)
+
+    def test_oracle_at_gt_zero_is_never_entangled(self):
+        """ψ(0) is a product state: every gt = 0 oracle value is >= 0 and
+        flagged false, and the unclamped witness there is roundoff only."""
+        cfg = RunConfig.from_dict(apply_overrides(default_compare_config().to_dict(), {
+            "input.phi": [0.0, 1.0, 2.0], "gt_grid.start": 0.0,
+            "gt_grid.count": 3}))
+        series, _ = run_sweep(cfg)
+        oracle = [s for s in series if s.source == "oracle"]
+        assert len(oracle) == 31 * 3 and all(s.gt[0] == 0.0 for s in oracle)
+        assert all(s.value[0] >= 0.0 for s in oracle)
+        flags = [line.split(",") for line in rows_to_csv(oracle).splitlines()[1:]]
+        assert all(f[7] == "false" for f in flags if f[0] == "0")
+        params = ModelParams.from_detuning(-100.0, 1.0)
+        for phi in cfg.input.phi:
+            inp = cfg.input.coherent(phi)
+            psi0 = coherent_state(FockBasis(cutoffs_for(inp)), inp)
+            for wid in cfg.witness_ids():
+                assert abs(oracle_witness(wid, psi0, params, 0.0)) <= 1e-11, wid.label()
+
+    def test_csv_and_json_rows_agree(self, tmp_path):
+        """Both writers give the same rows in the same order, NaN as nan in
+        CSV and null in JSON, and entangled == (value < 0) in both."""
+        cfg = tiny_config(witnesses=("HZ1:ab",), input=InputSpec(
+            alpha_abs=5.0, phi=(0.0,), beta=4.0, gamma=2.0),
+            oracle=OracleSpec(enabled=True, cutoffs=(3, 2, 2)))
+        series, summary = run_sweep(cfg)
+        assert [s.source for s in series] == ["perturbative", "oracle_failed"]
+        header, *lines = rows_to_csv(series).splitlines()
+        rows = json.loads(rows_to_json(series, summary))["rows"]
+        assert len(lines) == len(rows) == 2 * 21
+        for line, row in zip(lines, rows):
+            fields = dict(zip(header.split(","), line.split(",")))
+            assert fields.keys() == row.keys()
+            value = float(fields["value"])
+            assert (row["value"] is None) == math.isnan(value)
+            if row["value"] is not None:
+                assert row["value"] == value
+            entangled = value < 0.0
+            assert fields["entangled"] == ("true" if entangled else "false")
+            assert row["entangled"] is entangled
+            assert [float(fields["gt"]), float(fields["phi"]), fields["criterion"],
+                    fields["modes"], int(fields["m"]), int(fields["n"]), fields["source"]] \
+                == [row[k] for k in ("gt", "phi", "criterion", "modes", "m", "n", "source")]
+        assert any(row["entangled"] for row in rows)
+        assert rows[-1]["value"] is None and lines[-1].split(",")[6] == "nan"
 
 
 class TestRunCompare:
@@ -245,15 +291,13 @@ class TestCli:
         assert out.returncode == 0
         assert "check: PASS" in out.stdout
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        f = tmp_path / "w.csv"
-        out = subprocess.run(
-            [sys.executable, "-m", "fwm.cli", "sweep", "--preset", "fig5",
-             "--out", str(f), "--gt_grid.count", "5"],
-            capture_output=True, text=True,
-            env={**__import__("os").environ, "FWM_WORKERS": "2"})
+    def test_check_writes_report_to_out(self, tmp_path):
+        f = tmp_path / "check.txt"
+        out = run_cli("check", "--preset", "fig2", "--seed", "11",
+                      "--cutoffs", "8,6,6", "--out", str(f))
         assert out.returncode == 0
-        assert f.exists()
+        assert out.stdout == ""
+        assert f.read_text().splitlines()[-1] == "check: PASS"
 
 
 def main_in_process(*argv):
@@ -387,10 +431,22 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, "workers")
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", "true"])
-    def test_bad_workers_env_is_one_line_usage_error(self, raw, monkeypatch):
-        monkeypatch.setenv("FWM_WORKERS", raw)
-        code, _, err = main_in_process(*SWEEP)
+    def test_bad_workers_env_is_one_line_usage_error(self, raw, tmp_path):
+        """A bad worker count, as a flag or as a config field."""
+        code, _, err = main_in_process(*SWEEP, f"--workers={raw}")
         assert_one_line_usage_error(code, err, "workers")
+        cfg = presets()["fig5"].to_dict()
+        cfg["workers"] = cli._parse_value(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = main_in_process("sweep", "--config", str(path))
+        assert_one_line_usage_error(code, err, "workers")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_check_format_is_one_line_usage_error(self, fmt):
+        code, out, err = main_in_process("check", "--format", fmt)
+        assert_one_line_usage_error(code, err, "--format")
+        assert out == ""
 
     @pytest.mark.parametrize("field, value", [("tolerance", 1e-10), ("method", "rk4")])
     def test_removed_oracle_fields_rejected(self, field, value, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwm.model import SERIES_SWITCHOVER, CoherentInput, ModelParams, coefficients
-from fwm.sweep import certification_witnesses
+from fwm.sweep import Series, certification_witnesses, rows_to_csv
 from fwm.witnesses import (Criterion, InvalidWitness, WitnessId, duan_pair,
                            evaluate, hz1_higher, hz1_pair, hz2_higher,
                            hz2_pair, trimodal_hz, trimodal_symmetric)
@@ -42,8 +42,8 @@ class TestHandValues:
         self.coeffs = coefficients(params, 0.013)
         self.f2s = abs(self.coeffs.f2) ** 2
 
-    def ratio(self, wv):
-        return wv.value / self.f2s
+    def ratio(self, value):
+        return value / self.f2s
 
     def test_hz1_ab(self):
         assert self.ratio(hz1_pair(("a", "b"), self.coeffs, FIG_INPUT)) == \
@@ -80,15 +80,15 @@ class TestZeroAtSeparability:
         coeffs = coefficients(params, 0.0)
         inp = FIG_INPUT
         for pair in PAIRS:
-            assert hz1_pair(pair, coeffs, inp).value == 0.0
-            assert hz2_pair(pair, coeffs, inp).value == 0.0
-            assert duan_pair(pair, coeffs, inp).value == 0.0
+            assert hz1_pair(pair, coeffs, inp) == 0.0
+            assert hz2_pair(pair, coeffs, inp) == 0.0
+            assert duan_pair(pair, coeffs, inp) == 0.0
             for (m, n) in [(2, 1), (1, 2), (3, 2)]:
-                assert hz1_higher(pair, m, n, coeffs, inp).value == 0.0
-                assert hz2_higher(pair, m, n, coeffs, inp).value == 0.0
+                assert hz1_higher(pair, m, n, coeffs, inp) == 0.0
+                assert hz2_higher(pair, m, n, coeffs, inp) == 0.0
         for cut in CUTS:
-            assert trimodal_hz(cut, coeffs, inp).value == 0.0
-        assert trimodal_symmetric(coeffs, inp).value == 0.0
+            assert trimodal_hz(cut, coeffs, inp) == 0.0
+        assert trimodal_symmetric(coeffs, inp) == 0.0
 
 
 class TestAgainstBruteForce:
@@ -102,18 +102,18 @@ class TestAgainstBruteForce:
         truth = TruthEngine(coeffs, inp)
         for (i, j) in PAIRS:
             for fn, ref in [(hz1_pair, truth.hz1), (hz2_pair, truth.hz2)]:
-                got = fn((i, j), coeffs, inp).value
+                got = fn((i, j), coeffs, inp)
                 want = ref(i, j)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             wi = getattr(params, f"omega_{i}")
             wj = getattr(params, f"omega_{j}")
-            got = duan_pair((i, j), coeffs, inp).value
+            got = duan_pair((i, j), coeffs, inp)
             assert got == pytest.approx(truth.duan(i, j, wi, wj, t),
                                         rel=1e-7, abs=1e-9)
         for cut in CUTS:
-            got = trimodal_hz(cut, coeffs, inp).value
+            got = trimodal_hz(cut, coeffs, inp)
             assert got == pytest.approx(truth.trimodal(cut[2]), rel=1e-9, abs=1e-9)
-        got = trimodal_symmetric(coeffs, inp).value
+        got = trimodal_symmetric(coeffs, inp)
         assert got == pytest.approx(truth.trimodal_sym(), rel=1e-8, abs=1e-9)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3),
@@ -125,10 +125,10 @@ class TestAgainstBruteForce:
             coeffs = coefficients(params, t)
             truth = TruthEngine(coeffs, inp)
             for (i, j) in PAIRS:
-                got = hz1_higher((i, j), m, n, coeffs, inp).value
+                got = hz1_higher((i, j), m, n, coeffs, inp)
                 assert got == pytest.approx(truth.hz1(i, j, m, n),
                                             rel=1e-9, abs=1e-10)
-                got = hz2_higher((i, j), m, n, coeffs, inp).value
+                got = hz2_higher((i, j), m, n, coeffs, inp)
                 assert got == pytest.approx(truth.hz2(i, j, m, n),
                                             rel=1e-9, abs=1e-10)
 
@@ -140,11 +140,11 @@ class TestAgainstBruteForce:
         truth = TruthEngine(coeffs, inp)
         for (m, n) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
             for (i, j) in PAIRS:
-                got = hz1_higher((i, j), m, n, coeffs, inp).value
+                got = hz1_higher((i, j), m, n, coeffs, inp)
                 assert math.isfinite(got)
                 assert got == pytest.approx(truth.hz1(i, j, m, n),
                                             rel=1e-10, abs=1e-12)
-                got = hz2_higher((i, j), m, n, coeffs, inp).value
+                got = hz2_higher((i, j), m, n, coeffs, inp)
                 assert got == pytest.approx(truth.hz2(i, j, m, n),
                                             rel=1e-10, abs=1e-12)
 
@@ -156,10 +156,10 @@ class TestOrderReduction:
             params, t, inp = random_setting(rng)
             coeffs = coefficients(params, t)
             for pair in PAIRS:
-                assert hz1_higher(pair, 1, 1, coeffs, inp).value == \
-                    hz1_pair(pair, coeffs, inp).value
-                assert hz2_higher(pair, 1, 1, coeffs, inp).value == \
-                    hz2_pair(pair, coeffs, inp).value
+                assert hz1_higher(pair, 1, 1, coeffs, inp) == \
+                    hz1_pair(pair, coeffs, inp)
+                assert hz2_higher(pair, 1, 1, coeffs, inp) == \
+                    hz2_pair(pair, coeffs, inp)
 
 
 class TestPhaseParity:
@@ -173,17 +173,17 @@ class TestPhaseParity:
             b = CoherentInput(alpha=-a.alpha, beta=a.beta, gamma=a.gamma)
             for pair in PAIRS:
                 for (m, n) in [(1, 1), (2, 1), (1, 2)]:
-                    assert hz1_higher(pair, m, n, coeffs, a).value == \
-                        hz1_higher(pair, m, n, coeffs, b).value
-                    assert hz2_higher(pair, m, n, coeffs, a).value == \
-                        hz2_higher(pair, m, n, coeffs, b).value
-                assert duan_pair(pair, coeffs, a).value == \
-                    duan_pair(pair, coeffs, b).value
+                    assert hz1_higher(pair, m, n, coeffs, a) == \
+                        hz1_higher(pair, m, n, coeffs, b)
+                    assert hz2_higher(pair, m, n, coeffs, a) == \
+                        hz2_higher(pair, m, n, coeffs, b)
+                assert duan_pair(pair, coeffs, a) == \
+                    duan_pair(pair, coeffs, b)
             for cut in CUTS:
-                assert trimodal_hz(cut, coeffs, a).value == \
-                    trimodal_hz(cut, coeffs, b).value
-            assert trimodal_symmetric(coeffs, a).value == \
-                trimodal_symmetric(coeffs, b).value
+                assert trimodal_hz(cut, coeffs, a) == \
+                    trimodal_hz(cut, coeffs, b)
+            assert trimodal_symmetric(coeffs, a) == \
+                trimodal_symmetric(coeffs, b)
 
     def test_cross_terms_odd_under_detuning_flip(self):
         """Conjugating all amplitudes while flipping Δω₁ → −Δω₁ flips the
@@ -204,14 +204,14 @@ class TestPhaseParity:
             c_fwd = coefficients(ModelParams.from_detuning(delta, g), t)
             c_rev = coefficients(ModelParams.from_detuning(-delta, g), t)
             for pair in (("a", "b"), ("a", "c")):
-                v1 = hz1_pair(pair, c_fwd, inp).value
-                v2 = hz1_pair(pair, c_rev, conj).value
+                v1 = hz1_pair(pair, c_fwd, inp)
+                v2 = hz1_pair(pair, c_rev, conj)
                 assert v1 == pytest.approx(v2, rel=1e-10, abs=1e-14)
             # bc: flipping the detuning with conjugated amplitudes flips the
             # cross term only, same as rotating the pump phase by π/2
-            v2 = hz1_pair(("b", "c"), c_rev, conj).value
+            v2 = hz1_pair(("b", "c"), c_rev, conj)
             quarter = CoherentInput(1j * inp.alpha, inp.beta, inp.gamma)
-            v_flip = hz1_pair(("b", "c"), c_fwd, quarter).value
+            v_flip = hz1_pair(("b", "c"), c_fwd, quarter)
             assert v2 == pytest.approx(v_flip, rel=1e-10, abs=1e-13)
 
 
@@ -223,9 +223,7 @@ def test_duan_never_negative(aa, bb, cc, phi, gt, delta_ratio):
     coeffs = coefficients(params, gt)
     inp = CoherentInput.from_pump_phase(aa, phi, bb, cc)
     for pair in PAIRS:
-        wv = duan_pair(pair, coeffs, inp)
-        assert wv.value >= 0.0
-        assert wv.entangled is False
+        assert duan_pair(pair, coeffs, inp) >= 0.0
 
 
 class TestWitnessIds:
@@ -264,19 +262,25 @@ class TestWitnessIds:
     def test_evaluate_dispatch(self):
         coeffs, inp = some_coeffs(phi=0.4)
         wid = WitnessId.parse("HZ2:bc:1,2")
-        assert evaluate(wid, coeffs, inp).value == \
-            hz2_higher(("b", "c"), 1, 2, coeffs, inp).value
+        assert evaluate(wid, coeffs, inp) == \
+            hz2_higher(("b", "c"), 1, 2, coeffs, inp)
         wid = WitnessId.parse("TRI_SYM")
-        assert evaluate(wid, coeffs, inp).value == \
-            trimodal_symmetric(coeffs, inp).value
+        assert evaluate(wid, coeffs, inp) == \
+            trimodal_symmetric(coeffs, inp)
 
 
 def test_entangled_flag_strict_negativity():
+    """The written ``entangled`` flag is strict negativity of the value:
+    false at ±0 and for a NaN (failed) value."""
     coeffs, inp = some_coeffs(phi=math.pi / 2)
-    wv = hz1_pair(("b", "c"), coeffs, inp)
-    assert wv.value < 0 and wv.entangled
-    wv = hz1_pair(("a", "c"), coeffs, inp)
-    assert wv.value > 0 and not wv.entangled
+    bc = hz1_pair(("b", "c"), coeffs, inp)
+    ac = hz1_pair(("a", "c"), coeffs, inp)
+    assert bc < 0 < ac
+    values = np.array([bc, ac, 0.0, -0.0, -5e-324, np.nan])
+    series = Series(WitnessId.parse("HZ1:bc"), 0.0, "perturbative",
+                    np.arange(values.size, dtype=float), values)
+    flags = [line.split(",")[7] for line in rows_to_csv([series]).splitlines()[1:]]
+    assert flags == ["true", "false", "false", "false", "true", "false"]
 
 
 def test_detuning_sufficiency_on_values():
@@ -290,10 +294,10 @@ def test_detuning_sufficiency_on_values():
         c0 = coefficients(ModelParams(wa, wb, wc, g), t)
         c1 = coefficients(ModelParams(wa + shift, wb + shift, wc + shift, g), t)
         for pair in PAIRS:
-            assert hz1_pair(pair, c0, inp).value == \
-                pytest.approx(hz1_pair(pair, c1, inp).value, rel=1e-12, abs=1e-15)
-        assert trimodal_symmetric(c0, inp).value == \
-            pytest.approx(trimodal_symmetric(c1, inp).value, rel=1e-12, abs=1e-15)
+            assert hz1_pair(pair, c0, inp) == \
+                pytest.approx(hz1_pair(pair, c1, inp), rel=1e-12, abs=1e-15)
+        assert trimodal_symmetric(c0, inp) == \
+            pytest.approx(trimodal_symmetric(c1, inp), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("delta, times", [
@@ -304,7 +308,7 @@ def test_detuning_sufficiency_on_values():
 ])
 def test_array_evaluation_matches_scalar(delta, times):
     """One array pass over t agrees with per-point scalar evaluation for every
-    certification witness; scalar t gives a Python float and bool."""
+    certification witness; scalar t gives a Python float."""
     params = ModelParams.from_detuning(delta, 0.5)
     inp = CoherentInput.from_pump_phase(1.2, 0.7, 0.9, 0.6)
     coeffs = coefficients(params, times)
@@ -312,8 +316,8 @@ def test_array_evaluation_matches_scalar(delta, times):
         wid = WitnessId.parse(label)
         series = evaluate(wid, coeffs, inp)
         points = [evaluate(wid, coefficients(params, t), inp) for t in times]
-        assert all(type(v.value) is float and type(v.entangled) is bool for v in points)
-        scalar = np.array([v.value for v in points])
-        np.testing.assert_allclose(series.value, scalar, rtol=1e-13,
+        assert all(type(v) is float for v in points)
+        scalar = np.array(points)
+        np.testing.assert_allclose(series, scalar, rtol=1e-13,
                                    atol=1e-13 * np.abs(scalar).max(), err_msg=label)
-        assert series.entangled.tolist() == [v.entangled for v in points], label
+        assert (series < 0).tolist() == [v < 0 for v in points], label
