@@ -11,7 +11,7 @@ from .model import (ConfigError, CoherentInput, ModelParams,
                     PerturbativeCoefficients, coefficient_derivatives,
                     coefficients)
 from .oracle import (CompareResult, Hamiltonian, build_hamiltonian,
-                     certification_summary, compare, evolve, evolve_grid,
+                     certification_summary, compare, evolve_grid,
                      oracle_witness)
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, Series, UsageError, default_compare_config,
@@ -28,7 +28,7 @@ __all__ = [
     "ConfigError", "CoherentInput", "ModelParams", "PerturbativeCoefficients",
     "coefficient_derivatives", "coefficients",
     "CompareResult", "Hamiltonian", "build_hamiltonian",
-    "certification_summary", "compare", "evolve", "evolve_grid",
+    "certification_summary", "compare", "evolve_grid",
     "oracle_witness",
     "eom_residual", "etcr_residual", "residual_scaling_slope",
     "RunConfig", "Series", "UsageError", "default_compare_config",

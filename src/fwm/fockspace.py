@@ -32,8 +32,9 @@ class FockBasis:
     cutoffs: tuple[int, int, int]
 
     def __post_init__(self):
-        if any(int(c) != c or c < 0 for c in self.cutoffs):
-            raise ConfigError(f"cutoffs must be nonnegative integers, got {self.cutoffs!r}")
+        if len(self.cutoffs) != 3 or any(int(c) != c or c < 0 for c in self.cutoffs):
+            raise ConfigError(f"cutoffs must be three nonnegative integers, "
+                              f"got {self.cutoffs!r}")
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -141,11 +141,6 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
     return out
 
 
-def evolve(H: Hamiltonian, psi0: FockStateVector, t: float) -> FockStateVector:
-    """ψ(t) for a single time (see evolve_grid)."""
-    return evolve_grid(H, psi0, [t])[0]
-
-
 _TRI_CROSS = {
     ("a", "b", "c"): MomentSpec(0, 1, 0, 1, 1, 0),   # ⟨a b c†⟩
     ("b", "c", "a"): MomentSpec(1, 0, 0, 1, 0, 1),   # ⟨b c a†⟩

@@ -183,6 +183,12 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
+            # the other sections reject unknown keys as keyword arguments
+            for prefix, section, spec in (("", d, cls), ("input.", d["input"], InputSpec)):
+                names = {f.name for f in dataclasses.fields(spec)}
+                for key in section:
+                    if key not in names:
+                        raise UsageError(f"unknown key {prefix}{key}")
             return cls(
                 params=ParamsSpec(**d["params"]),
                 input=InputSpec(
@@ -253,15 +259,13 @@ def rows_to_csv(series) -> str:
 
 
 def rows_to_json(series, summary) -> str:
-    """Strict RFC 8259 JSON with the rows of `rows_to_csv`: a non-finite
-    value (an ``oracle_failed`` row) is written as null."""
+    """Strict RFC 8259 JSON with the rows of `rows_to_csv`."""
     rows = []
     for s in series:
         w = s.witness
         fixed = {"phi": s.phi, "criterion": w.criterion.value, "modes": w.mode_string,
                  "m": w.m, "n": w.n, "source": s.source}
-        rows.extend({**fixed, "gt": gt, "value": v if math.isfinite(v) else None,
-                     "entangled": v < 0.0}
+        rows.extend({**fixed, "gt": gt, "value": v, "entangled": v < 0.0}
                     for gt, v in zip(s.gt.tolist(), s.value.tolist()))
     payload = {
         "rows": rows,
@@ -294,30 +298,36 @@ def _oracle_phi_payload(config: RunConfig, phi: float):
     return synth, inp, cutoffs
 
 
+def _map_phases(fn, config: RunConfig) -> list:
+    """``fn((config, phi))`` for every configured phase, in order, on up to
+    ``config.workers`` processes.  An error of any phase is raised here."""
+    tasks = [(config, phi) for phi in config.input.phi]
+    if config.workers == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _oracle_values_for_phi(args) -> np.ndarray:
-    """(witness, gt) oracle values at one pump phase; all NaN when the
-    configured cutoffs cannot hold the coherent input."""
+    """(witness, gt) oracle values at one pump phase; raises CutoffError
+    when the cutoffs cannot hold the coherent input."""
     config, phi = args
     synth, inp, cutoffs = _oracle_phi_payload(config, phi)
     times = [float(gt / synth.g) for gt in config.gt_grid.values()]
-    wids = config.witness_ids()
-    try:
-        psi0 = oracle_mod.coherent_state(oracle_mod.FockBasis(cutoffs), inp)
-    except oracle_mod.CutoffError:
-        return np.full((len(wids), len(times)), np.nan)
+    psi0 = oracle_mod.coherent_state(oracle_mod.FockBasis(cutoffs), inp)
     H = oracle_mod.build_hamiltonian(synth, psi0.basis)
     states = oracle_mod.evolve_grid(H, psi0, times)
-    return oracle_mod.witness_grid(wids, states, synth, times)
+    return oracle_mod.witness_grid(config.witness_ids(), states, synth, times)
 
 
 def run_sweep(config: RunConfig):
     """Execute a sweep; returns (series, summary).
 
     ``series`` is a list of `Series`, ordered by (witness as listed, phi as
-    listed) with perturbative series first, then oracle series when enabled;
-    an oracle series whose cutoffs cannot hold the input has source
-    ``oracle_failed`` and NaN values.  The summary maps (witness label, phi)
-    to the first negativity onset gt* or None.
+    listed) with perturbative series first, then oracle series when enabled.
+    The summary maps (witness label, phi) to the first negativity onset gt*
+    or None.  Raises CutoffError when ``oracle.cutoffs`` cannot hold the
+    coherent input.
     """
     wids = config.witness_ids()
     params = config.params.to_model()
@@ -338,16 +348,10 @@ def run_sweep(config: RunConfig):
             summary[(w.label(), phi)] = _onset(gts, vals)
 
     if config.oracle.enabled:
-        tasks = [(config, phi) for phi in config.input.phi]
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_oracle_values_for_phi, tasks))
-        else:
-            results = [_oracle_values_for_phi(t) for t in tasks]
+        results = _map_phases(_oracle_values_for_phi, config)
         for i, w in enumerate(wids):
             for phi, vals in zip(config.input.phi, results):
-                source = "oracle_failed" if np.isnan(vals[i]).all() else "oracle"
-                series.append(Series(w, phi, source, gts, vals[i]))
+                series.append(Series(w, phi, "oracle", gts, vals[i]))
     return series, summary
 
 
@@ -392,19 +396,12 @@ def _compare_phi_task(args):
 def run_compare(config: RunConfig):
     """Run the certification ladder for every φ; returns a report dict.
 
-    Raises UsageError unless the oracle is enabled and the ladder has >= 3
-    rungs.
+    The oracle always runs, whatever ``oracle.enabled`` says.  Raises
+    UsageError unless the ladder has >= 3 rungs.
     """
-    if not config.oracle.enabled:
-        raise UsageError("compare requires oracle (set oracle.enabled)")
     if config.oracle.ladder_rungs < 3:
         raise UsageError("ladder needs >= 3 rungs")
-    tasks = [(config, phi) for phi in config.input.phi]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_compare_phi_task, tasks))
-    else:
-        results = [_compare_phi_task(t) for t in tasks]
+    results = _map_phases(_compare_phi_task, config)
 
     wids = config.witness_ids()
     report = {"settings": config.to_dict(), "per_phi": {}, "witnesses": {}}

@@ -10,7 +10,7 @@ from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
                            conserved_charges, cutoffs_for, moment)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
 from fwm.oracle import (TIME_CHUNK, build_hamiltonian, certification_summary,
-                        charge_sectors, compare, evolve, evolve_grid,
+                        charge_sectors, compare, evolve_grid,
                         oracle_witness, sector_blocks, witness_grid)
 from fwm.sweep import certification_witnesses, presets
 from fwm.witnesses import Criterion, WitnessId, evaluate
@@ -101,7 +101,7 @@ class TestSectors:
 class TestEvolve:
     def test_t0_identity(self):
         _, _, psi0, H = small_setup()
-        out = evolve(H, psi0, 0.0)
+        out = evolve_grid(H, psi0, [0.0])[0]
         assert np.array_equal(out.amplitudes, psi0.amplitudes)
 
     def test_free_evolution_exact_phases(self):
@@ -110,30 +110,30 @@ class TestEvolve:
         psi0 = coherent_state(basis, CoherentInput(0.7, 0.5, 0.4), tail_tol=1e-4)
         H = build_hamiltonian(params, basis)
         t = 0.8
-        out = evolve(H, psi0, t)
+        out = evolve_grid(H, psi0, [t])[0]
         occ = basis.occupations()
         phases = np.exp(-1j * t * (1.1 * occ[:, 0] + 0.4 * occ[:, 1] + 0.9 * occ[:, 2]))
         assert np.max(np.abs(out.amplitudes - phases * psi0.amplitudes)) < 1e-10
 
     def test_norm_preserved(self):
         _, _, psi0, H = small_setup()
-        out = evolve(H, psi0, 2.0)
+        out = evolve_grid(H, psi0, [2.0])[0]
         assert abs(out.norm() - 1.0) < 1e-9
 
     def test_charge_conservation(self):
         _, _, psi0, H = small_setup()
         q0 = conserved_charges(psi0)
-        out = evolve(H, psi0, 3.0)
+        out = evolve_grid(H, psi0, [3.0])[0]
         q1 = conserved_charges(out)
         assert q1[0] == pytest.approx(q0[0], abs=1e-8)
         assert q1[1] == pytest.approx(q0[1], abs=1e-8)
 
     def test_rk4_matches_expm(self):
-        """Single-time agreement of evolve with scipy's expm_multiply. The
+        """Single-time agreement of evolve_grid with scipy's expm_multiply. The
         name dates from the step integrator this test first checked; the
         propagator it now checks is exact."""
         _, _, psi0, H = small_setup()
-        a = evolve(H, psi0, 1.2)
+        a = evolve_grid(H, psi0, [1.2])[0]
         b = spla.expm_multiply((-1.2j) * H.matrix, psi0.amplitudes)
         assert np.max(np.abs(a.amplitudes - b)) < 1e-8
 
@@ -190,7 +190,7 @@ class TestOracleWitness:
         psi0 = coherent_state(basis, SMALL_INPUT)
         H = build_hamiltonian(params, basis)
         t = 1.0
-        psi = evolve(H, psi0, t)
+        psi = evolve_grid(H, psi0, [t])[0]
         coeffs = coefficients(params, t)
         f2s = abs(coeffs.f2) ** 2
         for label in ["HZ1:ab", "HZ1:bc", "HZ2:ac", "HZ1:ab:2,1", "HZ2:bc:1,2",

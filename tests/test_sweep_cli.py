@@ -177,24 +177,23 @@ class TestRunSweep:
             for wid in cfg.witness_ids():
                 assert abs(oracle_witness(wid, psi0, params, 0.0)) <= 1e-11, wid.label()
 
-    def test_csv_and_json_rows_agree(self, tmp_path):
-        """Both writers give the same rows in the same order, NaN as nan in
-        CSV and null in JSON, and entangled == (value < 0) in both."""
-        cfg = tiny_config(witnesses=("HZ1:ab",), input=InputSpec(
-            alpha_abs=5.0, phi=(0.0,), beta=4.0, gamma=2.0),
-            oracle=OracleSpec(enabled=True, cutoffs=(3, 2, 2)))
+    def test_csv_and_json_rows_agree(self):
+        """Both writers give the same rows in the same order, and
+        entangled == (value < 0) in both."""
+        cfg = tiny_config(
+            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+            input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
+            witnesses=("HZ1:ab", "DUAN:ab"), oracle=OracleSpec(enabled=True))
         series, summary = run_sweep(cfg)
-        assert [s.source for s in series] == ["perturbative", "oracle_failed"]
+        assert [s.source for s in series] == ["perturbative"] * 2 + ["oracle"] * 2
         header, *lines = rows_to_csv(series).splitlines()
         rows = json.loads(rows_to_json(series, summary))["rows"]
-        assert len(lines) == len(rows) == 2 * 21
+        assert len(lines) == len(rows) == 4 * 21
         for line, row in zip(lines, rows):
             fields = dict(zip(header.split(","), line.split(",")))
             assert fields.keys() == row.keys()
             value = float(fields["value"])
-            assert (row["value"] is None) == math.isnan(value)
-            if row["value"] is not None:
-                assert row["value"] == value
+            assert row["value"] == value
             entangled = value < 0.0
             assert fields["entangled"] == ("true" if entangled else "false")
             assert row["entangled"] is entangled
@@ -202,14 +201,24 @@ class TestRunSweep:
                     fields["modes"], int(fields["m"]), int(fields["n"]), fields["source"]] \
                 == [row[k] for k in ("gt", "phi", "criterion", "modes", "m", "n", "source")]
         assert any(row["entangled"] for row in rows)
-        assert rows[-1]["value"] is None and lines[-1].split(",")[6] == "nan"
+        assert not all(row["entangled"] for row in rows)
 
 
 class TestRunCompare:
-    def test_requires_oracle(self):
-        cfg = tiny_config()
-        with pytest.raises(UsageError, match="compare requires oracle"):
-            run_compare(cfg)
+    def test_runs_with_oracle_disabled(self):
+        """compare always runs the oracle: oracle.enabled changes only the
+        settings it echoes."""
+        base = dict(
+            params=ParamsSpec(g=0.3, delta_omega1=-3.0),
+            input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
+            gt_grid=GtGrid(start=0.15, stop=0.3, count=2),
+            witnesses=("HZ1:ab", "DUAN:ab"))
+        off = run_compare(RunConfig(oracle=OracleSpec(enabled=False), **base))
+        on = run_compare(RunConfig(oracle=OracleSpec(enabled=True), **base))
+        assert off["settings"]["oracle"]["enabled"] is False
+        assert sorted(off["witnesses"]) == ["DUAN:ab", "HZ1:ab"]
+        assert {k: v for k, v in off.items() if k != "settings"} \
+            == {k: v for k, v in on.items() if k != "settings"}
 
     def test_requires_three_rungs(self):
         cfg = tiny_config(oracle=OracleSpec(enabled=True, ladder_rungs=1))
@@ -244,11 +253,6 @@ class TestCli:
         out = run_cli("sweep", "--preset", "fig9")
         assert out.returncode == 1
         assert "usage error" in out.stderr
-
-    def test_compare_without_oracle_usage_error(self):
-        out = run_cli("compare", "--preset", "fig2")
-        assert out.returncode == 1
-        assert "compare requires oracle" in out.stderr
 
     def test_single_rung_ladder_usage_error(self):
         out = run_cli("compare", "--preset", "fig2", "--oracle.enabled", "true",
@@ -364,6 +368,7 @@ class TestCliBoundary:
     @example(("input.alpha_abs", "abc"))
     @example(("input.beta", "[1]"))
     @example(("oracle.cutoffs", "[3,2]"))
+    @example(("input.bta", "3"))
     def test_bad_field_is_one_line_usage_error(self, case):
         field, raw = case
         code, out, err = main_in_process(*SWEEP, "--oracle", f"--{field}", raw)
@@ -405,9 +410,14 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, needle, "finite")
         assert out == ""
 
-    def test_oversized_check_cutoffs_is_one_line_usage_error(self):
-        code, out, err = main_in_process("check", "--cutoffs", "100,100,100")
-        assert_one_line_usage_error(code, err, "2048")
+    @pytest.mark.parametrize("cutoffs, needle", [
+        ("100,100,100", "2048"),
+        ("10,8", "three"),
+        ("10,8,8,8", "three"),
+    ])
+    def test_oversized_check_cutoffs_is_one_line_usage_error(self, cutoffs, needle):
+        code, out, err = main_in_process("check", "--cutoffs", cutoffs)
+        assert_one_line_usage_error(code, err, needle)
         assert out == ""
 
     @settings(max_examples=60, deadline=None)
@@ -495,26 +505,21 @@ class TestCliBoundary:
         assert payload["witnesses"] == {}
         assert all(per["witnesses"] == {} for per in payload["per_phi"].values())
 
-    def test_failed_oracle_rows_are_strict_json(self, tmp_path):
-        """Rows the oracle cannot produce (cutoffs too small for the input)
-        carry value null in JSON and nan in CSV, and the run exits 2."""
-        args = (*SWEEP, "--oracle", "--oracle.cutoffs", "[3,2,2]",
-                "--input.phi", "0")
-        js, csv = tmp_path / "rows.json", tmp_path / "rows.csv"
-        assert main_in_process(*args, "--format", "json", "--out", str(js))[0] == 2
-        code, _, err = main_in_process(*args, "--out", str(csv))
-        assert code == 2
-        assert err.splitlines()[-1] == ("numerical failure: 8 oracle_failed rows, "
-                                        "oracle.cutoffs (3, 2, 2) too small for the "
-                                        "coherent input")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_oracle_cutoffs_is_one_line_usage_error(self, workers, tmp_path):
+        """Cutoffs too small for the coherent input fail the whole sweep, at
+        any worker count, before any output is written."""
+        f = tmp_path / "rows.csv"
+        code, out, err = main_in_process(*SWEEP, "--oracle", "--oracle.cutoffs", "[3,2,2]",
+                                         f"--workers={workers}", "--out", str(f))
+        assert_one_line_usage_error(code, err, "raise cutoffs (3, 2, 2)")
+        assert out == "" and not f.exists()
 
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-        payload = json.loads(js.read_text(), parse_constant=reject)
-        failed = [r for r in payload["rows"] if r["source"] == "oracle_failed"]
-        assert len(failed) == 4 * 2
-        assert all(r["value"] is None and r["entangled"] is False for r in failed)
-        csv_failed = [line for line in csv.read_text().splitlines()
-                      if line.endswith(",oracle_failed")]
-        assert len(csv_failed) == 4 * 2
-        assert all(line.split(",")[6] == "nan" for line in csv_failed)
+    def test_unknown_top_level_config_key_is_one_line_usage_error(self, tmp_path):
+        cfg = presets()["fig5"].to_dict()
+        cfg["wrokers"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = main_in_process("sweep", "--config", str(path))
+        assert_one_line_usage_error(code, err, "wrokers")
+        assert out == ""
