@@ -205,9 +205,9 @@ class TestRunSweep:
 
 
 class TestRunCompare:
-    def test_runs_with_oracle_disabled(self):
-        """compare always runs the oracle: oracle.enabled changes only the
-        settings it echoes."""
+    def test_requires_oracle(self):
+        """compare requires the oracle and always runs it: oracle.enabled
+        changes only the settings it echoes."""
         base = dict(
             params=ParamsSpec(g=0.3, delta_omega1=-3.0),
             input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
@@ -253,6 +253,14 @@ class TestCli:
         out = run_cli("sweep", "--preset", "fig9")
         assert out.returncode == 1
         assert "usage error" in out.stderr
+
+    def test_compare_without_oracle_usage_error(self):
+        """With oracle.enabled false (the fig2 preset) compare still runs the
+        oracle, so cutoffs too small for the input end it with one line."""
+        out = run_cli("compare", "--preset", "fig2", "--oracle.cutoffs", "[3,2,2]")
+        assert out.returncode == 1
+        assert out.stderr.strip().splitlines() == [
+            "usage error: coherent tail 1.000e+00 above 1.0e-09; raise cutoffs (3, 2, 2)"]
 
     def test_single_rung_ladder_usage_error(self):
         out = run_cli("compare", "--preset", "fig2", "--oracle.enabled", "true",
