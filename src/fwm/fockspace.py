@@ -1,4 +1,5 @@
-"""Truncated three-mode occupation-number space: basis, states, moments.
+"""Truncated three-mode occupation-number space: basis, states, moments,
+ladder operators.
 
 The flat index runs row-major over (n_a, n_b, n_c); amplitudes reshape to a
 (N_a+1, N_b+1, N_c+1) tensor, and a stack of states with (T, dim)
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import CoherentInput, ConfigError
 
@@ -176,6 +178,26 @@ def moment(psi: FockStateVector, spec: MomentSpec):
     ten = psi.tensor()
     bra, ket, weight = _moment_plan(spec, psi.basis.shape)
     return np.vecdot(ten[bra], weight * ten[ket]).sum(axis=(-2, -1))
+
+
+@functools.lru_cache
+def ladders(basis: FockBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Truncated lowering operators a, b, c as real CSR matrices on the basis.
+
+    Cached per basis and shared by every caller, so their arrays are
+    read-only.  Their transposes are the creation operators, which drop any
+    transition past a cutoff.
+    """
+    eye = [sp.identity(n, format="csr") for n in basis.shape]
+    out = []
+    for mode, n in enumerate(basis.shape):
+        factors = list(eye)
+        factors[mode] = sp.diags(np.sqrt(np.arange(1.0, n)), 1, shape=(n, n))
+        op = sp.kron(sp.kron(factors[0], factors[1]), factors[2], format="csr")
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+        out.append(op)
+    return tuple(out)
 
 
 def mean_occupations(psi: FockStateVector) -> tuple[float, float, float]:

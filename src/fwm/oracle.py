@@ -1,7 +1,7 @@
 """Exact propagation on the truncated Fock space and the certification harness.
 
 The Hamiltonian H = ω_a a†a + ω_b b†b + ω_c c†c + g(a²b†c† + a†²bc) is built
-sparse.  It conserves Q1 = n_a + 2n_b and Q2 = n_b − n_c, also on the
+sparse from the truncated ladders.  It conserves Q1 = n_a + 2n_b and Q2 = n_b − n_c, also on the
 truncated basis, so it splits into one block per charge sector (Q1, Q2).
 Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
 so each block is tridiagonal and small.  Blocks are diagonalized exactly
@@ -24,8 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import witnesses
-from .fockspace import (CutoffError, FockBasis, FockStateVector, MomentSpec,
-                        coherent_state, conserved_charges, cutoffs_for, moment)
+from .fockspace import (FockBasis, FockStateVector, MomentSpec, coherent_state,
+                        conserved_charges, cutoffs_for, ladders, moment)
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
 from .witnesses import Criterion, WitnessId
 
@@ -35,38 +35,25 @@ TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the tem
 @dataclass
 class Hamiltonian:
     matrix: sp.csr_matrix
-    params: ModelParams
     basis: FockBasis
     clipped_transitions: int
 
 
 def build_hamiltonian(params: ModelParams, basis: FockBasis) -> Hamiltonian:
-    """Sparse Hermitian H on the truncated basis.
+    """Sparse Hermitian H = diag(ω·n) + g(a²b†c† + h.c.) from the truncated
+    ladders of ``fockspace.ladders``.
 
-    Interaction transitions that would leave the basis are projected out
-    (counted in ``clipped_transitions``); the result still commutes exactly
-    with the conserved charges n_a + 2n_b and n_b − n_c.
+    The truncated b† and c† drop every interaction transition that would
+    leave the basis (counted in ``clipped_transitions``), so H still commutes
+    exactly with the conserved charges n_a + 2n_b and n_b − n_c.
     """
-    occ = basis.occupations()
-    na, nb, nc = occ[:, 0], occ[:, 1], occ[:, 2]
-    diag = params.omega_a * na + params.omega_b * nb + params.omega_c * nc
-
-    ca, cb, cc = basis.cutoffs
-    src = (na >= 2) & (nb < cb) & (nc < cc)
-    clipped = int(np.count_nonzero((na >= 2) & ((nb >= cb) | (nc >= cc))))
-    cols = np.nonzero(src)[0]
-    sb, sc = cb + 1, cc + 1
-    rows = ((na[cols] - 2) * sb + (nb[cols] + 1)) * sc + (nc[cols] + 1)
-    vals = params.g * np.sqrt(na[cols] * (na[cols] - 1.0)
-                              * (nb[cols] + 1.0) * (nc[cols] + 1.0))
-    dim = basis.dimension
-    H = sp.coo_matrix((diag.astype(np.complex128), (np.arange(dim), np.arange(dim))),
-                      shape=(dim, dim))
-    if cols.size:
-        up = sp.coo_matrix((vals.astype(np.complex128), (rows, cols)), shape=(dim, dim))
-        H = H + up + up.T
-    return Hamiltonian(matrix=H.tocsr(), params=params, basis=basis,
-                       clipped_transitions=clipped)
+    a, b, c = ladders(basis)
+    pump = a @ a @ b.T @ c.T                          # a²b†c†
+    na, nb, nc = basis.occupations().T
+    energy = params.omega_a * na + params.omega_b * nb + params.omega_c * nc
+    H = sp.diags(energy.astype(np.complex128)) + params.g * (pump + pump.T)
+    clipped = int(np.count_nonzero(na >= 2)) - pump.nnz
+    return Hamiltonian(matrix=H.tocsr(), basis=basis, clipped_transitions=clipped)
 
 
 def charge_sectors(basis: FockBasis) -> list[np.ndarray]:
@@ -263,7 +250,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
             perturbative_fn=None) -> CompareResult:
     """Certify closed forms against the oracle over a g-halving ladder.
 
-    ``params_ladder`` must share the detuning and descend in g (≥ 3 rungs).
+    ``params_ladder`` must share the detuning and descend in g > 0 (≥ 3 rungs).
     The exponent at each (witness, time) is the least-squares slope of
     ln|err| vs ln g, fitted for all points in one ``np.polyfit`` call; it is
     NaN unless every rung's error is above 100× unit roundoff.
@@ -274,16 +261,13 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     deltas = {round(p.delta_omega1, 12) for p in ladder}
     if len(deltas) != 1:
         raise ConfigError("ladder rungs must share the detuning")
+    if any(p.g <= 0.0 for p in ladder):
+        raise ConfigError("ladder rungs need coupling g > 0")
     if perturbative_fn is None:
         perturbative_fn = witnesses.evaluate
     times = tuple(float(t) for t in times)
 
     shape = (len(ladder), len(wids), len(times))
-    if all(p.g == 0.0 for p in ladder):
-        return CompareResult(np.zeros(shape), np.zeros(shape),
-                             np.full(shape[1:], np.nan), np.zeros(shape[1:]),
-                             {"degenerate": True})
-
     if cutoffs is None:
         cutoffs = cutoffs_for(inp)
     basis = FockBasis(cutoffs)
@@ -325,13 +309,11 @@ def certification_summary(result: CompareResult, wids) -> dict[str, dict]:
     median exponent over the ungated grid points, worst relative error at
     the smallest rung, and a pass flag (exponent ≥ 2.5 and relative
     agreement ≤ 1e-3)."""
-    degenerate = result.diagnostics.get("degenerate", False)
     out = {}
     for wid, exps, rel in zip(wids, result.exponent, result.rel_err):
         exps = exps[~np.isnan(exps)]
         med = float(np.median(exps)) if exps.size else None
         max_rel = float(rel.max(initial=0.0))
-        passed = degenerate or (med is not None and med >= 2.5 and max_rel <= 1e-3)
-        out[wid.label()] = {"exponent": med, "max_rel_err": max_rel, "passed": passed,
-                            "note": "degenerate, skipped" if degenerate else ""}
+        passed = med is not None and med >= 2.5 and max_rel <= 1e-3
+        out[wid.label()] = {"exponent": med, "max_rel_err": max_rel, "passed": passed}
     return out

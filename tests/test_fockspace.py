@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fwm.fockspace import (MAX_MOMENT_ORDER, CutoffError, FockBasis,
                            FockStateVector, MomentSpec, coherent_amplitudes,
                            coherent_state, conserved_charges, cutoffs_for,
-                           edge_population, moment)
+                           edge_population, ladders, moment)
 from fwm.model import CoherentInput, ConfigError
-from fwm.residuals import _ladders
 
 
 class TestBasisIndexing:
@@ -136,7 +135,7 @@ class TestMoments:
         basis = FockBasis(cut)
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=(3, basis.dimension)) + 1j * rng.normal(size=(3, basis.dimension))
-        A, B, C = _ladders(basis)
+        A, B, C = ladders(basis)
         spec = MomentSpec(*exps)
         ops = ([C] * spec.v + [C.conj().T] * spec.u + [B] * spec.s
                + [B.conj().T] * spec.r + [A] * spec.q + [A.conj().T] * spec.p)

@@ -60,6 +60,32 @@ class TestHamiltonian:
             comm = H.matrix.toarray() @ Q - Q @ H.matrix.toarray()
             assert np.max(np.abs(comm)) == 0.0
 
+    def test_matches_elementwise_reference(self):
+        """H from the shared ladders against an element-wise construction:
+        each unclipped source |n_a, n_b, n_c⟩ with n_a ≥ 2 couples to
+        |n_a−2, n_b+1, n_c+1⟩ with g√(n_a(n_a−1)(n_b+1)(n_c+1)).  Distinct
+        frequencies and a clipped basis; every element agrees to 1e-15
+        relative, and the clipped count is that of the reference."""
+        params = ModelParams(1.3, 0.2, -0.7, 0.35)
+        basis = FockBasis((8, 5, 4))
+        occ = basis.occupations()
+        na, nb, nc = occ[:, 0], occ[:, 1], occ[:, 2]
+        _, cb, cc = basis.cutoffs
+        src = (na >= 2) & (nb < cb) & (nc < cc)
+        cols = np.nonzero(src)[0]
+        rows = ((na[cols] - 2) * (cb + 1) + (nb[cols] + 1)) * (cc + 1) + (nc[cols] + 1)
+        vals = params.g * np.sqrt(na[cols] * (na[cols] - 1.0)
+                                  * (nb[cols] + 1.0) * (nc[cols] + 1.0))
+        want = np.diag(1.3 * na + 0.2 * nb - 0.7 * nc).astype(complex)
+        want[rows, cols] = vals
+        want[cols, rows] = vals
+        H = build_hamiltonian(params, basis)
+        got = H.matrix.toarray()
+        assert np.array_equal(got != 0, want != 0)
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-15
+        clipped = np.count_nonzero((na >= 2) & ((nb >= cb) | (nc >= cc)))
+        assert clipped > 0 and H.clipped_transitions == clipped
+
     def test_clipped_transitions_counted(self):
         params, basis, _, H = small_setup()
         occ = basis.occupations()
@@ -263,15 +289,14 @@ class TestCompare:
         assert res.diagnostics["norm_drift"] < 1e-9
         assert res.diagnostics["q1_drift"] < 1e-8
 
-    def test_degenerate_ladder_skipped(self):
+    def test_zero_coupling_ladder_rejected(self):
+        """A ladder with a rung at g = 0 certifies nothing: it is refused
+        before any propagation, whether every rung or one is at g = 0."""
         wids = [WitnessId.parse("HZ1:ab")]
-        ladder = [ModelParams.from_detuning(-3.0, 0.0)] * 3
-        res = compare(wids, ladder, SMALL_INPUT, [0.5])
-        assert res.diagnostics == {"degenerate": True}
-        assert np.isnan(res.exponent).all() and res.exponent.shape == (1, 1)
-        summary = certification_summary(res, wids)
-        assert summary["HZ1:ab"]["passed"]
-        assert summary["HZ1:ab"]["note"] == "degenerate, skipped"
+        for gs in ((0.0, 0.0, 0.0), (0.4, 0.2, 0.0)):
+            ladder = [ModelParams.from_detuning(-3.0, g) for g in gs]
+            with pytest.raises(ConfigError, match="g > 0"):
+                compare(wids, ladder, SMALL_INPUT, [0.5])
 
     def test_arrays_match_per_point_fit(self):
         """The one-call ladder fit equals np.polyfit point by point, bit for

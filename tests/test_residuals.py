@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fwm.model import ConfigError, ModelParams, coefficient_derivatives, coefficients
 from fwm.residuals import eom_residual, etcr_residual, residual_scaling_slope
+from fwm.sweep import FIG_OMEGAS
 
 COEFFICIENTS = [f"{x}{i}" for x in "fgh" for i in range(1, 6)]
 
@@ -53,9 +56,33 @@ def test_halving_ratio_at_least_6(kind):
     assert r1 / r2 >= 6.0
 
 
+FIG2_DELTA = abs(2 * FIG_OMEGAS[0] - FIG_OMEGAS[1] - FIG_OMEGAS[2])
+
+
+@pytest.mark.parametrize("p, t", [
+    (ModelParams.from_detuning(-1.5, 0.08), 0.9),
+    (ModelParams(*FIG_OMEGAS, 0.05 * FIG2_DELTA), 1.0 / FIG2_DELTA),
+], ids=["detuning", "fig2_optical"])
+def test_eom_halving_ratio_is_8(p, t):
+    """The solution is quadratic in g and H linear, so the EOM defect is
+    exactly its g³ term: halving g divides it by 8 (a wrong g² coefficient
+    would leave a ratio near 4).  At the optical frequencies the defect is a
+    difference of terms ~ω, so roundoff sets the tolerance."""
+    half = dataclasses.replace(p, g=p.g / 2)
+    ratio = eom_residual(p, t, (8, 6, 6)) / eom_residual(half, t, (8, 6, 6))
+    assert ratio == pytest.approx(8.0, rel=1e-9)
+
+
+def test_unknown_residual_kind_rejected():
+    p = ModelParams.from_detuning(-1.0, 0.05)
+    for kind in ("ETCR", "eomm"):
+        with pytest.raises(ConfigError, match=repr(kind)):
+            residual_scaling_slope(p, 1.0, (5, 4, 4), kind)
+
+
 def test_eom_magnitude_constant():
     """Operator-norm EOM residual at g·t = 0.01, relative to g²: the constant
-    was measured (~26 at cutoffs (10,8,8), occupation-polynomial growth) and
+    was measured (~28 at cutoffs (10,8,8), occupation-polynomial growth) and
     frozen here with margin."""
     p = ModelParams.from_detuning(-1.0, 0.01)
     r = eom_residual(p, 1.0, (10, 8, 8))

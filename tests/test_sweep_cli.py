@@ -377,6 +377,10 @@ class TestCliBoundary:
     @example(("input.beta", "[1]"))
     @example(("oracle.cutoffs", "[3,2]"))
     @example(("input.bta", "3"))
+    @example(("params.foo", "1"))
+    @example(("gt_grid.stepz", "3"))
+    @example(("oracle.cutof", "3"))
+    @example(("output.fmt", "json"))
     def test_bad_field_is_one_line_usage_error(self, case):
         field, raw = case
         code, out, err = main_in_process(*SWEEP, "--oracle", f"--{field}", raw)
@@ -521,6 +525,25 @@ class TestCliBoundary:
         code, out, err = main_in_process(*SWEEP, "--oracle", "--oracle.cutoffs", "[3,2,2]",
                                          f"--workers={workers}", "--out", str(f))
         assert_one_line_usage_error(code, err, "raise cutoffs (3, 2, 2)")
+        assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("section, value", [
+        ("oracle", "abc"), ("params", 5), ("gt_grid", [1, 2]), ("config", [1, 2])])
+    def test_non_object_config_section_is_one_line_usage_error(self, section, value,
+                                                               tmp_path):
+        cfg = value if section == "config" else {**presets()["fig5"].to_dict(),
+                                                 section: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = main_in_process("sweep", "--config", str(path))
+        assert_one_line_usage_error(code, err, f"{section} must be a JSON object")
+        assert out == ""
+
+    def test_compare_zero_coupling_is_one_line_usage_error(self, tmp_path):
+        """g = 0 gives no ladder to certify: one line, no report written."""
+        f = tmp_path / "report.json"
+        code, out, err = main_in_process("compare", "--params.g", "0", "--out", str(f))
+        assert_one_line_usage_error(code, err, "g > 0")
         assert out == "" and not f.exists()
 
     def test_unknown_top_level_config_key_is_one_line_usage_error(self, tmp_path):
