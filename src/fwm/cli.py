@@ -1,8 +1,9 @@
 """Command-line front end: sweep, compare, presets, check.
 
 Exit codes: 0 success, 1 usage error (also when ``oracle.cutoffs`` cannot
-hold the coherent input), 2 numerical failure.  Any config field can be
-overridden with a flag of the same dotted path, e.g.
+hold the coherent input, or an amplitude overflows a closed form), 2 when a
+``check`` diagnostic fails.  Any config field can be overridden with a flag
+of the same dotted path, e.g.
 ``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``.
 
 Frequencies are angular (s⁻¹).  Oracle propagation always substitutes the
@@ -188,13 +189,16 @@ def _cmd_check(args, overrides) -> int:
     t = 1.0 / scale
     p0 = ModelParams(params.omega_a, params.omega_b, params.omega_c, g0)
 
+    # residuals at the synthetic frequencies, as the oracle propagates: at
+    # optical ones the EOM defect is a difference of terms ~ω_a‖x‖
+    synth = ModelParams.from_detuning(delta, g0)
     ok = True
     report = []
-    r0 = etcr_residual(ModelParams(p0.omega_a, p0.omega_b, p0.omega_c, 0.0), t, cutoffs)
+    r0 = etcr_residual(ModelParams.from_detuning(delta, 0.0), t, cutoffs)
     report.append(f"etcr residual (g=0): {r0:.3e}")
     ok &= r0 < 1e-12
-    etcr_slope = residual_scaling_slope(p0, t, cutoffs, "etcr")
-    eom_slope = residual_scaling_slope(p0, t, cutoffs, "eom")
+    etcr_slope = residual_scaling_slope(synth, t, cutoffs, "etcr")
+    eom_slope = residual_scaling_slope(synth, t, cutoffs, "eom")
     report.append(f"etcr residual scaling slope: {etcr_slope:.3f}")
     report.append(f"eom  residual scaling slope: {eom_slope:.3f}")
     ok &= etcr_slope >= 2.5 and eom_slope >= 2.5
@@ -229,9 +233,6 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except FloatingPointError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

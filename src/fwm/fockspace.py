@@ -106,15 +106,11 @@ def cutoffs_for(inp: CoherentInput, tail: float = 1e-12,
     plus headroom for the interaction (two pump quanta move per event)."""
     out = []
     for z, extra in zip((inp.alpha, inp.beta, inp.gamma), headroom):
-        lam = abs(z) ** 2
-        n = max(2, int(math.ceil(lam)))
-        while True:
-            _, t = coherent_amplitudes(n, z)
-            if t < tail:
-                break
+        n = max(2, int(math.ceil(abs(z) ** 2)))
+        while n <= 10_000 and coherent_amplitudes(n, z)[1] >= tail:
             n += 1
-            if n > 10_000:
-                raise CutoffError(f"no cutoff below 10000 reaches tail {tail}")
+        if n > 10_000:
+            raise CutoffError(f"no cutoff below 10000 reaches tail {tail}")
         out.append(n + extra)
     return tuple(out)
 

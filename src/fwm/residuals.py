@@ -9,6 +9,12 @@ truncation edge artifacts for these quadratic monomials:
   * equal-time commutator defect  ‖[x(t), x†(t)] − 1‖
   * equation-of-motion defect     ‖ẋ(t) − i[H, x(t)]‖
 
+Every term of a(t), b(t), c(t) and H shifts the Manley–Rowe charges
+(n_a + 2n_b, n_b − n_c) by a fixed amount, so each defect maps one charge
+sector to one other and its 2-norm on the low block is the largest over the
+block's sectors (`oracle.charge_sectors`): small batched ``eigvalsh`` calls
+replace one dense SVD.
+
 For the second-order solution both residuals vanish through O(g²), so their
 numeric values scale as g³ (asserted by the scaling tests).  The solution is
 quadratic in g and H linear, so the EOM defect is exactly its g³ term.
@@ -24,9 +30,10 @@ import scipy.sparse as sp
 from .fockspace import FockBasis, ladders
 from .model import (ConfigError, ModelParams, PerturbativeCoefficients,
                     coefficient_derivatives, coefficients)
-from .oracle import build_hamiltonian
+from .oracle import build_hamiltonian, charge_sectors
 
-# Largest low-occupation block (states) whose norm is taken densely: 64 MB.
+# Largest low-occupation block (states) accepted; bounds the sparse
+# Heisenberg matrices, which are built on the full basis around it.
 MAX_LOW_BLOCK = 2048
 
 
@@ -49,19 +56,27 @@ def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
     return a_t.tocsr(), b_t.tocsr(), c_t.tocsr()
 
 
-def _low_block(basis: FockBasis) -> np.ndarray:
-    occ = basis.occupations()
-    keep = np.ones(basis.dimension, dtype=bool)
-    for mode, cut in enumerate(basis.cutoffs):
-        keep &= occ[:, mode] <= cut - 3
-    return np.nonzero(keep)[0]
+def _low_block(basis: FockBasis) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Basis indices of the low-occupation block, which is FockBasis(cutoffs
+    − 3) in C order, and that block's charge sectors as positions in it."""
+    low = FockBasis(tuple(c - 3 for c in basis.cutoffs))
+    return np.ravel_multi_index(low.occupations().T, basis.shape), charge_sectors(low)
 
 
-def _block_norm(M: sp.spmatrix, idx: np.ndarray) -> float:
-    dense = M.tocsr()[idx][:, idx].toarray()
-    if dense.size == 0:
-        return 0.0
-    return float(np.linalg.norm(dense, 2))
+def _block_norm(M: sp.spmatrix, low) -> float:
+    """‖M‖₂ on the low-occupation block: the square root of the largest
+    eigenvalue of M†M over the block's charge sectors, where it is
+    block-diagonal."""
+    idx, sectors = low
+    block = M.tocsr()[idx][:, idx]
+    gram = (block.conj().T @ block).tocsr()
+    worst = 0.0
+    for sec in sectors:
+        k, s = sec.shape
+        rows, cols = np.repeat(sec, s, axis=1).ravel(), np.tile(sec, s).ravel()
+        blocks = np.asarray(gram[rows, cols]).reshape(k, s, s)
+        worst = max(worst, float(np.linalg.eigvalsh(blocks).max()))
+    return math.sqrt(worst)
 
 
 def _validate_cutoffs(cutoffs) -> FockBasis:
@@ -77,13 +92,13 @@ def etcr_residual(params: ModelParams, t: float, cutoffs) -> float:
     """max over modes of ‖[x(t), x†(t)] − 1‖ on the low-occupation block."""
     basis = _validate_cutoffs(cutoffs)
     ops = _heisenberg_matrices(coefficients(params, t), basis)
-    idx = _low_block(basis)
+    low = _low_block(basis)
     eye = sp.identity(basis.dimension, format="csr")
     worst = 0.0
     for x in ops:
         xd = x.conj().T.tocsr()
         comm = x @ xd - xd @ x - eye
-        worst = max(worst, _block_norm(comm, idx))
+        worst = max(worst, _block_norm(comm, low))
     return worst
 
 
@@ -94,8 +109,8 @@ def eom_residual(params: ModelParams, t: float, cutoffs) -> float:
     H = build_hamiltonian(params, basis).matrix
     ops = _heisenberg_matrices(coefficients(params, t), basis)
     rates = _heisenberg_matrices(coefficient_derivatives(params, t), basis)
-    idx = _low_block(basis)
-    return max(_block_norm(dx - 1j * (H @ x - x @ H), idx)
+    low = _low_block(basis)
+    return max(_block_norm(dx - 1j * (H @ x - x @ H), low)
                for x, dx in zip(ops, rates))
 
 

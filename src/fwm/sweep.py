@@ -264,21 +264,33 @@ def rows_to_csv(series) -> str:
 
 
 def rows_to_json(series, summary) -> str:
-    """Strict RFC 8259 JSON with the rows of `rows_to_csv`."""
+    """Strict RFC 8259 JSON with the rows of `rows_to_csv`: the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.
+
+    Rows are rendered from a per-series template, as ``json`` would: the
+    fixed fields through ``json.dumps`` once per series, ``gt`` and ``value``
+    through ``float.__repr__``, keys in sorted order.
+    """
     rows = []
     for s in series:
+        if not (np.isfinite(s.gt).all() and np.isfinite(s.value).all()):
+            raise ValueError("Out of range float values are not JSON compliant")
         w = s.witness
-        fixed = {"phi": s.phi, "criterion": w.criterion.value, "modes": w.mode_string,
-                 "m": w.m, "n": w.n, "source": s.source}
-        rows.extend({**fixed, "gt": gt, "value": v, "entangled": v < 0.0}
+        crit, m, modes, n, phi, source = map(json.dumps, (
+            w.criterion.value, w.m, w.mode_string, w.n, s.phi, s.source))
+        head = f'    {{\n      "criterion": {crit},\n      "entangled": '
+        mid = (f',\n      "m": {m},\n      "modes": {modes},\n      "n": {n},'
+               f'\n      "phi": {phi},\n      "source": {source},\n      "value": ')
+        rows.extend(f'{head}{"true" if v < 0.0 else "false"},\n      "gt": '
+                    f'{float.__repr__(gt)}{mid}{float.__repr__(v)}\n    }}'
                     for gt, v in zip(s.gt.tolist(), s.value.tolist()))
-    payload = {
-        "rows": rows,
-        "summary": [
-            {"witness": label, "phi": phi, "onset_gt": onset}
-            for (label, phi), onset in summary.items()],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    tail = json.dumps({"summary": [
+        {"witness": label, "phi": phi, "onset_gt": onset}
+        for (label, phi), onset in summary.items()]},
+        indent=2, sort_keys=True, allow_nan=False)
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    # the rows go ahead of the summary-only payload, past its opening "{\n"
+    return '{\n  "rows": ' + body + ",\n" + tail[2:]
 
 
 def _onset(gts, values) -> float | None:

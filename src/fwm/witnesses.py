@@ -303,17 +303,20 @@ def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
              inp: CoherentInput) -> float | np.ndarray:
     """Dispatch a WitnessId to its evaluator: a float for a scalar t, an
     array over t otherwise; raises ConfigError when any value overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if wid.criterion is Criterion.HZ1:
-            out = hz1_higher(wid.modes, wid.m, wid.n, coeffs, inp)
-        elif wid.criterion is Criterion.HZ2:
-            out = hz2_higher(wid.modes, wid.m, wid.n, coeffs, inp)
-        elif wid.criterion is Criterion.DUAN:
-            out = duan_pair(wid.modes, coeffs, inp)
-        elif wid.criterion is Criterion.TRI_HZ1:
-            out = trimodal_hz(wid.modes, coeffs, inp)
-        else:
-            out = trimodal_symmetric(coeffs, inp)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if wid.criterion is Criterion.HZ1:
+                out = hz1_higher(wid.modes, wid.m, wid.n, coeffs, inp)
+            elif wid.criterion is Criterion.HZ2:
+                out = hz2_higher(wid.modes, wid.m, wid.n, coeffs, inp)
+            elif wid.criterion is Criterion.DUAN:
+                out = duan_pair(wid.modes, coeffs, inp)
+            elif wid.criterion is Criterion.TRI_HZ1:
+                out = trimodal_hz(wid.modes, coeffs, inp)
+            else:
+                out = trimodal_symmetric(coeffs, inp)
+    except OverflowError:      # a Python float power of an amplitude overflowed
+        out = np.inf
     value = np.asarray(out, dtype=float)
     if not np.isfinite(value).all():
         raise ConfigError(f"{wid.label()} values must be finite, got an overflow "

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fwm import residuals
 from fwm.model import ConfigError, ModelParams, coefficient_derivatives, coefficients
+from fwm.oracle import build_hamiltonian
 from fwm.residuals import eom_residual, etcr_residual, residual_scaling_slope
 from fwm.sweep import FIG_OMEGAS
 
@@ -27,6 +30,26 @@ def test_oversized_low_block_rejected():
         etcr_residual(p, 0.5, (100, 100, 100))
     with pytest.raises(ConfigError, match="2048"):
         eom_residual(p, 0.5, (4, 4, 2051))
+
+
+@pytest.mark.parametrize("cutoffs", [(5, 4, 4), (10, 8, 8), (7, 5, 9)])
+def test_sector_norm_matches_dense_norm(cutoffs):
+    """The per-sector low-block norm equals the dense 2-norm of the block for
+    every ETCR and EOM defect operator."""
+    p = ModelParams.from_detuning(-1.3, 0.07)
+    t = 0.9
+    basis = residuals._validate_cutoffs(cutoffs)
+    low = residuals._low_block(basis)
+    idx = low[0]
+    ops = residuals._heisenberg_matrices(coefficients(p, t), basis)
+    rates = residuals._heisenberg_matrices(coefficient_derivatives(p, t), basis)
+    H = build_hamiltonian(p, basis).matrix
+    eye = sp.identity(basis.dimension, format="csr")
+    defects = [x @ x.conj().T - x.conj().T @ x - eye for x in ops]
+    defects += [dx - 1j * (H @ x - x @ H) for x, dx in zip(ops, rates)]
+    for M in defects:
+        dense = np.linalg.norm(M.tocsr()[idx][:, idx].toarray(), 2)
+        assert residuals._block_norm(M, low) == pytest.approx(dense, rel=1e-12)
 
 
 def test_cutoff_too_small_rejected():

@@ -17,9 +17,10 @@ from fwm.fockspace import FockBasis, coherent_state, cutoffs_for
 from fwm.model import ModelParams
 from fwm.oracle import oracle_witness
 from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, OracleSpec, ParamsSpec,
-                       RunConfig, UsageError, apply_overrides,
+                       RunConfig, Series, UsageError, apply_overrides,
                        default_compare_config, presets, rows_to_csv,
                        rows_to_json, run_compare, run_sweep)
+from fwm.witnesses import WitnessId
 
 
 def tiny_config(**kw):
@@ -202,6 +203,83 @@ class TestRunSweep:
                 == [row[k] for k in ("gt", "phi", "criterion", "modes", "m", "n", "source")]
         assert any(row["entangled"] for row in rows)
         assert not all(row["entangled"] for row in rows)
+
+
+def reference_json(series, summary) -> str:
+    """The row-dict writer `rows_to_json` replaced; its bytes are the contract."""
+    rows = []
+    for s in series:
+        w = s.witness
+        fixed = {"phi": s.phi, "criterion": w.criterion.value, "modes": w.mode_string,
+                 "m": w.m, "n": w.n, "source": s.source}
+        rows.extend({**fixed, "gt": gt, "value": v, "entangled": v < 0.0}
+                    for gt, v in zip(s.gt.tolist(), s.value.tolist()))
+    payload = {
+        "rows": rows,
+        "summary": [
+            {"witness": label, "phi": phi, "onset_gt": onset}
+            for (label, phi), onset in summary.items()],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def assert_json_matches_reference(series, summary) -> str:
+    """Byte identity with `reference_json`, reported at the first difference
+    (pytest's diff of megabyte payloads would take minutes)."""
+    text, ref = rows_to_json(series, summary), reference_json(series, summary)
+    if text != ref:
+        at = next(i for i, (a, b) in enumerate(zip(text + "\0", ref + "\1")) if a != b)
+        lo = max(at - 60, 0)
+        pytest.fail(f"differs at byte {at}: {text[lo:at + 60]!r} != {ref[lo:at + 60]!r}")
+    return text
+
+
+def one_series(value, phi=0.0):
+    wid = WitnessId.parse("HZ1:ab:2,1")
+    return [Series(wid, phi, "perturbative", np.linspace(0.0, 0.1, len(value)),
+                   np.array(value, dtype=float))]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_presets_byte_identical(self, name):
+        assert_json_matches_reference(*run_sweep(presets()[name]))
+
+    def test_oracle_sweep_byte_identical(self):
+        cfg = tiny_config(
+            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+            input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
+            gt_grid=GtGrid(start=0.0, stop=0.04, count=5),
+            witnesses=("HZ1:ab", "DUAN:bc", "TRI_SYM"), oracle=OracleSpec(enabled=True))
+        series, summary = run_sweep(cfg)
+        assert {s.source for s in series} == {"perturbative", "oracle"}
+        assert_json_matches_reference(series, summary)
+
+    def test_empty_witnesses_byte_identical(self):
+        text = assert_json_matches_reference(*run_sweep(tiny_config(witnesses=())))
+        assert text == '{\n  "rows": [],\n  "summary": []\n}'
+
+    def test_integer_phi_from_config_byte_identical(self):
+        d = tiny_config().to_dict()
+        d["input"]["phi"] = [0, 1]
+        series, summary = run_sweep(RunConfig.from_dict(d))
+        assert [type(s.phi) for s in series] == [int] * 4
+        text = assert_json_matches_reference(series, summary)
+        assert '"phi": 1,' in text
+
+    def test_none_onsets_and_negative_zero_byte_identical(self):
+        series = one_series([-0.0, 0.0, 2.5e-300, -1e-17])
+        texts = [assert_json_matches_reference(series, summary) for summary in
+                 ({}, {("HZ1:ab:2,1", 0.0): None}, {("HZ1:ab:2,1", 0.0): 0.05})]
+        assert all('"value": -0.0\n' in text for text in texts)
+        assert '"onset_gt": null' in texts[1] and '"onset_gt": 0.05' in texts[2]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises(self, bad):
+        series = one_series([0.5, bad])
+        for writer in (rows_to_json, reference_json):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                writer(series, {})
 
 
 class TestRunCompare:
@@ -421,6 +499,35 @@ class TestCliBoundary:
                                          "--gt_grid.count", "3")
         assert_one_line_usage_error(code, err, needle, "finite")
         assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("preset, flag, value, needle", [
+        ("fig3", "--input.alpha_abs", "1e40", "HZ1:ab:2,1 values"),
+        ("fig2", "--input.alpha_abs", "1e80", "HZ1:ab values"),
+        ("fig2", "--input.beta", "1e150", "HZ1:ab values"),
+    ])
+    def test_overflowing_amplitude_is_one_line_usage_error(self, preset, flag, value,
+                                                           needle, fmt, tmp_path):
+        """A Python float power of a huge amplitude overflows inside a closed
+        form; the sweep ends with one line and writes nothing."""
+        f = tmp_path / f"rows.{fmt}"
+        code, out, err = main_in_process("sweep", "--preset", preset, flag, value,
+                                         "--format", fmt, "--out", str(f))
+        assert_one_line_usage_error(code, err, needle, "finite")
+        assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("compare",),
+        ("sweep", "--preset", "fig2", "--oracle"),
+    ])
+    def test_amplitude_beyond_cutoff_bound_is_one_line_usage_error(self, argv, tmp_path):
+        """|α|² = 1e80 starts the cutoff search past its bound: it is refused
+        before any coherent amplitudes are allocated."""
+        f = tmp_path / "out.json"
+        code, out, err = main_in_process(*argv, "--input.alpha_abs", "1e40",
+                                         "--out", str(f))
+        assert_one_line_usage_error(code, err, "no cutoff below 10000 reaches tail")
+        assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("cutoffs, needle", [
         ("100,100,100", "2048"),
