@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 usage error (also when ``oracle.cutoffs`` cannot
 hold the coherent input, or an amplitude overflows a closed form), 2 when a
 ``check`` diagnostic fails.  Any config field can be overridden with a flag
 of the same dotted path, e.g.
-``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``.
+``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and the
+top-level keys the same way, as ``--workers N`` (parallel processes, at
+most one per pump phase; default 1) and ``--seed N`` (seed of ``check``'s
+random trials; default 0).
 
 Frequencies are angular (s⁻¹).  Oracle propagation always substitutes the
 synthetic frequency triple (Δω₁/2, 0, 0) for the configured frequencies:
@@ -46,10 +49,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--preset", help="named preset (fig2..fig5)")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="parallel worker budget (default 1)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized diagnostics")
 
     sw = sub.add_parser("sweep", help="evaluate witnesses over a (gt, phi) grid")
     common(sw)
@@ -82,12 +81,10 @@ def _parse_overrides(extra: list[str]) -> dict:
     i = 0
     while i < len(extra):
         tok = extra[i]
-        if not tok.startswith("--") or "." not in tok:
+        key, eq, raw = tok[2:].partition("=")
+        if not tok.startswith("--") or not key:
             raise UsageError(f"unrecognized argument {tok!r}")
-        key = tok[2:]
-        if "=" in key:
-            key, raw = key.split("=", 1)
-        else:
+        if not eq:
             i += 1
             if i >= len(extra):
                 raise UsageError(f"override {tok!r} needs a value")
@@ -117,8 +114,7 @@ def _load_config(args, overrides, default=None) -> RunConfig:
     else:
         raise UsageError("need --config or --preset")
     flags = {"oracle.enabled": getattr(args, "oracle", False) or None,
-             "output.format": args.format, "output.path": args.out,
-             "workers": args.workers, "seed": args.seed}
+             "output.format": args.format, "output.path": args.out}
     # flags are applied last, so they win over dotted overrides of the same field
     overrides = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
     return RunConfig.from_dict(apply_overrides(base, overrides))

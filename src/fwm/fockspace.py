@@ -93,8 +93,9 @@ def coherent_amplitudes(cutoff: int, z: complex) -> tuple[np.ndarray, float]:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
         return amps, 0.0
-    # amplitudes e^{-|z|²/2} zⁿ/√(n!), evaluated in log space for stability
-    log_mag = -abs(z) ** 2 / 2 + n * math.log(abs(z)) - log_fact / 2
+    # amplitudes e^{-|z|²/2} zⁿ/√(n!), evaluated in log space for stability;
+    # e^{-|z|²/2} is 0 long before |z| = 1e100, and the cap keeps |z|² finite
+    log_mag = -min(abs(z), 1e100) ** 2 / 2 + n * math.log(abs(z)) - log_fact / 2
     amps = np.exp(log_mag) * np.exp(1j * n * np.angle(z))
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     return amps, tail
@@ -106,7 +107,7 @@ def cutoffs_for(inp: CoherentInput, tail: float = 1e-12,
     plus headroom for the interaction (two pump quanta move per event)."""
     out = []
     for z, extra in zip((inp.alpha, inp.beta, inp.gamma), headroom):
-        n = max(2, int(math.ceil(abs(z) ** 2)))
+        n = max(2, math.ceil(min(abs(z), 1e100) ** 2))   # capped as in coherent_amplitudes
         while n <= 10_000 and coherent_amplitudes(n, z)[1] >= tail:
             n += 1
         if n > 10_000:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,8 +40,9 @@ class UsageError(ConfigError):
 
 
 def _real(name: str, value) -> None:
+    # unlike math.isfinite, this refuses an int beyond float range without raising
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not abs(value) <= sys.float_info.max:
         raise UsageError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -63,12 +65,14 @@ class ParamsSpec:
         for name in ("g", "omega_a", "omega_b", "omega_c", "delta_omega1"):
             if getattr(self, name) is not None:
                 _real(f"params.{name}", getattr(self, name))
-        full = all(v is not None for v in (self.omega_a, self.omega_b, self.omega_c))
-        if not full and self.delta_omega1 is None:
-            raise UsageError("params: give omega_a/omega_b/omega_c or delta_omega1")
+        # all three frequencies and no delta_omega1, or delta_omega1 alone
+        given = {v is not None for v in (self.omega_a, self.omega_b, self.omega_c)}
+        if given != {self.delta_omega1 is None}:
+            raise UsageError("params: give omega_a/omega_b/omega_c or delta_omega1, "
+                             "not both")
 
     def to_model(self) -> ModelParams:
-        if all(v is not None for v in (self.omega_a, self.omega_b, self.omega_c)):
+        if self.delta_omega1 is None:
             return ModelParams(self.omega_a, self.omega_b, self.omega_c, self.g)
         return ModelParams.from_detuning(self.delta_omega1, self.g)
 
@@ -83,6 +87,9 @@ class InputSpec:
     def __post_init__(self):
         for name in ("alpha_abs", "beta", "gamma"):
             _real(f"input.{name}", getattr(self, name))
+        # one phase may be given bare, as in ``--input.phi 1.5``
+        phi = self.phi if isinstance(self.phi, (list, tuple)) else (self.phi,)
+        object.__setattr__(self, "phi", tuple(phi))
         if not self.phi:
             raise UsageError("input.phi: need at least one pump phase")
         for p in self.phi:
@@ -177,47 +184,39 @@ class RunConfig:
             return obj
         return clean(dataclasses.asdict(self))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
-            for prefix, spec in (("", cls), ("params.", ParamsSpec), ("input.", InputSpec),
-                                 ("gt_grid.", GtGrid), ("oracle.", OracleSpec),
-                                 ("output.", OutputSpec)):
-                section = d.get(prefix[:-1], {}) if prefix else d   # d is checked first
-                if not isinstance(section, dict):
-                    raise UsageError(f"{prefix[:-1] or 'config'} must be a JSON object, "
-                                     f"got {section!r}")
-                names = {f.name for f in dataclasses.fields(spec)}
-                for key in section:
-                    if key not in names:
-                        raise UsageError(f"unknown key {prefix}{key}")
-            return cls(
-                params=ParamsSpec(**d["params"]),
-                input=InputSpec(
-                    alpha_abs=d["input"]["alpha_abs"],
-                    phi=tuple(d["input"]["phi"]) if isinstance(d["input"]["phi"], (list, tuple))
-                    else (d["input"]["phi"],),
-                    beta=d["input"]["beta"], gamma=d["input"]["gamma"]),
-                gt_grid=GtGrid(**d["gt_grid"]),
-                witnesses=d["witnesses"],
-                oracle=OracleSpec(**d.get("oracle", {})),
-                output=OutputSpec(**d.get("output", {})),
-                workers=d.get("workers", 1),
-                seed=d.get("seed", 0),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return _section(cls, d, "")
+        except UsageError:
+            raise
+        except (TypeError, ValueError) as exc:   # a check this loader does not name
             raise UsageError(f"bad config: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+
+_SECTIONS = {"params": ParamsSpec, "input": InputSpec, "gt_grid": GtGrid,
+             "oracle": OracleSpec, "output": OutputSpec}
+
+
+def _section(cls, d, prefix: str):
+    """``cls`` from the JSON object ``d``, naming each key ``prefix + key``;
+    the values are checked by each section's ``__post_init__``."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{prefix[:-1] or 'config'} must be a JSON object, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in d:
+        if key not in fields:
+            raise UsageError(f"unknown key {prefix}{key}")
+    for name, f in fields.items():
+        if name not in d and f.default is dataclasses.MISSING:
+            raise UsageError(f"missing key {prefix}{name}")
+    return cls(**{k: _section(_SECTIONS[k], v, f"{prefix}{k}.") if k in _SECTIONS else v
+                  for k, v in d.items()})
 
 
 def apply_overrides(d: dict, overrides: dict[str, object]) -> dict:
-    """Apply dotted-path overrides (e.g. 'input.alpha_abs': 5) to a config dict."""
+    """Apply overrides of dotted paths (e.g. 'input.alpha_abs': 5) or
+    top-level keys (e.g. 'workers': 2) to a config dict."""
     out = json.loads(json.dumps(d))  # deep copy, JSON-typed
     for path, value in overrides.items():
         parts = path.split(".")
@@ -226,10 +225,7 @@ def apply_overrides(d: dict, overrides: dict[str, object]) -> dict:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise UsageError(f"override {path!r}: {p!r} is not a section")
-        leaf = parts[-1]
-        if leaf == "phi" and not isinstance(value, (list, tuple)):
-            value = [value]
-        node[leaf] = value
+        node[parts[-1]] = value
     return out
 
 
@@ -317,11 +313,13 @@ def _oracle_phi_payload(config: RunConfig, phi: float):
 
 def _map_phases(fn, config: RunConfig) -> list:
     """``fn((config, phi))`` for every configured phase, in order, on up to
-    ``config.workers`` processes.  An error of any phase is raised here."""
+    ``config.workers`` processes, never more than there are phases.  An
+    error of any phase is raised here."""
     tasks = [(config, phi) for phi in config.input.phi]
-    if config.workers == 1:
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

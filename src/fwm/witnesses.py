@@ -316,7 +316,9 @@ def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
             else:
                 out = trimodal_symmetric(coeffs, inp)
     except OverflowError:      # a Python float power of an amplitude overflowed
-        out = np.inf
+        amps = ", ".join(f"{abs(z):.6g}" for z in (inp.alpha, inp.beta, inp.gamma))
+        raise ConfigError(f"{wid.label()} values must be finite, got an overflow from the "
+                          f"input amplitudes |alpha|, |beta|, |gamma| = {amps}") from None
     value = np.asarray(out, dtype=float)
     if not np.isfinite(value).all():
         raise ConfigError(f"{wid.label()} values must be finite, got an overflow "

@@ -37,12 +37,12 @@ def tiny_config(**kw):
 class TestConfig:
     def test_round_trip(self):
         cfg = presets()["fig3"]
-        again = RunConfig.from_json(cfg.to_json())
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
     def test_round_trip_with_oracle(self):
         cfg = tiny_config(oracle=OracleSpec(enabled=True, cutoffs=(8, 6, 6)))
-        assert RunConfig.from_json(cfg.to_json()) == cfg
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_shorthand_expands_to_synthetic(self):
         p = ParamsSpec(g=2.0, delta_omega1=-8.0).to_model()
@@ -141,6 +141,36 @@ class TestRunSweep:
         # oracle and closed form agree to the g³ budget at these settings
         for o, p in zip(orc.value, prt.value):
             assert o == pytest.approx(p, abs=2e-4 + 5e-2 * abs(p))
+
+    @pytest.mark.parametrize("phases, pool_size", [((0.0,), None), ((0.0, 1.0), 2)])
+    def test_pool_bounded_by_phase_count(self, phases, pool_size, monkeypatch):
+        """A huge worker budget starts one process per phase at most, and
+        none for a single phase."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("fwm.sweep.ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_config(
+            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+            input=InputSpec(alpha_abs=0.8, phi=phases, beta=0.6, gamma=0.5),
+            gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
+            witnesses=("HZ1:ab",), oracle=OracleSpec(enabled=True), workers=100_000)
+        series, _ = run_sweep(cfg)
+        assert [s.source for s in series] == ["perturbative"] * len(phases) \
+            + ["oracle"] * len(phases)
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_g_zero_sweep_rejected(self):
         cfg = tiny_config(params=ParamsSpec(g=0.0, delta_omega1=-1.0))
@@ -660,4 +690,55 @@ class TestCliBoundary:
         path.write_text(json.dumps(cfg))
         code, out, err = main_in_process("sweep", "--config", str(path))
         assert_one_line_usage_error(code, err, "wrokers")
+        assert out == ""
+
+    @pytest.mark.parametrize("dotted", ["params.g", "input.beta", "input.phi",
+                                        "gt_grid.count", "gt_grid", "witnesses"])
+    def test_missing_config_key_is_one_line_usage_error(self, dotted, tmp_path):
+        cfg = presets()["fig5"].to_dict()
+        *sections, key = dotted.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        del node[key]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = main_in_process("sweep", "--config", str(path))
+        assert_one_line_usage_error(code, err, f"missing key {dotted}")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--preset", "fig2", "--params.delta_omega1", "-5"),
+        ("compare", "--params.omega_a", "3"),
+        ("sweep", "--preset", "fig2", "--params.omega_b", "null"),
+    ])
+    def test_mixed_params_forms_are_one_line_usage_error(self, argv):
+        """Frequencies and the Δω₁ shorthand together, or a partial triple,
+        would silently drop one of them."""
+        code, out, err = main_in_process(*argv)
+        assert_one_line_usage_error(
+            code, err, "params: give omega_a/omega_b/omega_c or delta_omega1, not both")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (("compare",), "no cutoff below 10000 reaches tail"),
+        (("compare", "--oracle.cutoffs", "[10,8,8]"), "raise cutoffs (10, 8, 8)"),
+        (("sweep", "--preset", "fig2", "--oracle"), "input amplitudes"),
+        (("sweep", "--preset", "fig2", "--oracle", "--oracle.cutoffs", "[10,8,8]"),
+         "input amplitudes"),
+    ])
+    def test_huge_amplitude_with_oracle_is_one_line_usage_error(self, argv, needle,
+                                                                tmp_path):
+        """|α|² overflows a float at 1e160: compare stops at the cutoffs, and
+        a sweep already at its closed forms, before the oracle."""
+        f = tmp_path / "out.json"
+        code, out, err = main_in_process(*argv, "--input.alpha_abs", "1e160",
+                                         "--out", str(f))
+        assert_one_line_usage_error(code, err, needle)
+        assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("field", ["input.alpha_abs", "gt_grid.stop", "params.g"])
+    def test_integer_beyond_float_range_is_one_line_usage_error(self, field):
+        code, out, err = main_in_process(*SWEEP, f"--{field}", str(10 ** 400))
+        assert_one_line_usage_error(code, err, field, "finite")
         assert out == ""
