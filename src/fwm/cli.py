@@ -33,6 +33,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
+_OVERRIDES_HELP = """\
+config overrides (any number):
+  --<dotted.key> VALUE  set one config field, e.g. --input.phi 1.5
+  --workers N           parallel processes, at most one per pump phase (default 1)
+  --seed N              seed of check's random trials (default 0)
+"""
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -44,25 +51,25 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help):
+        sp = sub.add_parser(name, help=help, epilog=_OVERRIDES_HELP,
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", help="JSON run configuration file")
         sp.add_argument("--preset", help="named preset (fig2..fig5)")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
+        return sp
 
-    sw = sub.add_parser("sweep", help="evaluate witnesses over a (gt, phi) grid")
-    common(sw)
+    sw = command("sweep", "evaluate witnesses over a (gt, phi) grid")
     sw.add_argument("--oracle", action="store_true",
                     help="also evaluate every witness with the Fock oracle")
 
-    cp = sub.add_parser("compare", help="certify closed forms against the oracle")
-    common(cp)
+    command("compare", "certify closed forms against the oracle")
 
     pr = sub.add_parser("presets", help="list the shipped figure presets")
     pr.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    ck = sub.add_parser("check", help="run ETCR / equation-of-motion diagnostics")
-    common(ck)
+    ck = command("check", "run ETCR / equation-of-motion diagnostics")
     ck.add_argument("--cutoffs", default="10,8,8",
                     help="per-mode occupation cutoffs, comma separated")
     return p

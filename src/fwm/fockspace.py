@@ -8,6 +8,11 @@ amplitudes to a (T, N_a+1, N_b+1, N_c+1) one.  A moment
 powers, so it pairs the slices ψ[k+p] and ψ[k+q] on each mode axis; this is
 exact on the truncated space (no creation operator ever pushes population
 past a cutoff), and gives one value per stacked state.
+
+Every monomial in a, b, c and their adjoints is a weighted shift on the
+truncated grid, (Xψ)[n] = w[n]·ψ[n+d], so operators are numpy weight
+tensors keyed by their occupation shift d (`ShiftOperator`); products,
+adjoints and sums stay in that form.
 """
 from __future__ import annotations
 
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import CoherentInput, ConfigError
 
@@ -177,23 +181,84 @@ def moment(psi: FockStateVector, spec: MomentSpec):
     return np.vecdot(ten[bra], weight * ten[ket]).sum(axis=(-2, -1))
 
 
-@functools.lru_cache
-def ladders(basis: FockBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Truncated lowering operators a, b, c as real CSR matrices on the basis.
+def _window(k: int, n: int) -> tuple[slice, slice]:
+    """Slices of the positions m on an axis of length n with m + k also on
+    it, and of those m + k."""
+    lo, hi = max(0, -k), min(n, n - k)
+    hi = max(hi, lo)
+    return slice(lo, hi), slice(lo + k, hi + k)
 
-    Cached per basis and shared by every caller, so their arrays are
-    read-only.  Their transposes are the creation operators, which drop any
+
+def _shifted(w: np.ndarray, d) -> np.ndarray:
+    """w[n + d] over the grid of ``w``, zero where n + d leaves it."""
+    src, dst = zip(*map(_window, d, w.shape))
+    out = np.zeros_like(w)
+    out[src] = w[dst]
+    return out
+
+
+class ShiftOperator(dict):
+    """Operator Σ_d X_d on the truncated grid, stored as {shift d: weights w_d}
+    with (X_d ψ)[n] = w_d[n]·ψ[n+d] and ψ zero off the grid, so w_d[n] is
+    never read where n + d leaves it.  Products fold left to right, as
+    sparse matrix products do."""
+
+    __array_ufunc__ = None      # numpy scalars defer to __rmul__
+
+    def __matmul__(self, other: ShiftOperator) -> ShiftOperator:
+        out = ShiftOperator()
+        for d, w in self.items():
+            for e, v in other.items():
+                out = out + {tuple(map(sum, zip(d, e))): w * _shifted(v, d)}
+        return out
+
+    def __add__(self, other) -> ShiftOperator:
+        out = ShiftOperator(self)
+        for d, w in other.items():
+            out[d] = out[d] + w if d in out else w
+        return out
+
+    def __sub__(self, other: ShiftOperator) -> ShiftOperator:
+        return self + -1 * other
+
+    def __rmul__(self, scalar) -> ShiftOperator:
+        return ShiftOperator({d: scalar * w for d, w in self.items()})
+
+    @property
+    def H(self) -> ShiftOperator:
+        """The adjoint, {−d: conj(w[n − d])}."""
+        return ShiftOperator({tuple(-k for k in d): np.conj(_shifted(w, [-k for k in d]))
+                              for d, w in self.items()})
+
+    def entries(self, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the matrix elements between occupations
+        inside the box ``shape`` (a corner of the grid), as flat C-order
+        indices of that box."""
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        rows, cols, vals = [], [], []
+        for d, w in self.items():
+            src, dst = zip(*map(_window, d, shape))
+            rows.append(flat[src].ravel())
+            cols.append(flat[dst].ravel())
+            vals.append(w[src].ravel())
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+@functools.lru_cache
+def ladders(basis: FockBasis) -> tuple[ShiftOperator, ShiftOperator, ShiftOperator]:
+    """Truncated lowering operators a, b, c on the basis, (aψ)[n] =
+    √(n_a+1)·ψ[n_a+1, n_b, n_c] and likewise for b and c.
+
+    Cached per basis and shared by every caller, so their weights are
+    read-only.  Their adjoints are the creation operators, which drop any
     transition past a cutoff.
     """
-    eye = [sp.identity(n, format="csr") for n in basis.shape]
+    occ = np.indices(basis.shape) + 1.0
     out = []
-    for mode, n in enumerate(basis.shape):
-        factors = list(eye)
-        factors[mode] = sp.diags(np.sqrt(np.arange(1.0, n)), 1, shape=(n, n))
-        op = sp.kron(sp.kron(factors[0], factors[1]), factors[2], format="csr")
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
-        out.append(op)
+    for mode in range(3):
+        w = np.sqrt(occ[mode])
+        w.flags.writeable = False
+        out.append(ShiftOperator({tuple(int(k == mode) for k in range(3)): w}))
     return tuple(out)
 
 

@@ -1,8 +1,9 @@
 """Exact propagation on the truncated Fock space and the certification harness.
 
 The Hamiltonian H = ω_a a†a + ω_b b†b + ω_c c†c + g(a²b†c† + a†²bc) is built
-sparse from the truncated ladders.  It conserves Q1 = n_a + 2n_b and Q2 = n_b − n_c, also on the
-truncated basis, so it splits into one block per charge sector (Q1, Q2).
+from the truncated ladders as three weighted shifts (`fockspace.ShiftOperator`).
+It conserves Q1 = n_a + 2n_b and Q2 = n_b − n_c, also on the truncated
+basis, so it splits into one block per charge sector (Q1, Q2).
 Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
 so each block is tridiagonal and small.  Blocks are diagonalized exactly
 (equal sizes in one batched ``eigh``) and ψ(t) = V e^{-iEt} V†ψ0 is formed
@@ -21,39 +22,51 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import witnesses
-from .fockspace import (FockBasis, FockStateVector, MomentSpec, coherent_state,
-                        conserved_charges, cutoffs_for, ladders, moment)
+from .fockspace import (FockBasis, FockStateVector, MomentSpec, ShiftOperator,
+                        coherent_state, conserved_charges, cutoffs_for, ladders,
+                        moment)
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
 from .witnesses import Criterion, WitnessId
 
 TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the temporaries
+PUMP = (2, -1, -1)   # occupation shift of a²b†c†, which moves n_b up by one
 
 
 @dataclass
 class Hamiltonian:
-    matrix: sp.csr_matrix
+    shifts: ShiftOperator
     basis: FockBasis
     clipped_transitions: int
 
+    @functools.cached_property
+    def matrix(self):
+        """H as a complex scipy CSR matrix of its nonzero elements; needs
+        scipy, which nothing else in fwm imports."""
+        import scipy.sparse as sp
+        rows, cols, vals = self.shifts.entries(self.basis.shape)
+        keep = vals != 0
+        dim = self.basis.dimension
+        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+
 
 def build_hamiltonian(params: ModelParams, basis: FockBasis) -> Hamiltonian:
-    """Sparse Hermitian H = diag(ω·n) + g(a²b†c† + h.c.) from the truncated
-    ladders of ``fockspace.ladders``.
+    """Hermitian H = diag(ω·n) + g(a²b†c† + h.c.) from the truncated ladders
+    of ``fockspace.ladders``.
 
     The truncated b† and c† drop every interaction transition that would
     leave the basis (counted in ``clipped_transitions``), so H still commutes
     exactly with the conserved charges n_a + 2n_b and n_b − n_c.
     """
     a, b, c = ladders(basis)
-    pump = a @ a @ b.T @ c.T                          # a²b†c†
-    na, nb, nc = basis.occupations().T
+    pump = a @ a @ b.H @ c.H                          # a²b†c†
+    na, nb, nc = np.indices(basis.shape)
     energy = params.omega_a * na + params.omega_b * nb + params.omega_c * nc
-    H = sp.diags(energy.astype(np.complex128)) + params.g * (pump + pump.T)
-    clipped = int(np.count_nonzero(na >= 2)) - pump.nnz
-    return Hamiltonian(matrix=H.tocsr(), basis=basis, clipped_transitions=clipped)
+    H = ShiftOperator({(0, 0, 0): energy.astype(np.complex128)}) \
+        + params.g * (pump + pump.H)
+    clipped = np.count_nonzero(na >= 2) - np.count_nonzero(pump.entries(basis.shape)[2])
+    return Hamiltonian(shifts=H, basis=basis, clipped_transitions=int(clipped))
 
 
 def charge_sectors(basis: FockBasis) -> list[np.ndarray]:
@@ -74,21 +87,21 @@ def charge_sectors(basis: FockBasis) -> list[np.ndarray]:
             for s in np.unique(sizes)]
 
 
-def sector_blocks(H: Hamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices, blocks) per sector size: the dense tridiagonal blocks of H,
-    read off ``H.matrix`` at the indices of ``charge_sectors``."""
-    diag = H.matrix.diagonal()
+def sector_blocks(op: ShiftOperator, basis: FockBasis) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, blocks) per sector size: the dense blocks of an operator
+    that conserves both charges (H, or M†M of a charge-shifting M) at the
+    indices of ``charge_sectors``.  Sector states are ordered by n_b, so
+    element (i, j) of a block is the weight of shift (i − j)·PUMP at state
+    i; the blocks of H are tridiagonal."""
     out = []
-    for idx in charge_sectors(H.basis):
+    for idx in charge_sectors(basis):
         k, s = idx.shape
-        r = np.arange(s)
-        blocks = np.zeros((k, s, s), dtype=H.matrix.dtype)
-        blocks[:, r, r] = diag[idx]
-        if s > 1:
-            lower = np.asarray(H.matrix[idx[:, 1:].ravel(), idx[:, :-1].ravel()])
-            lower = lower.reshape(k, s - 1)
-            blocks[:, r[1:], r[:-1]] = lower
-            blocks[:, r[:-1], r[1:]] = lower.conj()
+        blocks = np.zeros((k, s, s), dtype=np.complex128)
+        for m in range(1 - s, s):
+            w = op.get(tuple(m * x for x in PUMP))
+            if w is not None:
+                i = np.arange(max(m, 0), s + min(m, 0))
+                blocks[:, i, i - m] = w.ravel()[idx[:, i]]
         out.append((idx, blocks))
     return out
 
@@ -107,7 +120,7 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
 
     psi = psi0.amplitudes.astype(np.complex128)
     modes = []
-    for idx, blocks in sector_blocks(H):
+    for idx, blocks in sector_blocks(H.shifts, H.basis):
         energies, vectors = np.linalg.eigh(blocks)
         coeffs = np.einsum("kji,kj->ki", vectors.conj(), psi[idx])
         modes.append((idx, energies, vectors, coeffs))

@@ -1,10 +1,11 @@
 """Self-consistency residuals of the perturbative operator solution.
 
-Both checks materialize the Heisenberg operators as sparse matrices on a
-truncated Fock space, built from the same ladders as the oracle's
-Hamiltonian H, and measure an operator norm on the low-occupation block
-(every mode at least 3 below its cutoff), which provably excludes all
-truncation edge artifacts for these quadratic monomials:
+Both checks build the Heisenberg operators as weighted shifts
+(`fockspace.ShiftOperator`) on a truncated Fock space, from the same ladders
+as the oracle's Hamiltonian H, and measure an operator norm on the
+low-occupation block (every mode at least 3 below its cutoff), which
+provably excludes all truncation edge artifacts for these quadratic
+monomials:
 
   * equal-time commutator defect  ‖[x(t), x†(t)] − 1‖
   * equation-of-motion defect     ‖ẋ(t) − i[H, x(t)]‖
@@ -12,8 +13,8 @@ truncation edge artifacts for these quadratic monomials:
 Every term of a(t), b(t), c(t) and H shifts the Manley–Rowe charges
 (n_a + 2n_b, n_b − n_c) by a fixed amount, so each defect maps one charge
 sector to one other and its 2-norm on the low block is the largest over the
-block's sectors (`oracle.charge_sectors`): small batched ``eigvalsh`` calls
-replace one dense SVD.
+block's sectors: M†M, formed as weighted shifts, is gathered into small
+sector blocks (`oracle.sector_blocks`) for batched ``eigvalsh`` calls.
 
 For the second-order solution both residuals vanish through O(g²), so their
 numeric values scale as g³ (asserted by the scaling tests).  The solution is
@@ -25,22 +26,21 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fockspace import FockBasis, ladders
+from .fockspace import FockBasis, ShiftOperator, ladders
 from .model import (ConfigError, ModelParams, PerturbativeCoefficients,
                     coefficient_derivatives, coefficients)
-from .oracle import build_hamiltonian, charge_sectors
+from .oracle import build_hamiltonian, sector_blocks
 
-# Largest low-occupation block (states) accepted; bounds the sparse
-# Heisenberg matrices, which are built on the full basis around it.
+# Largest low-occupation block (states) accepted; bounds the Heisenberg
+# weight tensors, which are built on the full basis around it.
 MAX_LOW_BLOCK = 2048
 
 
 def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
-    """a(t), b(t), c(t) as sparse matrices from a coefficient set."""
+    """a(t), b(t), c(t) as weighted shifts from a coefficient set."""
     A, B, C = ladders(basis)
-    Ad, Bd, Cd = A.T.tocsr(), B.T.tocsr(), C.T.tocsr()
+    Ad, Bd, Cd = A.H, B.H, C.H
     a_t = (c.f1 * A + c.f2 * (Ad @ B @ C)
            + c.f3 * (A @ Bd @ B @ Cd @ C)
            + c.f4 * (Ad @ A @ A @ Cd @ C)
@@ -53,30 +53,18 @@ def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
            + c.h3 * (A @ A @ Ad @ Ad @ C)
            + c.h4 * (Ad @ A @ C @ B @ Bd)
            + c.h5 * (A @ Ad @ C @ B @ Bd))
-    return a_t.tocsr(), b_t.tocsr(), c_t.tocsr()
+    return a_t, b_t, c_t
 
 
-def _low_block(basis: FockBasis) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Basis indices of the low-occupation block, which is FockBasis(cutoffs
-    − 3) in C order, and that block's charge sectors as positions in it."""
+def _block_norm(M: ShiftOperator, basis: FockBasis) -> float:
+    """‖M‖₂ on the low-occupation block FockBasis(cutoffs − 3), a corner of
+    the basis: the square root of the largest eigenvalue of (PMP)†(PMP)
+    over the block's charge sectors, where it is block-diagonal (P projects
+    on the block; M is cut to its grid)."""
     low = FockBasis(tuple(c - 3 for c in basis.cutoffs))
-    return np.ravel_multi_index(low.occupations().T, basis.shape), charge_sectors(low)
-
-
-def _block_norm(M: sp.spmatrix, low) -> float:
-    """‖M‖₂ on the low-occupation block: the square root of the largest
-    eigenvalue of M†M over the block's charge sectors, where it is
-    block-diagonal."""
-    idx, sectors = low
-    block = M.tocsr()[idx][:, idx]
-    gram = (block.conj().T @ block).tocsr()
-    worst = 0.0
-    for sec in sectors:
-        k, s = sec.shape
-        rows, cols = np.repeat(sec, s, axis=1).ravel(), np.tile(sec, s).ravel()
-        blocks = np.asarray(gram[rows, cols]).reshape(k, s, s)
-        worst = max(worst, float(np.linalg.eigvalsh(blocks).max()))
-    return math.sqrt(worst)
+    cut = ShiftOperator({d: w[tuple(map(slice, low.shape))] for d, w in M.items()})
+    return math.sqrt(max(float(np.linalg.eigvalsh(blocks).max())
+                         for _, blocks in sector_blocks(cut.H @ cut, low)))
 
 
 def _validate_cutoffs(cutoffs) -> FockBasis:
@@ -92,25 +80,18 @@ def etcr_residual(params: ModelParams, t: float, cutoffs) -> float:
     """max over modes of ‖[x(t), x†(t)] − 1‖ on the low-occupation block."""
     basis = _validate_cutoffs(cutoffs)
     ops = _heisenberg_matrices(coefficients(params, t), basis)
-    low = _low_block(basis)
-    eye = sp.identity(basis.dimension, format="csr")
-    worst = 0.0
-    for x in ops:
-        xd = x.conj().T.tocsr()
-        comm = x @ xd - xd @ x - eye
-        worst = max(worst, _block_norm(comm, low))
-    return worst
+    eye = ShiftOperator({(0, 0, 0): np.ones(basis.shape)})
+    return max(_block_norm(x @ x.H - x.H @ x - eye, basis) for x in ops)
 
 
 def eom_residual(params: ModelParams, t: float, cutoffs) -> float:
     """max over modes of the Heisenberg equation defect ‖ẋ(t) − i[H, x(t)]‖
     on the low-occupation block, with the analytic ẋ(t) and the oracle's H."""
     basis = _validate_cutoffs(cutoffs)
-    H = build_hamiltonian(params, basis).matrix
+    H = build_hamiltonian(params, basis).shifts
     ops = _heisenberg_matrices(coefficients(params, t), basis)
     rates = _heisenberg_matrices(coefficient_derivatives(params, t), basis)
-    low = _low_block(basis)
-    return max(_block_norm(dx - 1j * (H @ x - x @ H), low)
+    return max(_block_norm(dx - 1j * (H @ x - x @ H), basis)
                for x, dx in zip(ops, rates))
 
 

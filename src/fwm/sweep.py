@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -319,6 +318,7 @@ def _map_phases(fn, config: RunConfig) -> list:
     workers = min(config.workers, len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor   # here, not in every start-up
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

@@ -114,7 +114,7 @@ class TestSectors:
         _, _, _, H = small_setup()
         assert H.clipped_transitions > 0
         rows, cols, vals = [], [], []
-        for idx, blocks in sector_blocks(H):
+        for idx, blocks in sector_blocks(H.shifts, H.basis):
             rows.append(np.broadcast_to(idx[:, :, None], blocks.shape).ravel())
             cols.append(np.broadcast_to(idx[:, None, :], blocks.shape).ravel())
             vals.append(blocks.ravel())

@@ -3,12 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from fwm import residuals
-from fwm.model import ConfigError, ModelParams, coefficient_derivatives, coefficients
+from fwm.fockspace import FockBasis, ShiftOperator
+from fwm.model import (ConfigError, ModelParams, PerturbativeCoefficients,
+                       coefficient_derivatives, coefficients)
 from fwm.oracle import build_hamiltonian
 from fwm.residuals import eom_residual, etcr_residual, residual_scaling_slope
 from fwm.sweep import FIG_OMEGAS
+
+from csr_reference import (MONOMIALS, csr_hamiltonian, csr_heisenberg, csr_monomial,
+                           low_block)
 
 COEFFICIENTS = [f"{x}{i}" for x in "fgh" for i in range(1, 6)]
 
@@ -32,24 +38,59 @@ def test_oversized_low_block_rejected():
         eom_residual(p, 0.5, (4, 4, 2051))
 
 
+def _dense(op: ShiftOperator, shape) -> np.ndarray:
+    rows, cols, vals = op.entries(shape)
+    out = np.zeros((np.prod(shape),) * 2, dtype=complex)
+    out[rows, cols] = vals
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut=st.tuples(*[st.integers(0, 5)] * 3),
+       omegas=st.tuples(*[st.floats(-3.0, 3.0)] * 3), g=st.floats(0.0, 2.0))
+def test_operators_match_csr_products(cut, omegas, g):
+    """Every Heisenberg monomial (each coefficient set to 1, the others to 0)
+    and H equal their CSR products element for element, on random small
+    bases whose cutoffs clip the creation operators."""
+    basis = FockBasis(cut)
+    zero = dict.fromkeys(MONOMIALS, 0.0)
+    for name, word in MONOMIALS.items():
+        unit = PerturbativeCoefficients(**{**zero, name: 1.0}, t=0.0)
+        op = residuals._heisenberg_matrices(unit, basis)["fgh".index(name[0])]
+        want = csr_monomial(basis.shape, word).toarray()
+        assert np.array_equal(_dense(op, basis.shape), want), word
+    params = ModelParams(*omegas, g)
+    H = build_hamiltonian(params, basis)
+    want = csr_hamiltonian(params, basis.shape)
+    assert np.array_equal(H.matrix.toarray(), want.toarray())
+    assert H.matrix.nnz == want.nnz
+
+
 @pytest.mark.parametrize("cutoffs", [(5, 4, 4), (10, 8, 8), (7, 5, 9)])
 def test_sector_norm_matches_dense_norm(cutoffs):
-    """The per-sector low-block norm equals the dense 2-norm of the block for
-    every ETCR and EOM defect operator."""
+    """The per-sector low-block norm of every ETCR and EOM defect equals the
+    dense 2-norm of the low block of the same defect built from independent
+    CSR ladders."""
     p = ModelParams.from_detuning(-1.3, 0.07)
     t = 0.9
     basis = residuals._validate_cutoffs(cutoffs)
-    low = residuals._low_block(basis)
-    idx = low[0]
+    low_shape = tuple(c - 2 for c in cutoffs)
     ops = residuals._heisenberg_matrices(coefficients(p, t), basis)
     rates = residuals._heisenberg_matrices(coefficient_derivatives(p, t), basis)
-    H = build_hamiltonian(p, basis).matrix
+    H = build_hamiltonian(p, basis).shifts
+    eye = ShiftOperator({(0, 0, 0): np.ones(basis.shape)})
+    got = [x @ x.H - x.H @ x - eye for x in ops]
+    got += [dx - 1j * (H @ x - x @ H) for x, dx in zip(ops, rates)]
+
+    ops = csr_heisenberg(coefficients(p, t), basis.shape)
+    rates = csr_heisenberg(coefficient_derivatives(p, t), basis.shape)
+    H = csr_hamiltonian(p, basis.shape)
     eye = sp.identity(basis.dimension, format="csr")
     defects = [x @ x.conj().T - x.conj().T @ x - eye for x in ops]
     defects += [dx - 1j * (H @ x - x @ H) for x, dx in zip(ops, rates)]
-    for M in defects:
-        dense = np.linalg.norm(M.tocsr()[idx][:, idx].toarray(), 2)
-        assert residuals._block_norm(M, low) == pytest.approx(dense, rel=1e-12)
+    for M, want in zip(got, defects):
+        dense = np.linalg.norm(low_block(want, basis.shape, low_shape), 2)
+        assert residuals._block_norm(M, basis) == pytest.approx(dense, rel=1e-12)
 
 
 def test_cutoff_too_small_rejected():

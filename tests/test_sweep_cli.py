@@ -161,7 +161,7 @@ class TestRunSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("fwm.sweep.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         cfg = tiny_config(
             params=ParamsSpec(g=0.05, delta_omega1=-5.0),
             input=InputSpec(alpha_abs=0.8, phi=phases, beta=0.6, gamma=0.5),
@@ -418,6 +418,36 @@ class TestCli:
         assert out.returncode == 0
         assert out.stdout == ""
         assert f.read_text().splitlines()[-1] == "check: PASS"
+
+    def test_subcommand_help_names_overrides(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--<dotted.key> VALUE", "--input.phi 1.5", "--workers N", "--seed N"):
+            assert flag in out
+
+    def test_cli_paths_import_no_scipy(self, tmp_path):
+        """The closed-form sweeps, check, the oracle sweep and compare run on
+        numpy alone: none of them imports scipy."""
+        runs = [["sweep", "--preset", "fig5", "--out", str(tmp_path / "fig5.csv")],
+                ["check", "--preset", "fig2"],
+                ["sweep", "--preset", "fig5", "--oracle", "--input.phi", "[0.0]",
+                 "--input.alpha_abs", "0.8", "--input.beta", "0.6",
+                 "--input.gamma", "0.5", "--gt_grid.count", "3",
+                 "--out", str(tmp_path / "oracle.csv")],
+                ["compare", "--gt_grid.count", "3", "--out", str(tmp_path / "compare.json")]]
+        script = ("import contextlib, io, sys\n"
+                  "import fwm\n"
+                  "import fwm.cli\n"
+                  f"for argv in {runs!r}:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()), "
+                  "contextlib.redirect_stderr(io.StringIO()):\n"
+                  "        assert fwm.cli.main(argv) == 0, argv\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 def main_in_process(*argv):
