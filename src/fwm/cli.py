@@ -1,8 +1,8 @@
 """Command-line front end: sweep, compare, presets, check.
 
 Exit codes: 0 success, 1 usage error (also when ``oracle.cutoffs`` cannot
-hold the coherent input, or an amplitude overflows a closed form), 2 when a
-``check`` diagnostic fails.  Any config field can be overridden with a flag
+hold the coherent input, an amplitude overflows a closed form, or ``--out``
+cannot be written), 2 when a ``check`` diagnostic fails.  Any config field can be overridden with a flag
 of the same dotted path, e.g.
 ``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and the
 top-level keys the same way, as ``--workers N`` (parallel processes, at
@@ -18,14 +18,15 @@ Hamiltonian blocks at the scale of Δω₁ and g rather than optical frequencies
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
 import numpy as np
 
 from .model import ConfigError, ModelParams, coefficients
-from .residuals import eom_residual, etcr_residual, residual_scaling_slope
-from .sweep import (RunConfig, UsageError, apply_overrides, compare_report_text,
+from .residuals import etcr_residual, residual_scaling_slope
+from .sweep import (RunConfig, UsageError, _fmt, apply_overrides, compare_report_text,
                     default_compare_config, presets, rows_to_csv, rows_to_json,
                     run_compare, run_sweep)
 
@@ -128,11 +129,14 @@ def _load_config(args, overrides, default=None) -> RunConfig:
 
 
 def _emit(text: str, path: str | None):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_sweep(args, overrides) -> int:
@@ -151,6 +155,9 @@ def _cmd_sweep(args, overrides) -> int:
 
 
 def _cmd_compare(args, overrides) -> int:
+    fmt = args.format or overrides.get("output.format", "json")
+    if fmt != "json":
+        raise UsageError(f"compare writes a JSON report only, not --format {fmt}")
     cfg = _load_config(args, overrides, default=default_compare_config())
     report = run_compare(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -165,14 +172,32 @@ def _cmd_presets(args) -> int:
         payload = {name: cfg.to_dict() for name, cfg in avail.items()}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
+        sys.stdout.write("name,witnesses,delta_omega1,g,gt_start,gt_stop,gt_count\n")
         for name, cfg in avail.items():
-            delta = cfg.params.to_model().delta_omega1
-            sys.stdout.write(
-                f"{name}: {len(cfg.witnesses)} witnesses, "
-                f"delta_omega1={delta:.6g}, g={cfg.params.g:.6g}, "
-                f"gt=[{cfg.gt_grid.start}, {cfg.gt_grid.stop}] "
-                f"x{cfg.gt_grid.count}\n")
+            floats = (cfg.params.to_model().delta_omega1, cfg.params.g,
+                      cfg.gt_grid.start, cfg.gt_grid.stop)
+            sys.stdout.write(f"{name},{len(cfg.witnesses)},{','.join(map(_fmt, floats))},"
+                             f"{cfg.gt_grid.count}\n")
     return EXIT_OK
+
+
+def _coefficient_defect(params: ModelParams, t: float) -> float:
+    """Largest relative defect of the relations linking the coefficients
+    that `coefficients` does not build in (their resonant limits at
+    Δω₁ = 0), and ||f1| − 1|."""
+    c = coefficients(params, t)
+    g, d = params.g, params.delta_omega1
+    if d == 0.0:
+        want = {"f2": -2j * g * t * c.f1, "f3": 2 * (g * t) ** 2 * c.f1,
+                "g2": -1j * g * t * c.g1, "g3": (g * t) ** 2 / 2 * c.g1}
+    else:
+        want = {"f2": 2 * g / d * c.f1 * (1 - cmath.exp(1j * d * t)),
+                "f3": 2 * g / d * (c.f2 + 2j * g * t * c.f1),
+                "g2": -g / d * c.g1 * (1 - cmath.exp(-1j * d * t)),
+                "g3": -g / d * (c.g2 + 1j * g * t * c.g1)}
+    want["h2"] = c.h1 * c.g2 / c.g1                 # h2/h1 = g2/g1
+    return max(abs(abs(c.f1) - 1.0),
+               *(abs(getattr(c, k) - v) / abs(v) for k, v in want.items()))
 
 
 def _cmd_check(args, overrides) -> int:
@@ -209,9 +234,7 @@ def _cmd_check(args, overrides) -> int:
     for trial in range(3):
         gg = g0 * rng.uniform(0.3, 1.0)
         tt = t * rng.uniform(0.3, 1.5)
-        c = coefficients(ModelParams(p0.omega_a, p0.omega_b, p0.omega_c, gg), tt)
-        ident = max(abs(c.f4 - (-c.f3 / 2)), abs(c.g4 + 2 * c.g3),
-                    abs(c.h5 + 2 * c.h3), abs(abs(c.f1) - 1.0))
+        ident = _coefficient_defect(ModelParams(p0.omega_a, p0.omega_b, p0.omega_c, gg), tt)
         report.append(f"coefficient identities (trial {trial}): {ident:.3e}")
         ok &= ident < 1e-13
     report.append("check: " + ("PASS" if ok else "FAIL"))

@@ -33,7 +33,10 @@ class CutoffError(ConfigError):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Per-mode occupation cutoffs (inclusive) and the flat index map."""
+    """Per-mode occupation cutoffs (inclusive).
+
+    The flat index of (n_a, n_b, n_c) is ``np.ravel_multi_index(occ, shape)``
+    (row-major); `occupations` lists the occupation of every flat index."""
 
     cutoffs: tuple[int, int, int]
 
@@ -52,25 +55,9 @@ class FockBasis:
         sa, sb, sc = self.shape
         return sa * sb * sc
 
-    def index(self, occ: tuple[int, int, int]) -> int:
-        na, nb, nc = occ
-        sa, sb, sc = self.shape
-        if not (0 <= na < sa and 0 <= nb < sb and 0 <= nc < sc):
-            raise IndexError(f"occupation {occ!r} outside basis {self.cutoffs!r}")
-        return (na * sb + nb) * sc + nc
-
-    def occupation(self, idx: int) -> tuple[int, int, int]:
-        sa, sb, sc = self.shape
-        if not 0 <= idx < self.dimension:
-            raise IndexError(f"index {idx} outside dimension {self.dimension}")
-        na, rem = divmod(idx, sb * sc)
-        nb, nc = divmod(rem, sc)
-        return (na, nb, nc)
-
     def occupations(self) -> np.ndarray:
         """(dimension, 3) array of occupations in flat-index order."""
-        grids = np.indices(self.shape).reshape(3, -1).T
-        return grids
+        return np.indices(self.shape).reshape(3, -1).T
 
 
 @dataclass

@@ -8,10 +8,11 @@ Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
 so each block is tridiagonal and small.  Blocks are diagonalized exactly
 (equal sizes in one batched ``eigh``) and ψ(t) = V e^{-iEt} V†ψ0 is formed
 at every grid time, ``TIME_CHUNK`` times per batched matmul, with no time
-stepping.  Witnesses are assembled from raw moments of the propagated
-states, stacked ``TIME_CHUNK`` at a time (`witness_grid`); each distinct
-moment is computed once per stack and shared by every witness that needs
-it.  `compare` certifies every closed form against the oracle over a
+stepping, so the grid may list any nonnegative times in any order.  Every
+witness reads its raw moments from one cached recipe (`_recipe`): HZ and
+trimodal values are a product of number moments minus one squared cross
+moment.  States are stacked ``TIME_CHUNK`` at a time (`witness_grid`); each
+distinct moment is computed once per stack and shared by every witness.  `compare` certifies every closed form against the oracle over a
 coupling-halving ladder; it returns (rung, witness, time) value arrays and
 fits the error exponents of all (witness, time) points in one least-squares
 call.
@@ -19,6 +20,7 @@ call.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,15 +110,15 @@ def sector_blocks(op: ShiftOperator, basis: FockBasis) -> list[tuple[np.ndarray,
 
 def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
                 ) -> list[FockStateVector]:
-    """ψ(t) = e^{-iHt}ψ0 at each time of a nondecreasing, nonnegative grid.
+    """ψ(t) = e^{-iHt}ψ0 at each time of a nonnegative grid, in any order.
 
     Exact up to roundoff: every charge-sector block is diagonalized once and
     the grid is propagated in chunks of ``TIME_CHUNK`` times.  ψ(0) is a copy
     of ψ0.
     """
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ConfigError(f"time grid must be nonnegative and nondecreasing: {times!r}")
+    if any(t < 0 for t in times):
+        raise ConfigError(f"time grid must be nonnegative: {times!r}")
 
     psi = psi0.amplitudes.astype(np.complex128)
     modes = []
@@ -141,30 +143,32 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
     return out
 
 
-_TRI_CROSS = {
-    ("a", "b", "c"): MomentSpec(0, 1, 0, 1, 1, 0),   # ⟨a b c†⟩
-    ("b", "c", "a"): MomentSpec(1, 0, 0, 1, 0, 1),   # ⟨b c a†⟩
-    ("a", "c", "b"): MomentSpec(0, 1, 1, 0, 0, 1),   # ⟨a c b†⟩
-}
-
-_MODE_OMEGA = {"a": "omega_a", "b": "omega_b", "c": "omega_c"}
+def _spec(**orders) -> MomentSpec:
+    """MomentSpec of ⟨Π i†ᵖiᵠ⟩ from {mode i: (p, q)}; absent modes get (0, 0)."""
+    return MomentSpec(*(k for mode in "abc" for k in orders.get(mode, (0, 0))))
 
 
-def _pair_specs(pair, m, n):
-    """(quad or (ni, nj), cross) MomentSpecs for a mode pair."""
-    def spec(**orders):
-        e = {"a": [0, 0], "b": [0, 0], "c": [0, 0]}
-        for mode, (p, q) in orders.items():
-            e[mode] = [p, q]
-        return MomentSpec(e["a"][0], e["a"][1], e["b"][0], e["b"][1],
-                          e["c"][0], e["c"][1])
-    i, j = pair
-    quad = spec(**{i: (m, m), j: (n, n)})
-    cross_hz1 = spec(**{i: (0, m), j: (n, 0)})
-    cross_hz2 = spec(**{i: (0, m), j: (0, n)})
-    ni = spec(**{i: (m, m)})
-    nj = spec(**{j: (n, n)})
-    return quad, cross_hz1, cross_hz2, ni, nj
+@functools.cache
+def _recipe(wid: WitnessId) -> tuple[tuple[MomentSpec, ...], MomentSpec]:
+    """(products, cross) of a witness.  HZ and trimodal values are
+    Π⟨product⟩ − |⟨cross⟩|²; for DUAN the products are (N_i, N_j, ⟨i⟩, ⟨j⟩)
+    and the cross moment is ⟨i j†⟩."""
+    m, n = wid.m, wid.n
+    if wid.criterion is Criterion.HZ1:
+        i, j = wid.modes
+        return (_spec(**{i: (m, m), j: (n, n)}),), _spec(**{i: (0, m), j: (n, 0)})
+    if wid.criterion is Criterion.HZ2:
+        i, j = wid.modes
+        return (_spec(**{i: (m, m)}), _spec(**{j: (n, n)})), _spec(**{i: (0, m), j: (0, n)})
+    if wid.criterion is Criterion.DUAN:
+        i, j = wid.modes
+        return ((_spec(**{i: (1, 1)}), _spec(**{j: (1, 1)}), _spec(**{i: (0, 1)}),
+                 _spec(**{j: (0, 1)})), _spec(**{i: (0, 1), j: (1, 0)}))
+    if wid.criterion is Criterion.TRI_HZ1:
+        i, j, k = wid.modes
+        return (_spec(a=(1, 1), b=(1, 1), c=(1, 1)),), _spec(**{i: (0, 1), j: (0, 1), k: (1, 0)})
+    return ((_spec(a=(1, 1)), _spec(b=(1, 1)), _spec(c=(1, 1))),
+            _spec(a=(0, 1), b=(0, 1), c=(0, 1)))
 
 
 def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams, t):
@@ -179,37 +183,18 @@ def _assemble(wid: WitnessId, mom, params: ModelParams, t):
     HZ and trimodal criteria involve only moduli and number operators, so no
     frame correction is applied; the Duan quadratures use co-rotated
     operators (each mode rotated by e^{+iωt})."""
-    m, n = wid.m, wid.n
-    if wid.criterion in (Criterion.HZ1, Criterion.HZ2):
-        quad, x1, x2, ni, nj = _pair_specs(wid.modes, m, n)
-        if wid.criterion is Criterion.HZ1:
-            val = mom(quad).real - np.abs(mom(x1)) ** 2
-        else:
-            val = mom(ni).real * mom(nj).real - np.abs(mom(x2)) ** 2
-    elif wid.criterion is Criterion.DUAN:
-        i, j = wid.modes
-        _, x1, _, ni, nj = _pair_specs(wid.modes, 1, 1)
-        wi = getattr(params, _MODE_OMEGA[i])
-        wj = getattr(params, _MODE_OMEGA[j])
-        rot_i = np.exp(1j * wi * t)
-        rot_j = np.exp(1j * wj * t)
-        mono = {"a": MomentSpec(0, 1, 0, 0, 0, 0), "b": MomentSpec(0, 0, 0, 1, 0, 0),
-                "c": MomentSpec(0, 0, 0, 0, 0, 1)}
-        mi = mom(mono[i]) * rot_i
-        mj = mom(mono[j]) * rot_j
-        cij = mom(x1) * rot_i * np.conj(rot_j)
-        val = (2 * (mom(ni).real - np.abs(mi) ** 2)
-               + 2 * (mom(nj).real - np.abs(mj) ** 2)
-               + 4 * (cij - mi * np.conj(mj)).real)
-    elif wid.criterion is Criterion.TRI_HZ1:
-        nnn = mom(MomentSpec(1, 1, 1, 1, 1, 1)).real
-        val = nnn - np.abs(mom(_TRI_CROSS[wid.modes])) ** 2
-    else:
-        na = mom(MomentSpec(1, 1, 0, 0, 0, 0)).real
-        nb = mom(MomentSpec(0, 0, 1, 1, 0, 0)).real
-        nc = mom(MomentSpec(0, 0, 0, 0, 1, 1)).real
-        val = na * nb * nc - np.abs(mom(MomentSpec(0, 1, 0, 1, 0, 1))) ** 2
-    return val
+    products, cross = _recipe(wid)
+    if wid.criterion is not Criterion.DUAN:
+        return math.prod(mom(s).real for s in products) - np.abs(mom(cross)) ** 2
+    i, j = wid.modes
+    rot_i = np.exp(1j * getattr(params, f"omega_{i}") * t)
+    rot_j = np.exp(1j * getattr(params, f"omega_{j}") * t)
+    ni, nj, mi, mj = map(mom, products)
+    mi, mj = mi * rot_i, mj * rot_j
+    cij = mom(cross) * rot_i * np.conj(rot_j)
+    return (2 * (ni.real - np.abs(mi) ** 2)
+            + 2 * (nj.real - np.abs(mj) ** 2)
+            + 4 * (cij - mi * np.conj(mj)).real)
 
 
 def witness_grid(wids, states, params: ModelParams, times) -> np.ndarray:
@@ -259,8 +244,7 @@ def _error_floor(g: float, delta: float, inp: CoherentInput) -> float:
 
 
 def compare(wids, params_ladder, inp: CoherentInput, times,
-            cutoffs: tuple[int, int, int] | None = None,
-            perturbative_fn=None) -> CompareResult:
+            cutoffs: tuple[int, int, int] | None = None) -> CompareResult:
     """Certify closed forms against the oracle over a g-halving ladder.
 
     ``params_ladder`` must share the detuning and descend in g > 0 (≥ 3 rungs).
@@ -276,8 +260,6 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
         raise ConfigError("ladder rungs must share the detuning")
     if any(p.g <= 0.0 for p in ladder):
         raise ConfigError("ladder rungs need coupling g > 0")
-    if perturbative_fn is None:
-        perturbative_fn = witnesses.evaluate
     times = tuple(float(t) for t in times)
 
     shape = (len(ladder), len(wids), len(times))
@@ -302,7 +284,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
         oracle_vals[r] = witness_grid(wids, states, p, times)
         coeffs = coefficients(p, times)
         for i, w in enumerate(wids):
-            pert_vals[r, i] = perturbative_fn(w, coeffs, inp)
+            pert_vals[r, i] = witnesses.evaluate(w, coeffs, inp)
 
     errs = np.abs(oracle_vals - pert_vals)
     gated = np.all(errs > 100.0 * np.finfo(float).eps

@@ -75,11 +75,6 @@ class WitnessId:
                 raise InvalidWitness(f"{self.criterion.value} is defined only at m=n=1")
 
     @property
-    def higher_order(self) -> bool:
-        return self.m + self.n >= 3 or self.criterion in (Criterion.TRI_HZ1,
-                                                          Criterion.TRI_SYM)
-
-    @property
     def mode_string(self) -> str:
         return "".join(self.modes)
 

@@ -41,8 +41,8 @@ class TestHamiltonian:
         basis = FockBasis((6, 5, 5))
         H = build_hamiltonian(params, basis).matrix
         na, nb, nc = 4, 1, 2
-        i = basis.index((na - 2, nb + 1, nc + 1))
-        j = basis.index((na, nb, nc))
+        i = np.ravel_multi_index((na - 2, nb + 1, nc + 1), basis.shape)
+        j = np.ravel_multi_index((na, nb, nc), basis.shape)
         want = 0.7 * math.sqrt(na * (na - 1) * (nb + 1) * (nc + 1))
         assert H[i, j] == pytest.approx(want, rel=1e-15)
         assert H[j, i] == pytest.approx(want, rel=1e-15)
@@ -191,12 +191,26 @@ class TestEvolve:
             ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
             assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
 
+    def test_shuffled_grid_matches_sorted(self):
+        """Each time is propagated on its own, so a shuffled 37-point grid
+        (t = 0 and a repeated time included) gives the sorted grid's state
+        at every time."""
+        _, _, psi0, H = small_setup()
+        grid = np.linspace(0.0, 4.0, 36)
+        times = np.sort(np.append(grid, grid[TIME_CHUNK - 1]))
+        order = np.random.default_rng(3).permutation(len(times))
+        assert not np.array_equal(order, np.sort(order))
+        ref = evolve_grid(H, psi0, times)
+        states = evolve_grid(H, psi0, times[order])
+        assert len(states) == 37
+        for k, psi in zip(order, states):
+            assert np.max(np.abs(psi.amplitudes - ref[k].amplitudes)) < 1e-14, times[k]
+
     def test_bad_grid_rejected(self):
         _, _, psi0, H = small_setup()
-        with pytest.raises(ConfigError):
-            evolve_grid(H, psi0, [0.2, 0.1])
-        with pytest.raises(ConfigError):
-            evolve_grid(H, psi0, [-0.1])
+        for times in ([-0.1], [0.2, -1e-300, 0.1]):
+            with pytest.raises(ConfigError, match="nonnegative"):
+                evolve_grid(H, psi0, times)
 
 
 class TestOracleWitness:
@@ -346,20 +360,18 @@ class TestCompare:
         with pytest.raises(ConfigError):
             compare([WitnessId.parse("HZ1:ab")], ladder, SMALL_INPUT, [0.5])
 
-    def test_mutation_drops_exponent(self):
+    def test_mutation_drops_exponent(self, monkeypatch):
         """Corrupting the bc cross-term coefficient by 1% must push the
         fitted exponent below 1.5 (the witness has O(g) content)."""
-        from fwm import witnesses as wmod
-
         def corrupted(wid, coeffs, inp):
-            value = wmod.evaluate(wid, coeffs, inp)
+            value = evaluate(wid, coeffs, inp)
             if wid.criterion is Criterion.HZ1 and wid.modes == ("b", "c"):
                 cross = 2 * (coeffs.h1 * coeffs.h2.conjugate()
                              * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma).real
                 return value + 0.01 * cross
             return value
         wids = [WitnessId.parse("HZ1:bc")]
-        res = compare(wids, self._ladder(g0=0.02), SMALL_INPUT, [0.8, 1.2],
-                      perturbative_fn=corrupted)
+        monkeypatch.setattr("fwm.witnesses.evaluate", corrupted)   # the imported `evaluate` keeps the original
+        res = compare(wids, self._ladder(g0=0.02), SMALL_INPUT, [0.8, 1.2])
         exps = res.exponent[~np.isnan(res.exponent)]
         assert exps.size and exps.max() < 1.5

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -467,6 +468,7 @@ def assert_one_line_usage_error(code, err, *needles):
 
 
 SWEEP = ("sweep", "--preset", "fig5", "--gt_grid.count", "2")
+RESONANT = ("--params.omega_a", "1", "--params.omega_b", "1", "--params.omega_c", "1")
 
 # Values a user may type after --input.phi that are not a phase in [0, 2pi):
 # out-of-range and non-finite floats (repr gives 'nan', 'inf', '1e+300'),
@@ -772,3 +774,63 @@ class TestCliBoundary:
         code, out, err = main_in_process(*SWEEP, f"--{field}", str(10 ** 400))
         assert_one_line_usage_error(code, err, field, "finite")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        SWEEP,
+        ("compare", "--witnesses", '["HZ1:ab"]', "--input.phi", "0.0",
+         "--input.alpha_abs", "0.8", "--input.beta", "0.6", "--input.gamma", "0.5",
+         "--gt_grid.count", "2"),
+        ("check", "--cutoffs", "4,4,4"),
+    ])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_one_line_usage_error(self, argv, where, tmp_path):
+        """An --out in a directory that does not exist, or naming a
+        directory, ends the run with one line once the result is ready."""
+        path = tmp_path / "no" / "such" / "x" if where == "missing_dir" else tmp_path
+        code, out, err = main_in_process(*argv, "--out", str(path))
+        assert_one_line_usage_error(code, err, "cannot write", str(path))
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--format", "--output.format"])
+    def test_compare_csv_format_is_one_line_usage_error(self, flag, tmp_path):
+        """compare writes only a JSON report, so a CSV request is refused
+        before anything runs or is written."""
+        f = tmp_path / "report.csv"
+        code, out, err = main_in_process("compare", flag, "csv", "--out", str(f))
+        assert_one_line_usage_error(code, err, "compare writes a JSON report only")
+        assert out == "" and not f.exists()
+
+    def test_presets_csv(self):
+        code, out, err = main_in_process("presets")
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert out.splitlines()[0] == \
+            "name,witnesses,delta_omega1,g,gt_start,gt_stop,gt_count"
+        assert [r["name"] for r in rows] == ["fig2", "fig3", "fig4", "fig5"]
+        assert [int(r["witnesses"]) for r in rows] == [9, 9, 9, 4]
+        for r in rows:
+            cfg = presets()[r["name"]]
+            assert float(r["g"]) == cfg.params.g
+            assert float(r["delta_omega1"]) == cfg.params.to_model().delta_omega1
+            assert (float(r["gt_start"]), float(r["gt_stop"]), int(r["gt_count"])) \
+                == (cfg.gt_grid.start, cfg.gt_grid.stop, cfg.gt_grid.count)
+
+    @pytest.mark.parametrize("params", [(), RESONANT])
+    def test_check_fails_on_perturbed_coefficients(self, params, monkeypatch):
+        """check passes, detuned or resonant, until f2, g2 and h2 (and so
+        f3, g3 and h3) carry a 1e-9 relative error; the coefficient
+        relations then catch it."""
+        from fwm import model
+        argv = ("check", "--cutoffs", "4,4,4", *params)
+        code, out, _ = main_in_process(*argv)
+        assert code == 0 and out.splitlines()[-1] == "check: PASS"
+        ramp = model._ramp
+        monkeypatch.setattr(model, "_ramp",
+                            lambda x, series=None: ramp(x, series) * (1 + 1e-9))
+        code, out, _ = main_in_process(*argv)
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[-1] == "check: FAIL"
+        trials = [float(line.rsplit(" ", 1)[1]) for line in lines
+                  if line.startswith("coefficient identities")]
+        assert len(trials) == 3 and min(trials) > 1e-13

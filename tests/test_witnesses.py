@@ -254,11 +254,6 @@ class TestWitnessIds:
             wid = WitnessId.parse(label)
             assert WitnessId.parse(wid.label()) == wid
 
-    def test_higher_order_flag(self):
-        assert not WitnessId.parse("HZ1:ab").higher_order
-        assert WitnessId.parse("HZ1:ab:2,1").higher_order
-        assert WitnessId.parse("TRI_SYM").higher_order
-
     def test_evaluate_dispatch(self):
         coeffs, inp = some_coeffs(phi=0.4)
         wid = WitnessId.parse("HZ2:bc:1,2")
