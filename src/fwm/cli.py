@@ -102,7 +102,8 @@ def _parse_overrides(extra: list[str]) -> dict:
     return out
 
 
-def _load_config(args, overrides, default=None) -> RunConfig:
+def _base_config(args, default=None) -> dict:
+    """The config dict of ``--config``, ``--preset`` or ``default``."""
     if args.config and args.preset:
         raise UsageError("give either --config or --preset, not both")
     if args.config:
@@ -121,11 +122,21 @@ def _load_config(args, overrides, default=None) -> RunConfig:
         base = default.to_dict()
     else:
         raise UsageError("need --config or --preset")
+    return base
+
+
+def _with_overrides(args, overrides, base: dict) -> dict:
+    """``base`` with the dotted overrides and then the flags applied, so
+    flags win over dotted overrides of the same field."""
     flags = {"oracle.enabled": getattr(args, "oracle", False) or None,
              "output.format": args.format, "output.path": args.out}
-    # flags are applied last, so they win over dotted overrides of the same field
-    overrides = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
-    return RunConfig.from_dict(apply_overrides(base, overrides))
+    return apply_overrides(base, {**overrides, **{k: v for k, v in flags.items()
+                                                  if v is not None}})
+
+
+def _load_config(args, overrides, default=None) -> RunConfig:
+    return RunConfig.from_dict(_with_overrides(args, overrides,
+                                               _base_config(args, default)))
 
 
 def _emit(text: str, path: str | None):
@@ -155,10 +166,14 @@ def _cmd_sweep(args, overrides) -> int:
 
 
 def _cmd_compare(args, overrides) -> int:
-    fmt = args.format or overrides.get("output.format", "json")
+    base = _base_config(args, default=default_compare_config())
+    if args.preset:     # every preset carries the sweep's csv format, not a request
+        base["output"].pop("format", None)
+    d = _with_overrides(args, overrides, base)
+    cfg = RunConfig.from_dict(d)
+    fmt = d.get("output", {}).get("format", "json")
     if fmt != "json":
         raise UsageError(f"compare writes a JSON report only, not --format {fmt}")
-    cfg = _load_config(args, overrides, default=default_compare_config())
     report = run_compare(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     _emit(text + "\n", cfg.output.path)

@@ -5,9 +5,12 @@ The flat index runs row-major over (n_a, n_b, n_c); amplitudes reshape to a
 (N_a+1, N_b+1, N_c+1) tensor, and a stack of states with (T, dim)
 amplitudes to a (T, N_a+1, N_b+1, N_c+1) one.  A moment
 ⟨a†ᵖaᵠb†ʳbˢc†ᵘcᵛ⟩ = ⟨(aᵖbʳcᵘ)ψ | (aᵠbˢcᵛ)ψ⟩ applies only annihilation
-powers, so it pairs the slices ψ[k+p] and ψ[k+q] on each mode axis; this is
-exact on the truncated space (no creation operator ever pushes population
-past a cutoff), and gives one value per stacked state.
+powers, so on the flat index it is Σₘ conj(ψ[m])·W[m]·ψ[m+D]: D is the
+moment's occupation offset, and W holds its ladder weights inside its bra
+box and zero elsewhere.  This is exact on the truncated space (no creation
+operator ever pushes population past a cutoff).  `moments` reads any set of
+moments of a stack of states with one real matrix product per distinct
+offset.
 
 Every monomial in a, b, c and their adjoints is a weighted shift on the
 truncated grid, (Xψ)[n] = w[n]·ψ[n+d], so operators are numpy weight
@@ -144,28 +147,67 @@ class MomentSpec:
 
 
 @functools.lru_cache
-def _moment_plan(spec: MomentSpec, shape: tuple[int, int, int]):
-    """(bra slices, ket slices, read-only weight array) of ``moment``."""
-    bra, ket, weight = [Ellipsis], [Ellipsis], np.ones(())
-    for (p, q), n in zip(((spec.p, spec.q), (spec.r, spec.s), (spec.u, spec.v)), shape):
-        k = np.arange(max(n - max(p, q), 0), dtype=float)
-        bra.append(slice(p, p + k.size))
-        ket.append(slice(q, q + k.size))
-        factors = k[:, None] + np.r_[1:p + 1, 1:q + 1]
-        weight = np.multiply.outer(weight, np.sqrt(factors.prod(axis=1)))
-    weight.flags.writeable = False
-    return tuple(bra), tuple(ket), weight
+def _moment_plan(specs: tuple[MomentSpec, ...], shape: tuple[int, int, int]):
+    """One (D, first flat index, result rows, read-only (rows, overlap)
+    weights) per distinct occupation offset D of ``specs``."""
+    strides = (shape[1] * shape[2], shape[2], 1)
+    groups: dict[int, list] = {}
+    for row, spec in enumerate(specs):
+        orders = ((spec.p, spec.q), (spec.r, spec.s), (spec.u, spec.v))
+        box, weight = [], np.ones(())
+        for (p, q), n in zip(orders, shape):
+            k = np.arange(max(n - max(p, q), 0), dtype=float)
+            box.append(slice(p, p + k.size))
+            factors = k[:, None] + np.r_[1:p + 1, 1:q + 1]
+            weight = np.multiply.outer(weight, np.sqrt(factors.prod(axis=1)))
+        if weight.size == 0:        # a cutoff below the order: the value is 0
+            continue
+        flat = np.zeros(shape)
+        flat[tuple(box)] = weight
+        offset = sum((q - p) * st for (p, q), st in zip(orders, strides))
+        groups.setdefault(offset, []).append((row, flat.ravel()))
+    plan = []
+    for offset, members in groups.items():
+        rows, flats = zip(*members)
+        inside = np.flatnonzero(np.any(flats, axis=0))     # every weight is >= 1
+        lo, hi = inside[0], inside[-1] + 1
+        weights = np.array([f[lo:hi] for f in flats])
+        weights.flags.writeable = False
+        plan.append((offset, lo, np.array(rows), weights))
+    return tuple(plan)
+
+
+def moments(psi: FockStateVector, specs) -> np.ndarray:
+    """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩ for every spec of ``specs``, as a
+    (len(specs), *stack) array with one value per stacked state.
+
+    W is √((k+1)…(k+p)·(k+1)…(k+q)) per mode inside the bra box (k = bra
+    occupation − p).  Specs sharing an offset D are read together: the
+    product of two contiguous slices, D apart, of the (dim, stack)
+    amplitudes is contracted with their stacked weights in one real matrix
+    product.  A stack of (T, dim) amplitudes that is the transpose of a
+    C-ordered (dim, T) array is read without a copy.
+    """
+    specs = tuple(specs)
+    lead = psi.amplitudes.shape[:-1]
+    amps = psi.amplitudes.reshape(-1, psi.basis.dimension).T      # (dim, T)
+    plan = _moment_plan(specs, psi.basis.shape)
+    out = np.zeros((len(specs), amps.shape[1]), dtype=np.complex128)
+    width = max((w.shape[1] for *_, w in plan), default=0)
+    buf = np.empty((width, amps.shape[1]), dtype=np.complex128)
+    for offset, lo, rows, weights in plan:
+        prod = buf[:weights.shape[1]]
+        hi = lo + prod.shape[0]
+        np.conjugate(amps[lo:hi], out=prod)
+        prod *= amps[lo + offset:hi + offset]
+        out[rows] = (weights @ prod.view(np.float64)).view(np.complex128)
+    return out.reshape((len(specs),) + lead)
 
 
 def moment(psi: FockStateVector, spec: MomentSpec):
-    """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩, one value per stacked state.
-
-    On each mode axis the bra is the view ψ[k+p] and the ket the view
-    ψ[k+q], k = 0 … n−1−max(p, q), weighted by √((k+1)…(k+p)·(k+1)…(k+q)).
-    """
-    ten = psi.tensor()
-    bra, ket, weight = _moment_plan(spec, psi.basis.shape)
-    return np.vecdot(ten[bra], weight * ten[ket]).sum(axis=(-2, -1))
+    """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩, one value per stacked state (see
+    ``moments``)."""
+    return moments(psi, (spec,))[0]
 
 
 def _window(k: int, n: int) -> tuple[slice, slice]:

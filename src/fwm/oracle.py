@@ -11,11 +11,12 @@ at every grid time, ``TIME_CHUNK`` times per batched matmul, with no time
 stepping, so the grid may list any nonnegative times in any order.  Every
 witness reads its raw moments from one cached recipe (`_recipe`): HZ and
 trimodal values are a product of number moments minus one squared cross
-moment.  States are stacked ``TIME_CHUNK`` at a time (`witness_grid`); each
-distinct moment is computed once per stack and shared by every witness.  `compare` certifies every closed form against the oracle over a
-coupling-halving ladder; it returns (rung, witness, time) value arrays and
-fits the error exponents of all (witness, time) points in one least-squares
-call.
+moment.  `witness_grid` stacks the states ``TIME_CHUNK`` at a time and
+reads every distinct moment its witnesses need with one
+`fockspace.moments` call per stack.  `compare` certifies every closed form
+against the oracle over a coupling-halving ladder; it returns (rung,
+witness, time) value arrays and fits the error exponents of all (witness,
+time) points in one least-squares call.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import witnesses
 from .fockspace import (FockBasis, FockStateVector, MomentSpec, ShiftOperator,
                         coherent_state, conserved_charges, cutoffs_for, ladders,
-                        moment)
+                        moment, moments)
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
 from .witnesses import Criterion, WitnessId
 
@@ -113,8 +114,8 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
     """ψ(t) = e^{-iHt}ψ0 at each time of a nonnegative grid, in any order.
 
     Exact up to roundoff: every charge-sector block is diagonalized once and
-    the grid is propagated in chunks of ``TIME_CHUNK`` times.  ψ(0) is a copy
-    of ψ0.
+    the grid is propagated in chunks of ``TIME_CHUNK`` times.  Each state is
+    a column view of its chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
@@ -134,12 +135,11 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
         for idx, energies, vectors, coeffs in modes:
             phased = np.exp(-1j * energies[..., None] * chunk) * coeffs[..., None]
             amps[idx] = vectors @ phased                 # (sectors, size, time)
-        amps = np.ascontiguousarray(amps.T)
         # witnesses vanish at t = 0 up to roundoff; returning ψ0 unchanged
         # keeps the sign of those values independent of the eigendecomposition
-        amps[chunk == 0.0] = psi
+        amps[:, chunk == 0.0] = psi[:, None]
         out.extend(FockStateVector(amplitudes=a, basis=psi0.basis,
-                                   tail_mass=psi0.tail_mass) for a in amps)
+                                   tail_mass=psi0.tail_mass) for a in amps.T)
     return out
 
 
@@ -171,6 +171,16 @@ def _recipe(wid: WitnessId) -> tuple[tuple[MomentSpec, ...], MomentSpec]:
             _spec(a=(0, 1), b=(0, 1), c=(0, 1)))
 
 
+@functools.cache
+def _distinct_specs(wids: tuple[WitnessId, ...]) -> tuple[MomentSpec, ...]:
+    """Every moment the witnesses ``wids`` read, once, in first-use order."""
+    specs = {}
+    for wid in wids:
+        products, cross = _recipe(wid)
+        specs.update(dict.fromkeys((*products, cross)))
+    return tuple(specs)
+
+
 def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams, t):
     """Witness value assembled from raw moments of ψ(t); one value per
     stacked state when ``psi`` holds a stack and ``t`` its times."""
@@ -200,16 +210,18 @@ def _assemble(wid: WitnessId, mom, params: ModelParams, t):
 def witness_grid(wids, states, params: ModelParams, times) -> np.ndarray:
     """(witness, time) oracle values of propagated ``states``.
 
-    The states are stacked ``TIME_CHUNK`` at a time, and every distinct
-    moment is computed once per stack and shared by all witnesses."""
+    The states are stacked ``TIME_CHUNK`` at a time as the columns of one
+    (dim, chunk) array, and one ``moments`` call per stack reads every
+    distinct moment the witnesses need."""
+    specs = _distinct_specs(tuple(wids))
     out = np.empty((len(wids), len(states)))
     for lo in range(0, len(states), TIME_CHUNK):
         chunk = states[lo:lo + TIME_CHUNK]
-        stack = FockStateVector(np.stack([s.amplitudes for s in chunk]), chunk[0].basis)
+        stack = np.stack([s.amplitudes for s in chunk], axis=1)
+        values = dict(zip(specs, moments(FockStateVector(stack.T, chunk[0].basis), specs)))
         t = np.asarray(times[lo:lo + TIME_CHUNK], dtype=float)
-        mom = functools.cache(functools.partial(moment, stack))
         for i, wid in enumerate(wids):
-            out[i, lo:lo + len(chunk)] = _assemble(wid, mom, params, t)
+            out[i, lo:lo + len(chunk)] = _assemble(wid, values.__getitem__, params, t)
     # ψ(0) is the separable product input, so no witness can certify
     # entanglement there: a negative value at t = 0 is roundoff
     t0 = np.asarray(times, dtype=float) == 0.0

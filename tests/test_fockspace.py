@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fwm.fockspace import (MAX_MOMENT_ORDER, CutoffError, FockBasis,
                            FockStateVector, MomentSpec, coherent_amplitudes,
                            coherent_state, conserved_charges, cutoffs_for,
-                           edge_population, moment)
+                           edge_population, moment, moments)
 from fwm.model import CoherentInput, ConfigError
 
 from csr_reference import csr_ladders
@@ -133,6 +134,66 @@ class TestMoments:
         if max(spec.p, spec.q) > cut[0] or max(spec.r, spec.s) > cut[1] \
                 or max(spec.u, spec.v) > cut[2]:
             assert np.all(stacked == 0)
+
+
+def _csr_moment(ladders, spec):
+    """A†ᵖAᵠB†ʳBˢC†ᵘCᵛ as one CSR matrix."""
+    A, B, C = ladders
+    X = None
+    for op, k in ((C, spec.v), (C.T, spec.u), (B, spec.s), (B.T, spec.r),
+                  (A, spec.q), (A.T, spec.p)):
+        for _ in range(k):
+            X = op if X is None else op @ X
+    return X if X is not None else sp.identity(A.shape[0], format="csr")
+
+
+@st.composite
+def spec_lists(draw):
+    """1-4 random specs, each with 0-2 siblings that raise p and q (or r and
+    s, or u and v) together, so several specs share one occupation offset."""
+    specs = []
+    for exps in draw(st.lists(st.tuples(*[st.integers(0, 4)] * 6).filter(
+            lambda e: sum(e) <= MAX_MOMENT_ORDER), min_size=1, max_size=4)):
+        specs.append(MomentSpec(*exps))
+        for mode in draw(st.lists(st.integers(0, 2), max_size=2)):
+            bumped = list(exps)
+            bumped[2 * mode] += 1
+            bumped[2 * mode + 1] += 1
+            if sum(bumped) <= MAX_MOMENT_ORDER:
+                specs.append(MomentSpec(*bumped))
+    return specs
+
+
+class TestBatchedMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.tuples(*[st.integers(0, 5)] * 3), specs=spec_lists(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_csr_reference(self, cut, specs, seed):
+        """``moments`` equals ⟨ψ|X|ψ⟩ with X built from independent CSR
+        ladders, for a single state, a (T, dim) stack and column views of
+        a (dim, T) array; a spec above a cutoff reads exactly 0."""
+        basis = FockBasis(cut)
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(basis.dimension, 3)) + 1j * rng.normal(size=(basis.dimension, 3))
+        ladders = csr_ladders(basis.shape)
+        want, scale = [], []
+        for spec in specs:
+            X = _csr_moment(ladders, spec)     # nonnegative entries
+            want.append(np.einsum("it,it->t", cols.conj(), X @ cols))
+            scale.append(np.einsum("it,it->t", abs(cols), X @ abs(cols)))
+        want, atol = np.array(want), 1e-12 * np.array(scale)
+        stack = moments(FockStateVector(cols.T, basis), specs)
+        for got in (stack,
+                    moments(FockStateVector(np.ascontiguousarray(cols.T), basis), specs),
+                    np.stack([moments(FockStateVector(c, basis), specs) for c in cols.T], -1),
+                    moments(FockStateVector(cols[:, 0].copy(), basis), specs)[:, None]):
+            assert got.shape == (len(specs), got.shape[1])
+            w, a = want[:, :got.shape[1]], atol[:, :got.shape[1]]
+            assert np.all(np.abs(got - w) <= 1e-12 * np.abs(w) + a)
+        for spec, row in zip(specs, stack):
+            if max(spec.p, spec.q) > cut[0] or max(spec.r, spec.s) > cut[1] \
+                    or max(spec.u, spec.v) > cut[2]:
+                assert np.all(row == 0)
 
 
 def test_edge_population_decreases_with_margin():

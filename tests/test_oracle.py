@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 import fwm.oracle as oracle_mod
 from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
-                           conserved_charges, cutoffs_for, moment)
+                           conserved_charges, cutoffs_for, moments)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
 from fwm.oracle import (TIME_CHUNK, build_hamiltonian, certification_summary,
                         charge_sectors, compare, evolve_grid,
@@ -265,8 +265,9 @@ class TestOracleWitness:
     ])
     def test_grid_computes_each_moment_once_per_chunk(self, monkeypatch,
                                                       labels, distinct):
-        """witness_grid extracts each distinct moment once per chunk of
-        states, and its values still equal per-state evaluation."""
+        """witness_grid makes one ``moments`` call per chunk of states, each
+        carrying every distinct moment once, and its values still equal
+        per-state evaluation."""
         params, _, psi0, H = small_setup()
         times = np.linspace(0.0, 3.0, 37)
         chunks = -(-len(times) // TIME_CHUNK)
@@ -275,14 +276,16 @@ class TestOracleWitness:
         wids = [WitnessId.parse(s) for s in labels]
         calls = []
 
-        def counting(psi, spec):
-            calls.append(spec)
-            return moment(psi, spec)
+        def recording(psi, specs):
+            calls.append((psi.amplitudes.shape, tuple(specs)))
+            return moments(psi, specs)
 
-        monkeypatch.setattr(oracle_mod, "moment", counting)
+        monkeypatch.setattr(oracle_mod, "moments", recording)
         grid = witness_grid(wids, states, params, times)
-        assert len(set(calls)) == distinct
-        assert len(calls) == distinct * chunks
+        assert [shape[0] for shape, _ in calls] == [TIME_CHUNK, TIME_CHUNK, 5]
+        for _, specs in calls:
+            assert len(specs) == len(set(specs)) == distinct
+            assert specs == calls[0][1]
         monkeypatch.undo()
         for i, wid in enumerate(wids):
             want = [oracle_witness(wid, psi, params, t) for psi, t in zip(states, times)]

@@ -800,6 +800,27 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, "compare writes a JSON report only")
         assert out == "" and not f.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", None])
+    def test_compare_config_file_format(self, fmt, tmp_path):
+        """A CSV format written in a --config file is refused like the flag;
+        a config file that names no format gets the JSON report."""
+        d = default_compare_config().to_dict()
+        d["input"]["phi"] = [0.0]
+        d["gt_grid"]["count"] = 2
+        del d["output"]["format"]
+        if fmt is not None:
+            d["output"]["format"] = fmt
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps(d))
+        f = tmp_path / "y.csv"
+        code, out, err = main_in_process("compare", "--config", str(cfg), "--out", str(f))
+        if fmt == "csv":
+            assert_one_line_usage_error(code, err, "compare writes a JSON report only")
+            assert out == "" and not f.exists()
+        else:
+            assert code == 0 and out == ""
+            assert set(json.loads(f.read_text())) >= {"witnesses"}
+
     def test_presets_csv(self):
         code, out, err = main_in_process("presets")
         assert code == 0 and err == ""
