@@ -6,13 +6,13 @@ witnesses for every two-mode pair and three-mode cut, an exact truncated
 Fock-space propagation oracle, and a sweep/certification CLI.
 """
 from .fockspace import (CutoffError, FockBasis, FockStateVector, MomentSpec,
-                        coherent_state, conserved_charges, cutoffs_for, moment)
+                        coherent_state, cutoffs_for, moments)
 from .model import (ConfigError, CoherentInput, ModelParams,
                     PerturbativeCoefficients, coefficient_derivatives,
                     coefficients)
 from .oracle import (CompareResult, Hamiltonian, build_hamiltonian,
-                     certification_summary, compare, evolve_grid,
-                     oracle_witness)
+                     certification_summary, compare, evolve_grid, run,
+                     witness_grid)
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, Series, UsageError, default_compare_config,
                     presets, run_compare, run_sweep)
@@ -24,12 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CutoffError", "FockBasis", "FockStateVector", "MomentSpec",
-    "coherent_state", "conserved_charges", "cutoffs_for", "moment",
+    "coherent_state", "cutoffs_for", "moments",
     "ConfigError", "CoherentInput", "ModelParams", "PerturbativeCoefficients",
     "coefficient_derivatives", "coefficients",
     "CompareResult", "Hamiltonian", "build_hamiltonian",
-    "certification_summary", "compare", "evolve_grid",
-    "oracle_witness",
+    "certification_summary", "compare", "evolve_grid", "run",
+    "witness_grid",
     "eom_residual", "etcr_residual", "residual_scaling_slope",
     "RunConfig", "Series", "UsageError", "default_compare_config",
     "presets", "run_compare", "run_sweep",

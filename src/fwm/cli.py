@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (also when ``oracle.cutoffs`` cannot
 hold the coherent input, an amplitude overflows a closed form, or ``--out``
-cannot be written), 2 when a ``check`` diagnostic fails.  Any config field can be overridden with a flag
-of the same dotted path, e.g.
+cannot be written), 2 when a ``check`` diagnostic fails.  Any config
+field can be overridden with a flag of the same dotted path, e.g.
 ``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and the
 top-level keys the same way, as ``--workers N`` (parallel processes, at
 most one per pump phase; default 1) and ``--seed N`` (seed of ``check``'s

@@ -8,9 +8,10 @@ amplitudes to a (T, N_a+1, N_b+1, N_c+1) one.  A moment
 powers, so on the flat index it is Σₘ conj(ψ[m])·W[m]·ψ[m+D]: D is the
 moment's occupation offset, and W holds its ladder weights inside its bra
 box and zero elsewhere.  This is exact on the truncated space (no creation
-operator ever pushes population past a cutoff).  `moments` reads any set of
-moments of a stack of states with one real matrix product per distinct
-offset.
+operator ever pushes population past a cutoff).  `moments` is the one
+reader of expectation values: it reads any set of moments of a stack of
+states with one real matrix product per distinct offset.  The norm ⟨1⟩
+and the occupations ⟨N_i⟩ behind the conserved charges are moments too.
 
 Every monomial in a, b, c and their adjoints is a weighted shift on the
 truncated grid, (Xψ)[n] = w[n]·ψ[n+d], so operators are numpy weight
@@ -71,9 +72,6 @@ class FockStateVector:
     amplitudes: np.ndarray
     basis: FockBasis
     tail_mass: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.amplitudes.shape[:-1] + self.basis.shape)
@@ -204,12 +202,6 @@ def moments(psi: FockStateVector, specs) -> np.ndarray:
     return out.reshape((len(specs),) + lead)
 
 
-def moment(psi: FockStateVector, spec: MomentSpec):
-    """⟨ψ| a†ᵖaᵠ b†ʳbˢ c†ᵘcᵛ |ψ⟩, one value per stacked state (see
-    ``moments``)."""
-    return moments(psi, (spec,))[0]
-
-
 def _window(k: int, n: int) -> tuple[slice, slice]:
     """Slices of the positions m on an axis of length n with m + k also on
     it, and of those m + k."""
@@ -289,23 +281,6 @@ def ladders(basis: FockBasis) -> tuple[ShiftOperator, ShiftOperator, ShiftOperat
         w.flags.writeable = False
         out.append(ShiftOperator({tuple(int(k == mode) for k in range(3)): w}))
     return tuple(out)
-
-
-def mean_occupations(psi: FockStateVector) -> tuple[float, float, float]:
-    """(⟨n_a⟩, ⟨n_b⟩, ⟨n_c⟩)."""
-    prob = np.abs(psi.tensor()) ** 2
-    na = np.arange(prob.shape[0])
-    nb = np.arange(prob.shape[1])
-    nc = np.arange(prob.shape[2])
-    return (float(np.einsum("ijk,i->", prob, na)),
-            float(np.einsum("ijk,j->", prob, nb)),
-            float(np.einsum("ijk,k->", prob, nc)))
-
-
-def conserved_charges(psi: FockStateVector) -> tuple[float, float]:
-    """⟨n_a + 2 n_b⟩ and ⟨n_b − n_c⟩, both commuting with the Hamiltonian."""
-    na, nb, nc = mean_occupations(psi)
-    return (na + 2 * nb, nb - nc)
 
 
 def edge_population(psi: FockStateVector, margin: int = 0) -> float:

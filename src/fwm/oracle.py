@@ -8,13 +8,18 @@ Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
 so each block is tridiagonal and small.  Blocks are diagonalized exactly
 (equal sizes in one batched ``eigh``) and ψ(t) = V e^{-iEt} V†ψ0 is formed
 at every grid time, ``TIME_CHUNK`` times per batched matmul, with no time
-stepping, so the grid may list any nonnegative times in any order.  Every
-witness reads its raw moments from one cached recipe (`_recipe`): HZ and
-trimodal values are a product of number moments minus one squared cross
-moment.  `witness_grid` stacks the states ``TIME_CHUNK`` at a time and
-reads every distinct moment its witnesses need with one
-`fockspace.moments` call per stack.  `compare` certifies every closed form
-against the oracle over a coupling-halving ladder; it returns (rung,
+stepping, so the grid may list any nonnegative times in any order.
+
+`run` is the one oracle pass behind ``sweep --oracle`` (once per pump
+phase) and `compare` (once per ladder rung).  It builds the basis, ψ0 and H,
+propagates with `evolve_grid` and reads everything it reports with
+`witness_grid`: the states are stacked ``TIME_CHUNK`` at a time, and one
+`fockspace.moments` call per stack reads every distinct moment the
+witnesses need together with ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩ and ⟨N_c⟩, from which the
+norm and charge drifts come.  Every witness reads its raw moments from one
+cached recipe (`_recipe`): HZ and trimodal values are a product of number
+moments minus one squared cross moment.  `compare` certifies every closed
+form against the oracle over a coupling-halving ladder; it returns (rung,
 witness, time) value arrays and fits the error exponents of all (witness,
 time) points in one least-squares call.
 """
@@ -28,8 +33,7 @@ import numpy as np
 
 from . import witnesses
 from .fockspace import (FockBasis, FockStateVector, MomentSpec, ShiftOperator,
-                        coherent_state, conserved_charges, cutoffs_for, ladders,
-                        moment, moments)
+                        coherent_state, cutoffs_for, ladders, moments)
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
 from .witnesses import Criterion, WitnessId
 
@@ -148,6 +152,10 @@ def _spec(**orders) -> MomentSpec:
     return MomentSpec(*(k for mode in "abc" for k in orders.get(mode, (0, 0))))
 
 
+# ⟨1⟩ = ‖ψ‖², ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩: the norm and charges `run` reports
+_TOTALS = (_spec(), _spec(a=(1, 1)), _spec(b=(1, 1)), _spec(c=(1, 1)))
+
+
 @functools.cache
 def _recipe(wid: WitnessId) -> tuple[tuple[MomentSpec, ...], MomentSpec]:
     """(products, cross) of a witness.  HZ and trimodal values are
@@ -173,21 +181,17 @@ def _recipe(wid: WitnessId) -> tuple[tuple[MomentSpec, ...], MomentSpec]:
 
 @functools.cache
 def _distinct_specs(wids: tuple[WitnessId, ...]) -> tuple[MomentSpec, ...]:
-    """Every moment the witnesses ``wids`` read, once, in first-use order."""
+    """Every moment the witnesses ``wids`` read, in first-use order, then
+    the totals not already among them; each once."""
     specs = {}
     for wid in wids:
         products, cross = _recipe(wid)
         specs.update(dict.fromkeys((*products, cross)))
+    specs.update(dict.fromkeys(_TOTALS))
     return tuple(specs)
 
 
-def oracle_witness(wid: WitnessId, psi: FockStateVector, params: ModelParams, t):
-    """Witness value assembled from raw moments of ψ(t); one value per
-    stacked state when ``psi`` holds a stack and ``t`` its times."""
-    return _assemble(wid, functools.partial(moment, psi), params, t)
-
-
-def _assemble(wid: WitnessId, mom, params: ModelParams, t):
+def _assemble(wid: WitnessId, mom: dict, params: ModelParams, t):
     """Witness value from ``mom``, which maps a MomentSpec to its values.
 
     HZ and trimodal criteria involve only moduli and number operators, so no
@@ -195,38 +199,70 @@ def _assemble(wid: WitnessId, mom, params: ModelParams, t):
     operators (each mode rotated by e^{+iωt})."""
     products, cross = _recipe(wid)
     if wid.criterion is not Criterion.DUAN:
-        return math.prod(mom(s).real for s in products) - np.abs(mom(cross)) ** 2
+        return math.prod(mom[s].real for s in products) - np.abs(mom[cross]) ** 2
     i, j = wid.modes
     rot_i = np.exp(1j * getattr(params, f"omega_{i}") * t)
     rot_j = np.exp(1j * getattr(params, f"omega_{j}") * t)
-    ni, nj, mi, mj = map(mom, products)
+    ni, nj, mi, mj = (mom[s] for s in products)
     mi, mj = mi * rot_i, mj * rot_j
-    cij = mom(cross) * rot_i * np.conj(rot_j)
+    cij = mom[cross] * rot_i * np.conj(rot_j)
     return (2 * (ni.real - np.abs(mi) ** 2)
             + 2 * (nj.real - np.abs(mj) ** 2)
             + 4 * (cij - mi * np.conj(mj)).real)
 
 
-def witness_grid(wids, states, params: ModelParams, times) -> np.ndarray:
-    """(witness, time) oracle values of propagated ``states``.
+def witness_grid(wids, states, params: ModelParams, times
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(witness, time) oracle values of propagated ``states``, and their
+    (4, time) ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩.
 
     The states are stacked ``TIME_CHUNK`` at a time as the columns of one
     (dim, chunk) array, and one ``moments`` call per stack reads every
-    distinct moment the witnesses need."""
+    distinct moment the witnesses and the four totals need.  Values at
+    t = 0 are returned as computed, roundoff included."""
     specs = _distinct_specs(tuple(wids))
     out = np.empty((len(wids), len(states)))
+    totals = np.empty((len(_TOTALS), len(states)))
     for lo in range(0, len(states), TIME_CHUNK):
         chunk = states[lo:lo + TIME_CHUNK]
         stack = np.stack([s.amplitudes for s in chunk], axis=1)
         values = dict(zip(specs, moments(FockStateVector(stack.T, chunk[0].basis), specs)))
         t = np.asarray(times[lo:lo + TIME_CHUNK], dtype=float)
         for i, wid in enumerate(wids):
-            out[i, lo:lo + len(chunk)] = _assemble(wid, values.__getitem__, params, t)
+            out[i, lo:lo + len(chunk)] = _assemble(wid, values, params, t)
+        totals[:, lo:lo + len(chunk)] = [values[s].real for s in _TOTALS]
+    return out, totals
+
+
+def run(wids, params: ModelParams, inp: CoherentInput, times,
+        cutoffs: tuple[int, int, int] | None = None) -> tuple[np.ndarray, dict]:
+    """(witness, time) oracle values of the coherent input ``inp`` under
+    ``params``, and diagnostics of the run.
+
+    The basis has ``cutoffs``, or ``cutoffs_for(inp)`` when None.  The
+    diagnostics hold the cutoffs, the dimension, the clipped transitions and
+    the largest |‖ψ(t)‖ − 1| and drifts of the charges n_a + 2n_b and
+    n_b − n_c from ψ0 over the grid.  Raises CutoffError when the cutoffs
+    cannot hold the input.
+    """
+    basis = FockBasis(cutoffs or cutoffs_for(inp))
+    psi0 = coherent_state(basis, inp)
+    H = build_hamiltonian(params, basis)
+    values, totals = witness_grid(wids, evolve_grid(H, psi0, times), params, times)
     # ψ(0) is the separable product input, so no witness can certify
     # entanglement there: a negative value at t = 0 is roundoff
     t0 = np.asarray(times, dtype=float) == 0.0
-    out[:, t0] = np.maximum(out[:, t0], 0.0)
-    return out
+    values[:, t0] = np.maximum(values[:, t0], 0.0)
+    norm2, na, nb, nc = totals
+    _, na0, nb0, nc0 = moments(psi0, _TOTALS).real
+    diagnostics = {
+        "cutoffs": basis.cutoffs, "dimension": basis.dimension,
+        "clipped_transitions": H.clipped_transitions,
+        "norm_drift": float(np.max(np.abs(np.sqrt(norm2) - 1.0), initial=0.0)),
+        "q1_drift": float(np.max(np.abs(na + 2 * nb - (na0 + 2 * nb0)), initial=0.0)),
+        "q2_drift": float(np.max(np.abs(nb - nc - (nb0 - nc0)), initial=0.0)),
+    }
+    return values, diagnostics
 
 
 @dataclass
@@ -245,13 +281,16 @@ class CompareResult:
     diagnostics: dict
 
 
-def _error_floor(g: float, delta: float, inp: CoherentInput) -> float:
-    """|f2|²-scale floor for relative agreement checks: 4(2g/Δω₁)² times a
-    fixed amplitude-polynomial bound."""
+def _error_floor(g: float, delta: float, inp: CoherentInput, f2):
+    """|f2|²-scale floor for relative agreement checks: a fixed
+    amplitude-polynomial bound times the largest |f2|² over t, 4(2g/Δω₁)².
+    At Δω₁ = 0, |f2(t)|² = (2gt)² has no largest value, so the bound is
+    taken per time from ``f2``, the coefficient at each grid time, and
+    kept at or above unit roundoff, so that t = 0 never divides 0 by 0."""
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
     poly = (1 + aa) * (1 + bb) * (1 + cc) * (1 + aa + bb + cc)
     if delta == 0.0:
-        return poly * (2 * g) ** 2
+        return poly * np.maximum(np.abs(f2) ** 2, np.finfo(float).eps)
     return 4.0 * (2.0 * g / delta) ** 2 * poly
 
 
@@ -262,7 +301,9 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     ``params_ladder`` must share the detuning and descend in g > 0 (≥ 3 rungs).
     The exponent at each (witness, time) is the least-squares slope of
     ln|err| vs ln g, fitted for all points in one ``np.polyfit`` call; it is
-    NaN unless every rung's error is above 100× unit roundoff.
+    NaN unless every rung's error is above 100× unit roundoff.  The
+    diagnostics are those of `run`, with each drift the largest over the
+    rungs.
     """
     ladder = list(params_ladder)
     if len(ladder) < 3:
@@ -275,25 +316,12 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     times = tuple(float(t) for t in times)
 
     shape = (len(ladder), len(wids), len(times))
-    if cutoffs is None:
-        cutoffs = cutoffs_for(inp)
-    basis = FockBasis(cutoffs)
-    psi0 = coherent_state(basis, inp)
-    q1_0, q2_0 = conserved_charges(psi0)
-
-    diag = {"cutoffs": cutoffs, "dimension": basis.dimension,
-            "norm_drift": 0.0, "q1_drift": 0.0, "q2_drift": 0.0}
     oracle_vals, pert_vals = np.empty(shape), np.empty(shape)
+    diag = {}
     for r, p in enumerate(ladder):
-        H = build_hamiltonian(p, basis)
-        diag["clipped_transitions"] = H.clipped_transitions   # the same on every rung
-        states = evolve_grid(H, psi0, times)
-        for s in states:
-            diag["norm_drift"] = max(diag["norm_drift"], abs(s.norm() - 1.0))
-            q1, q2 = conserved_charges(s)
-            diag["q1_drift"] = max(diag["q1_drift"], abs(q1 - q1_0))
-            diag["q2_drift"] = max(diag["q2_drift"], abs(q2 - q2_0))
-        oracle_vals[r] = witness_grid(wids, states, p, times)
+        oracle_vals[r], rung = run(wids, p, inp, times, cutoffs)
+        diag = {k: max(v, diag.get(k, v)) if k.endswith("_drift") else v
+                for k, v in rung.items()}
         coeffs = coefficients(p, times)
         for i, w in enumerate(wids):
             pert_vals[r, i] = witnesses.evaluate(w, coeffs, inp)
@@ -306,7 +334,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     log_g = np.log([p.g for p in ladder])
     slope = np.polyfit(log_g, logs.reshape(len(ladder), -1), 1)[0]
     exponent = np.where(gated, slope.reshape(gated.shape), np.nan)
-    floor = _error_floor(ladder[-1].g, ladder[0].delta_omega1, inp)
+    floor = _error_floor(ladder[-1].g, ladder[0].delta_omega1, inp, coeffs.f2)
     rel_err = errs[-1] / np.maximum(np.abs(oracle_vals[-1]), floor)
     return CompareResult(oracle_vals, pert_vals, exponent, rel_err, diag)
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import witnesses as wit_mod
-from .fockspace import cutoffs_for
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
 from .witnesses import InvalidWitness, WitnessId
 
@@ -301,13 +300,9 @@ def _onset(gts, values) -> float | None:
 
 
 def _oracle_phi_payload(config: RunConfig, phi: float):
+    """The synthetic parameters the oracle propagates with, and the input."""
     spec = config.params.to_model()
-    delta = spec.delta_omega1
-    g = spec.g
-    synth = ModelParams.from_detuning(delta, g)
-    inp = config.input.coherent(phi)
-    cutoffs = config.oracle.cutoffs or cutoffs_for(inp)
-    return synth, inp, cutoffs
+    return ModelParams.from_detuning(spec.delta_omega1, spec.g), config.input.coherent(phi)
 
 
 def _map_phases(fn, config: RunConfig) -> list:
@@ -327,12 +322,10 @@ def _oracle_values_for_phi(args) -> np.ndarray:
     """(witness, gt) oracle values at one pump phase; raises CutoffError
     when the cutoffs cannot hold the coherent input."""
     config, phi = args
-    synth, inp, cutoffs = _oracle_phi_payload(config, phi)
+    synth, inp = _oracle_phi_payload(config, phi)
     times = [float(gt / synth.g) for gt in config.gt_grid.values()]
-    psi0 = oracle_mod.coherent_state(oracle_mod.FockBasis(cutoffs), inp)
-    H = oracle_mod.build_hamiltonian(synth, psi0.basis)
-    states = oracle_mod.evolve_grid(H, psi0, times)
-    return oracle_mod.witness_grid(config.witness_ids(), states, synth, times)
+    return oracle_mod.run(config.witness_ids(), synth, inp, times,
+                          config.oracle.cutoffs)[0]
 
 
 def _coupled_params(config: RunConfig) -> ModelParams:
@@ -404,13 +397,13 @@ def certification_witnesses() -> list[str]:
 
 def _compare_phi_task(args):
     config, phi = args
-    synth, inp, cutoffs = _oracle_phi_payload(config, phi)
+    synth, inp = _oracle_phi_payload(config, phi)
     g0 = synth.g
     ladder = [ModelParams.from_detuning(synth.delta_omega1, g0 / 2 ** k)
               for k in range(config.oracle.ladder_rungs)]
     times = [float(gt / g0) for gt in config.gt_grid.values() if gt > 0.0]
     return oracle_mod.compare(config.witness_ids(), ladder, inp, times,
-                              cutoffs=cutoffs)
+                              cutoffs=config.oracle.cutoffs)
 
 
 def run_compare(config: RunConfig):

@@ -245,7 +245,8 @@ def test_criterion_7_oracle_physics(certification_report):
             ["HZ1:ab", "HZ1:bc", "HZ1:ac", "HZ2:bc", "HZ1:ab:2,1",
              "DUAN:ab", "TRI_HZ1:abc", "TRI_SYM"]]
     base_cut = cutoffs_for(inp)
-    floor = oracle_mod._error_floor(params.g, params.delta_omega1, inp)
+    floor = oracle_mod._error_floor(params.g, params.delta_omega1, inp,
+                                    coefficients(params, t).f2)
 
     def witness_values(p, cutoffs):
         basis = FockBasis(cutoffs)
@@ -254,8 +255,7 @@ def test_criterion_7_oracle_physics(certification_report):
         amps = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
         psi = FockStateVector(amplitudes=amps, basis=basis,
                               tail_mass=psi0.tail_mass)
-        return np.array([oracle_mod.oracle_witness(w, psi, p, t)
-                         for w in wids])
+        return oracle_mod.witness_grid(wids, [psi], p, [t])[0][:, 0]
 
     base_vals = witness_values(params, base_cut)
     double_ok = True

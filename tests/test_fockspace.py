@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fwm.fockspace import (MAX_MOMENT_ORDER, CutoffError, FockBasis,
                            FockStateVector, MomentSpec, coherent_amplitudes,
-                           coherent_state, conserved_charges, cutoffs_for,
-                           edge_population, moment, moments)
+                           coherent_state, cutoffs_for, edge_population,
+                           moments)
 from fwm.model import CoherentInput, ConfigError
 
 from csr_reference import csr_ladders
@@ -42,7 +42,7 @@ class TestCoherentState:
         basis = FockBasis((9, 8, 7))
         psi = coherent_state(basis, CoherentInput(1.1, 0.8 + 0.2j, 0.5),
                              tail_tol=1e-6)
-        assert psi.norm() == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
     def test_cutoff_too_small_raises(self):
         basis = FockBasis((3, 3, 3))
@@ -60,7 +60,6 @@ class TestCoherentState:
         basis = FockBasis((16, 4, 4))
         z = 1.3 - 0.4j
         psi = coherent_state(basis, CoherentInput(z, 0, 0))
-        na, nb, nc = conserved_charges(psi)[0] - 0, 0, 0   # smoke only
         p = np.abs(psi.tensor()[:, 0, 0]) ** 2
         lam = abs(z) ** 2
         expect = np.exp(-lam) * lam ** np.arange(17) / \
@@ -72,23 +71,23 @@ class TestMoments:
     def test_vacuum_annihilation_zero(self):
         basis = FockBasis((4, 4, 4))
         psi = coherent_state(basis, CoherentInput(0, 0, 0))
-        assert moment(psi, MomentSpec(0, 1, 0, 0, 0, 0)) == 0
-        assert moment(psi, MomentSpec(1, 2, 0, 3, 0, 1)) == 0
+        assert moments(psi, (MomentSpec(0, 1, 0, 0, 0, 0),))[0] == 0
+        assert moments(psi, (MomentSpec(1, 2, 0, 3, 0, 1),))[0] == 0
 
     def test_coherent_eigenproperty(self):
         basis = FockBasis((14, 12, 10))
         inp = CoherentInput(1.2, 0.9 - 0.3j, 0.6j)
         psi = coherent_state(basis, inp)
-        na = moment(psi, MomentSpec(1, 1, 0, 0, 0, 0))
+        na = moments(psi, (MomentSpec(1, 1, 0, 0, 0, 0),))[0]
         assert na.real == pytest.approx(abs(inp.alpha) ** 2, abs=1e-8)
-        ab = moment(psi, MomentSpec(0, 1, 1, 0, 0, 0))   # ⟨a b†⟩
+        ab = moments(psi, (MomentSpec(0, 1, 1, 0, 0, 0),))[0]   # ⟨a b†⟩
         assert ab == pytest.approx(inp.alpha * inp.beta.conjugate(), abs=1e-8)
 
     def test_normal_ordered_fourth_moment(self):
         basis = FockBasis((16, 4, 4))
         inp = CoherentInput(1.4, 0, 0)
         psi = coherent_state(basis, inp)
-        a2a2 = moment(psi, MomentSpec(2, 2, 0, 0, 0, 0))
+        a2a2 = moments(psi, (MomentSpec(2, 2, 0, 0, 0, 0),))[0]
         assert a2a2.real == pytest.approx(abs(inp.alpha) ** 4, rel=1e-7)
 
     def test_moment_spec_validation(self):
@@ -101,8 +100,8 @@ class TestMoments:
         basis = FockBasis((8, 8, 6))
         psi = coherent_state(basis, CoherentInput(0.9, 0.7, 0.4 + 0.4j),
                              tail_tol=1e-5)
-        fwd = moment(psi, MomentSpec(0, 2, 1, 0, 0, 1))
-        rev = moment(psi, MomentSpec(2, 0, 0, 1, 1, 0))
+        fwd = moments(psi, (MomentSpec(0, 2, 1, 0, 0, 1),))[0]
+        rev = moments(psi, (MomentSpec(2, 0, 0, 1, 1, 0),))[0]
         assert fwd == pytest.approx(rev.conjugate(), abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -121,14 +120,14 @@ class TestMoments:
         spec = MomentSpec(*exps)
         ops = ([C] * spec.v + [C.conj().T] * spec.u + [B] * spec.s
                + [B.conj().T] * spec.r + [A] * spec.q + [A.conj().T] * spec.p)
-        stacked = moment(FockStateVector(amps, basis), spec)
+        stacked = moments(FockStateVector(amps, basis), (spec,))[0]
         assert stacked.shape == (3,)
         for row, got in zip(amps, stacked):
             ket = row
             for op in ops:
                 ket = op @ ket
             want = np.vdot(row, ket)
-            single = moment(FockStateVector(row, basis), spec)
+            single = moments(FockStateVector(row, basis), (spec,))[0]
             assert single == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert got == pytest.approx(single, rel=1e-12, abs=1e-12)
         if max(spec.p, spec.q) > cut[0] or max(spec.r, spec.s) > cut[1] \

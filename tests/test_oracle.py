@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,13 +8,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import fwm.oracle as oracle_mod
-from fwm.fockspace import (FockBasis, MomentSpec, coherent_state,
-                           conserved_charges, cutoffs_for, moments)
+from fwm.fockspace import (FockBasis, FockStateVector, MomentSpec, coherent_state,
+                           cutoffs_for, moments)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
 from fwm.oracle import (TIME_CHUNK, build_hamiltonian, certification_summary,
-                        charge_sectors, compare, evolve_grid,
-                        oracle_witness, sector_blocks, witness_grid)
-from fwm.sweep import certification_witnesses, presets
+                        charge_sectors, compare, evolve_grid, run,
+                        sector_blocks, witness_grid)
+from fwm.sweep import (certification_witnesses, default_compare_config,
+                       presets, run_compare)
 from fwm.witnesses import Criterion, WitnessId, evaluate
 
 SMALL_INPUT = CoherentInput(0.8, 0.6, 0.5)
@@ -24,6 +27,15 @@ def small_setup(g=0.4, delta=-3.0, cutoffs=(8, 6, 6)):
     psi0 = coherent_state(basis, SMALL_INPUT, tail_tol=1e-6)
     H = build_hamiltonian(params, basis)
     return params, basis, psi0, H
+
+
+def norm_and_charges(psi):
+    """‖ψ‖ and ⟨n_a + 2n_b⟩, ⟨n_b − n_c⟩ of one state, summed from |ψ|² on
+    its occupation grid."""
+    prob = np.abs(psi.tensor()) ** 2
+    na, nb, nc = np.indices(prob.shape)
+    return (math.sqrt(prob.sum()), float(np.sum(prob * (na + 2 * nb))),
+            float(np.sum(prob * (nb - nc))))
 
 
 class TestHamiltonian:
@@ -144,13 +156,13 @@ class TestEvolve:
     def test_norm_preserved(self):
         _, _, psi0, H = small_setup()
         out = evolve_grid(H, psi0, [2.0])[0]
-        assert abs(out.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
     def test_charge_conservation(self):
         _, _, psi0, H = small_setup()
-        q0 = conserved_charges(psi0)
+        _, *q0 = norm_and_charges(psi0)
         out = evolve_grid(H, psi0, [3.0])[0]
-        q1 = conserved_charges(out)
+        _, *q1 = norm_and_charges(out)
         assert q1[0] == pytest.approx(q0[0], abs=1e-8)
         assert q1[1] == pytest.approx(q0[1], abs=1e-8)
 
@@ -218,10 +230,10 @@ class TestOracleWitness:
         params = ModelParams.from_detuning(-3.0, 0.4)
         basis = FockBasis(cutoffs_for(SMALL_INPUT))
         psi0 = coherent_state(basis, SMALL_INPUT)
-        for label in ["HZ1:ab", "HZ2:bc", "DUAN:ac", "TRI_HZ1:bca", "TRI_SYM"]:
-            wid = WitnessId.parse(label)
-            wv = oracle_witness(wid, psi0, params, 0.0)
-            assert abs(wv) < 1e-9
+        wids = [WitnessId.parse(s) for s in
+                ["HZ1:ab", "HZ2:bc", "DUAN:ac", "TRI_HZ1:bca", "TRI_SYM"]]
+        raw, _ = witness_grid(wids, [psi0], params, [0.0])
+        assert np.all(np.abs(raw) < 1e-9)
 
     def test_matches_closed_form_at_small_g(self):
         g = 0.005
@@ -233,11 +245,12 @@ class TestOracleWitness:
         psi = evolve_grid(H, psi0, [t])[0]
         coeffs = coefficients(params, t)
         f2s = abs(coeffs.f2) ** 2
-        for label in ["HZ1:ab", "HZ1:bc", "HZ2:ac", "HZ1:ab:2,1", "HZ2:bc:1,2",
-                      "DUAN:ab", "TRI_HZ1:abc", "TRI_SYM"]:
-            wid = WitnessId.parse(label)
-            ov = oracle_witness(wid, psi, params, t)
+        wids = [WitnessId.parse(s) for s in
+                ["HZ1:ab", "HZ1:bc", "HZ2:ac", "HZ1:ab:2,1", "HZ2:bc:1,2",
+                 "DUAN:ab", "TRI_HZ1:abc", "TRI_SYM"]]
+        for wid, ov in zip(wids, witness_grid(wids, [psi], params, [t])[0][:, 0]):
             pv = evaluate(wid, coeffs, SMALL_INPUT)
+            label = wid.label()
             # a wrong closed-form term would miss by O(|f2|²·poly), 30-100x this
             scale = max(abs(ov), abs(pv), f2s)
             assert abs(ov - pv) < 5e-3 * scale, label
@@ -253,21 +266,23 @@ class TestOracleWitness:
         states = evolve_grid(H, psi0, times)
         wids = [WitnessId.parse(s) for s in certification_witnesses()]
         assert len(wids) == 31
-        grid = witness_grid(wids, states, params, times)
-        assert grid.shape == (31, 37)
+        grid, totals = witness_grid(wids, states, params, times)
+        assert grid.shape == (31, 37) and totals.shape == (4, 37)
         for i, wid in enumerate(wids):
-            want = [oracle_witness(wid, psi, params, t) for psi, t in zip(states, times)]
+            want = [witness_grid([wid], [psi], params, [t])[0][0, 0]
+                    for psi, t in zip(states, times)]
             assert np.allclose(grid[i], want, rtol=1e-12, atol=1e-12), wid.label()
 
     @pytest.mark.parametrize("labels, distinct", [
-        (presets()["fig2"].witnesses, 15),
-        (certification_witnesses(), 52),
+        (presets()["fig2"].witnesses, 16),
+        (certification_witnesses(), 53),
     ])
     def test_grid_computes_each_moment_once_per_chunk(self, monkeypatch,
                                                       labels, distinct):
         """witness_grid makes one ``moments`` call per chunk of states, each
-        carrying every distinct moment once, and its values still equal
-        per-state evaluation."""
+        carrying every distinct moment once, ⟨1⟩ and the three number
+        moments included, and its values still equal per-state
+        evaluation."""
         params, _, psi0, H = small_setup()
         times = np.linspace(0.0, 3.0, 37)
         chunks = -(-len(times) // TIME_CHUNK)
@@ -281,15 +296,133 @@ class TestOracleWitness:
             return moments(psi, specs)
 
         monkeypatch.setattr(oracle_mod, "moments", recording)
-        grid = witness_grid(wids, states, params, times)
+        grid, _ = witness_grid(wids, states, params, times)
         assert [shape[0] for shape, _ in calls] == [TIME_CHUNK, TIME_CHUNK, 5]
         for _, specs in calls:
             assert len(specs) == len(set(specs)) == distinct
             assert specs == calls[0][1]
         monkeypatch.undo()
         for i, wid in enumerate(wids):
-            want = [oracle_witness(wid, psi, params, t) for psi, t in zip(states, times)]
+            want = [witness_grid([wid], [psi], params, [t])[0][0, 0]
+                    for psi, t in zip(states, times)]
             assert np.allclose(grid[i], want, rtol=1e-12, atol=1e-12), wid.label()
+
+
+class TestRun:
+    WIDS = [WitnessId.parse(s) for s in certification_witnesses()]
+    TIMES = [0.0, 0.5, 1.0, *np.linspace(1.5, 4.0, 20)]
+
+    @pytest.mark.parametrize("step", [0.0, 1e-4])
+    def test_drifts_match_numpy_reference(self, monkeypatch, step):
+        """run's norm and charge drifts equal a per-state numpy sum over |ψ|²
+        of the states evolve_grid returns, taken from ψ0, to 1e-13.  With
+        ``step`` > 0 the k-th state is scaled by 1 + step·(k + 1) on its way
+        from evolve_grid (the module global that run calls), so the drifts
+        read well above roundoff; the grid leaves out t = 0, so no state is
+        ψ0 itself."""
+        params = ModelParams.from_detuning(-3.0, 0.4)
+        seen = []
+
+        def scaled(H, psi0, times):
+            states = [FockStateVector(s.amplitudes * (1 + step * (k + 1)), s.basis)
+                      for k, s in enumerate(evolve_grid(H, psi0, times))]
+            seen.append((psi0, states))
+            return states
+
+        monkeypatch.setattr(oracle_mod, "evolve_grid", scaled)
+        _, diag = run(self.WIDS[:3], params, SMALL_INPUT, self.TIMES[1:])
+        (psi0, states), = seen
+        _, q1_0, q2_0 = norm_and_charges(psi0)
+        ref = np.array([norm_and_charges(s) for s in states])
+        want = {"norm_drift": np.max(np.abs(ref[:, 0] - 1.0)),
+                "q1_drift": np.max(np.abs(ref[:, 1] - q1_0)),
+                "q2_drift": np.max(np.abs(ref[:, 2] - q2_0))}
+        assert diag["clipped_transitions"] > 0
+        for key, value in want.items():
+            assert abs(diag[key] - value) <= 1e-13, key
+        if step:
+            assert want["norm_drift"] > 1e-3
+
+    def test_witness_grid_raw_run_clamped_at_t0(self):
+        """witness_grid returns t = 0 values as computed; run returns the same
+        values with those at t = 0 raised to 0."""
+        params = ModelParams.from_detuning(-3.0, 0.4)
+        values, diag = run(self.WIDS, params, SMALL_INPUT, self.TIMES)
+        psi0 = coherent_state(FockBasis(diag["cutoffs"]), SMALL_INPUT)
+        states = evolve_grid(build_hamiltonian(params, psi0.basis), psi0, self.TIMES)
+        raw, _ = witness_grid(self.WIDS, states, params, self.TIMES)
+        assert raw[:, 0].min() < 0.0
+        assert np.array_equal(values[:, 0], np.maximum(raw[:, 0], 0.0))
+        assert np.array_equal(values[:, 1:], raw[:, 1:])
+
+    def test_compare_reports_the_largest_drift_over_rungs(self, monkeypatch):
+        """compare's diagnostics have exactly run's keys, each drift the
+        largest of the rungs' and the rest as on every rung.  Each rung's
+        drifts are replaced on their way from run (the module global that
+        compare calls), so that each key peaks on a different rung."""
+        drifts = {"norm_drift": (3.0, 1.0, 2.0), "q1_drift": (1.0, 3.0, 2.0),
+                  "q2_drift": (1.0, 2.0, 3.0)}
+        rungs = []
+
+        def marked(*args):
+            values, diag = run(*args)
+            diag.update({k: v[len(rungs)] for k, v in drifts.items()})
+            rungs.append(diag)
+            return values, diag
+
+        monkeypatch.setattr(oracle_mod, "run", marked)
+        ladder = [ModelParams.from_detuning(-3.0, 0.3 / 2 ** k) for k in range(3)]
+        res = compare(self.WIDS[:4], ladder, SMALL_INPUT, [0.5, 1.0])
+        assert len(rungs) == 3
+        assert res.diagnostics == {**rungs[0], "norm_drift": 3.0, "q1_drift": 3.0,
+                                   "q2_drift": 3.0}
+        assert set(res.diagnostics) == {"cutoffs", "dimension", "clipped_transitions",
+                                        "norm_drift", "q1_drift", "q2_drift"}
+
+
+class TestResonantCertification:
+    def test_floor_follows_f2(self):
+        """At Δω₁ = 0 the floor is the amplitude polynomial times the
+        smallest rung's |f2(t)|² = (2gt)², per grid time; at t = 0 it stays
+        at roundoff, so rel_err is finite there."""
+        ladder = [ModelParams.from_detuning(0.0, 0.3 / 2 ** k) for k in range(3)]
+        times = [0.0, 0.25, 0.5]
+        res = compare(TestRun.WIDS, ladder, SMALL_INPUT, times)
+        g = ladder[-1].g
+        aa, bb, cc = (abs(z) ** 2 for z in (SMALL_INPUT.alpha, SMALL_INPUT.beta,
+                                            SMALL_INPUT.gamma))
+        poly = (1 + aa) * (1 + bb) * (1 + cc) * (1 + aa + bb + cc)
+        floor = oracle_mod._error_floor(g, 0.0, SMALL_INPUT,
+                                        coefficients(ladder[-1], times).f2)
+        assert floor[1:] == pytest.approx(poly * (2 * g * np.array(times[1:])) ** 2,
+                                          rel=1e-12)
+        assert 0.0 < floor[0] < 1e-13
+        errs = np.abs(res.oracle[-1] - res.perturbative[-1])
+        assert np.array_equal(res.rel_err, errs / np.maximum(np.abs(res.oracle[-1]), floor))
+        assert np.isfinite(res.rel_err).all()
+
+    def test_certification_report_at_resonance(self):
+        """`fwm compare --params.delta_omega1 0 --input.phi '[0.0]'`: with
+        the floor at (2gt)² scale, 11 of 31 witnesses exceed 1e-3, the worst
+        HZ2:ab:3,1 at 1.07e-2 (a floor without t passed all 31).  The report
+        is strict JSON and carries the oracle diagnostics."""
+        cfg = default_compare_config()
+        cfg = dataclasses.replace(
+            cfg, params=dataclasses.replace(cfg.params, delta_omega1=0.0),
+            input=dataclasses.replace(cfg.input, phi=(0.0,)))
+        report = run_compare(cfg)
+        json.dumps(report, allow_nan=False)
+        merged = report["witnesses"]
+        failed = sorted(k for k, s in merged.items() if not s["passed"])
+        assert len(failed) == 11, failed
+        worst = max(merged, key=lambda k: merged[k]["max_rel_err"])
+        assert worst == "HZ2:ab:3,1"
+        assert merged[worst]["max_rel_err"] == pytest.approx(1.07e-2, rel=0.01)
+        (per,) = report["per_phi"].values()
+        assert set(per["diagnostics"]) == {"cutoffs", "dimension", "clipped_transitions",
+                                           "norm_drift", "q1_drift", "q2_drift"}
+        assert max(per["diagnostics"][k] for k in ("norm_drift", "q1_drift",
+                                                   "q2_drift")) <= 1e-9
 
 
 class TestCompare:
@@ -333,7 +466,7 @@ class TestCompare:
                                       evaluate(wid, coeffs, SMALL_INPUT))
         log_g = np.log([p.g for p in ladder])
         floor = oracle_mod._error_floor(ladder[-1].g, ladder[0].delta_omega1,
-                                        SMALL_INPUT)
+                                        SMALL_INPUT, coefficients(ladder[-1], times).f2)
         eps_gate = 100.0 * np.finfo(float).eps
         gated = 0
         for i in range(len(wids)):

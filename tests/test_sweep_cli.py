@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from fwm import cli
 from fwm.fockspace import FockBasis, coherent_state, cutoffs_for
 from fwm.model import ModelParams
-from fwm.oracle import oracle_witness
+from fwm.oracle import witness_grid
 from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, OracleSpec, ParamsSpec,
                        RunConfig, Series, UsageError, apply_overrides,
                        default_compare_config, presets, rows_to_csv,
@@ -206,8 +207,9 @@ class TestRunSweep:
         for phi in cfg.input.phi:
             inp = cfg.input.coherent(phi)
             psi0 = coherent_state(FockBasis(cutoffs_for(inp)), inp)
-            for wid in cfg.witness_ids():
-                assert abs(oracle_witness(wid, psi0, params, 0.0)) <= 1e-11, wid.label()
+            raw, _ = witness_grid(cfg.witness_ids(), [psi0], params, [0.0])
+            for wid, value in zip(cfg.witness_ids(), raw[:, 0]):
+                assert abs(value) <= 1e-11, wid.label()
 
     def test_csv_and_json_rows_agree(self):
         """Both writers give the same rows in the same order, and
@@ -346,9 +348,15 @@ class TestRunCompare:
             assert s["exponent_min"] is None or s["exponent_min"] >= 2.3, (label, s)
 
 
+# child interpreters import the fwm these tests import, installed or not
+SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "fwm.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
 
 
 class TestCli:
@@ -446,7 +454,8 @@ class TestCli:
                   "contextlib.redirect_stderr(io.StringIO()):\n"
                   "        assert fwm.cli.main(argv) == 0, argv\n"
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=CHILD_ENV)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
