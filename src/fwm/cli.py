@@ -102,8 +102,10 @@ def _parse_overrides(extra: list[str]) -> dict:
     return out
 
 
-def _base_config(args, default=None) -> dict:
-    """The config dict of ``--config``, ``--preset`` or ``default``."""
+def _load_config(args, overrides, default=None) -> RunConfig:
+    """The config of ``--config``, ``--preset`` or ``default``, with the
+    dotted overrides and then the flags applied, so flags win over dotted
+    overrides of the same field."""
     if args.config and args.preset:
         raise UsageError("give either --config or --preset, not both")
     if args.config:
@@ -112,6 +114,8 @@ def _base_config(args, default=None) -> dict:
                 base = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
+        if not isinstance(base, dict):     # before any override indexes it
+            raise UsageError(f"config must be a JSON object, got {base!r}")
     elif args.preset:
         avail = presets()
         if args.preset not in avail:
@@ -122,21 +126,10 @@ def _base_config(args, default=None) -> dict:
         base = default.to_dict()
     else:
         raise UsageError("need --config or --preset")
-    return base
-
-
-def _with_overrides(args, overrides, base: dict) -> dict:
-    """``base`` with the dotted overrides and then the flags applied, so
-    flags win over dotted overrides of the same field."""
     flags = {"oracle.enabled": getattr(args, "oracle", False) or None,
              "output.format": args.format, "output.path": args.out}
-    return apply_overrides(base, {**overrides, **{k: v for k, v in flags.items()
-                                                  if v is not None}})
-
-
-def _load_config(args, overrides, default=None) -> RunConfig:
-    return RunConfig.from_dict(_with_overrides(args, overrides,
-                                               _base_config(args, default)))
+    return RunConfig.from_dict(apply_overrides(
+        base, {**overrides, **{k: v for k, v in flags.items() if v is not None}}))
 
 
 def _emit(text: str, path: str | None):
@@ -153,10 +146,10 @@ def _emit(text: str, path: str | None):
 def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     series, summary = run_sweep(cfg)
-    if cfg.output.format == "csv":
-        _emit(rows_to_csv(series), cfg.output.path)
-    else:
+    if cfg.output.format == "json":
         _emit(rows_to_json(series, summary), cfg.output.path)
+    else:
+        _emit(rows_to_csv(series), cfg.output.path)
     n_witness = len(cfg.witnesses)
     sys.stderr.write(f"{n_witness} witnesses evaluated\n")
     for (label, phi), onset in summary.items():
@@ -166,14 +159,9 @@ def _cmd_sweep(args, overrides) -> int:
 
 
 def _cmd_compare(args, overrides) -> int:
-    base = _base_config(args, default=default_compare_config())
-    if args.preset:     # every preset carries the sweep's csv format, not a request
-        base["output"].pop("format", None)
-    d = _with_overrides(args, overrides, base)
-    cfg = RunConfig.from_dict(d)
-    fmt = d.get("output", {}).get("format", "json")
-    if fmt != "json":
-        raise UsageError(f"compare writes a JSON report only, not --format {fmt}")
+    cfg = _load_config(args, overrides, default=default_compare_config())
+    if cfg.output.format not in (None, "json"):
+        raise UsageError(f"compare writes a JSON report only, not --format {cfg.output.format}")
     report = run_compare(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     _emit(text + "\n", cfg.output.path)
@@ -216,9 +204,9 @@ def _coefficient_defect(params: ModelParams, t: float) -> float:
 
 
 def _cmd_check(args, overrides) -> int:
-    if args.format is not None:
-        raise UsageError(f"check writes a text report only, not --format {args.format}")
     cfg = _load_config(args, overrides, default=presets()["fig2"])
+    if cfg.output.format is not None:
+        raise UsageError(f"check writes a text report only, not --format {cfg.output.format}")
     try:
         cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
     except ValueError:

@@ -29,6 +29,8 @@ import numpy as np
 from .model import CoherentInput, ConfigError
 
 MAX_MOMENT_ORDER = 12
+CUTOFF_TAIL = 1e-12              # coherent tail mass `cutoffs_for` leaves out per mode
+CUTOFF_HEADROOM = (4, 2, 2)      # occupations `cutoffs_for` adds above that tail
 
 
 class CutoffError(ConfigError):
@@ -93,17 +95,16 @@ def coherent_amplitudes(cutoff: int, z: complex) -> tuple[np.ndarray, float]:
     return amps, tail
 
 
-def cutoffs_for(inp: CoherentInput, tail: float = 1e-12,
-                headroom: tuple[int, int, int] = (4, 2, 2)) -> tuple[int, int, int]:
-    """Smallest cutoffs keeping each mode's coherent tail below ``tail``,
-    plus headroom for the interaction (two pump quanta move per event)."""
+def cutoffs_for(inp: CoherentInput) -> tuple[int, int, int]:
+    """Smallest cutoffs keeping each mode's coherent tail below CUTOFF_TAIL,
+    plus CUTOFF_HEADROOM for the interaction (two pump quanta move per event)."""
     out = []
-    for z, extra in zip((inp.alpha, inp.beta, inp.gamma), headroom):
+    for z, extra in zip((inp.alpha, inp.beta, inp.gamma), CUTOFF_HEADROOM):
         n = max(2, math.ceil(min(abs(z), 1e100) ** 2))   # capped as in coherent_amplitudes
-        while n <= 10_000 and coherent_amplitudes(n, z)[1] >= tail:
+        while n <= 10_000 and coherent_amplitudes(n, z)[1] >= CUTOFF_TAIL:
             n += 1
         if n > 10_000:
-            raise CutoffError(f"no cutoff below 10000 reaches tail {tail}")
+            raise CutoffError(f"no cutoff below 10000 reaches tail {CUTOFF_TAIL}")
         out.append(n + extra)
     return tuple(out)
 

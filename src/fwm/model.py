@@ -42,7 +42,7 @@ class ModelParams:
     g: float
 
     def __post_init__(self):
-        for name in ("omega_a", "omega_b", "omega_c", "g"):
+        for name in ("omega_a", "omega_b", "omega_c", "g", "delta_omega1"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
@@ -121,7 +121,7 @@ class PerturbativeCoefficients:
     t: float
 
 
-def _ramp(x, series=None):
+def _ramp(x):
     """(1 − e^{ix}) / x elementwise, series branch below the switchover.
 
     Equals −i at x = 0.  The closed form uses 1 − e^{ix} =
@@ -129,8 +129,7 @@ def _ramp(x, series=None):
     branch sees only its own elements (the other slots hold 0 or 1), so the
     closed form never divides by zero.
     """
-    if series is None:
-        series = np.abs(x) < SERIES_SWITCHOVER
+    series = np.abs(x) < SERIES_SWITCHOVER
     xs = np.where(series, x, 0.0)
     xc = np.where(series, 1.0, x)
     s = np.sin(0.5 * xc)
@@ -138,15 +137,14 @@ def _ramp(x, series=None):
                     (2.0 * s * s - 1j * np.sin(xc)) / xc)
 
 
-def _ramp2(x, series=None):
+def _ramp2(x):
     """(1 − e^{ix} + ix) / x² elementwise, series branch below the switchover.
 
     Equals 1/2 at x = 0.  The imaginary part (x − sin x)/x² loses relative
     accuracy near the switchover but stays ~1e-12 below the dominant real
     part there, keeping the whole value accurate to ~1e-12.
     """
-    if series is None:
-        series = np.abs(x) < SERIES_SWITCHOVER
+    series = np.abs(x) < SERIES_SWITCHOVER
     xs = np.where(series, x, 0.0)
     xc = np.where(series, 1.0, x)
     s = np.sin(0.5 * xc)
@@ -154,15 +152,13 @@ def _ramp2(x, series=None):
                     (2.0 * s * s + 1j * (xc - np.sin(xc))) / (xc * xc))
 
 
-def coefficients(params: ModelParams, t, _force_series: bool | None = None
-                 ) -> PerturbativeCoefficients:
+def coefficients(params: ModelParams, t) -> PerturbativeCoefficients:
     """Evaluate all fifteen coefficients at a time t ≥ 0 or an array of them.
 
     Every field is an array over ``t`` for array input and a scalar for a
     scalar ``t``.  The resonant case Δω₁ → 0 is handled by the series branch
     of the ramp helpers, not by an error.  Raises ConfigError when any phase
-    ω·t or Δω₁·t, or any coefficient, is not finite.  ``_force_series``
-    overrides branch selection (used by the branch-continuity tests only).
+    ω·t or Δω₁·t, or any coefficient, is not finite.
     """
     t = np.asarray(t, dtype=float)[()]
     if np.any(t < 0):
@@ -182,11 +178,11 @@ def coefficients(params: ModelParams, t, _force_series: bool | None = None
     # g2 = −(g/Δω₁) g1 (1 − e^{−iΔω₁t})     = g·t·g1·ramp(−Δω₁t)
     # g3 = −(g/Δω₁)(g2 + igt g1)            = g²t²·g1·ramp2(−Δω₁t)
     with np.errstate(over="ignore", invalid="ignore"):
-        rp = _ramp(x, _force_series)
-        rm = _ramp(-x, _force_series)
-        r2m = _ramp2(-x, _force_series)
+        rp = _ramp(x)
+        rm = _ramp(-x)
+        r2m = _ramp2(-x)
         f2 = 2.0 * g * t * f1 * rp
-        f3 = 4.0 * g * g * t * t * f1 * _ramp2(x, _force_series)
+        f3 = 4.0 * g * g * t * t * f1 * _ramp2(x)
         g2 = g * t * g1 * rm
         g3 = g * g * t * t * g1 * r2m
         h2 = g * t * h1 * rm

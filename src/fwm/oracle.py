@@ -58,20 +58,23 @@ class Hamiltonian:
         return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim))
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflow is checked below
 def build_hamiltonian(params: ModelParams, basis: FockBasis) -> Hamiltonian:
     """Hermitian H = diag(ω·n) + g(a²b†c† + h.c.) from the truncated ladders
     of ``fockspace.ladders``.
 
     The truncated b† and c† drop every interaction transition that would
     leave the basis (counted in ``clipped_transitions``), so H still commutes
-    exactly with the conserved charges n_a + 2n_b and n_b − n_c.
-    """
+    exactly with the conserved charges n_a + 2n_b and n_b − n_c.  A weight
+    that overflows raises ConfigError."""
     a, b, c = ladders(basis)
     pump = a @ a @ b.H @ c.H                          # a²b†c†
     na, nb, nc = np.indices(basis.shape)
     energy = params.omega_a * na + params.omega_b * nb + params.omega_c * nc
     H = ShiftOperator({(0, 0, 0): energy.astype(np.complex128)}) \
         + params.g * (pump + pump.H)
+    if not all(np.isfinite(w).all() for w in H.values()):
+        raise ConfigError(f"Hamiltonian weights overflow at g = {params.g!r}")
     clipped = np.count_nonzero(na >= 2) - np.count_nonzero(pump.entries(basis.shape)[2])
     return Hamiltonian(shifts=H, basis=basis, clipped_transitions=int(clipped))
 
@@ -285,20 +288,26 @@ def _error_floor(g: float, delta: float, inp: CoherentInput, f2):
     """|f2|²-scale floor for relative agreement checks: a fixed
     amplitude-polynomial bound times the largest |f2|² over t, 4(2g/Δω₁)².
     At Δω₁ = 0, |f2(t)|² = (2gt)² has no largest value, so the bound is
-    taken per time from ``f2``, the coefficient at each grid time, and
-    kept at or above unit roundoff, so that t = 0 never divides 0 by 0."""
+    taken per time from ``f2`` and kept at or above unit roundoff, so that
+    an underflowed (2gt)² never divides 0 by 0.  Raises ConfigError when
+    4(2g/Δω₁)² overflows."""
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
     poly = (1 + aa) * (1 + bb) * (1 + cc) * (1 + aa + bb + cc)
     if delta == 0.0:
         return poly * np.maximum(np.abs(f2) ** 2, np.finfo(float).eps)
-    return 4.0 * (2.0 * g / delta) ** 2 * poly
+    with np.errstate(over="ignore"):    # a numpy power gives inf where ** raises
+        floor = 4.0 * np.float64(2.0 * g / delta) ** 2 * poly
+    if not np.isfinite(floor):
+        raise ConfigError(f"4(2g/delta_omega1)^2 overflows at delta_omega1 = {delta!r}")
+    return floor
 
 
 def compare(wids, params_ladder, inp: CoherentInput, times,
             cutoffs: tuple[int, int, int] | None = None) -> CompareResult:
     """Certify closed forms against the oracle over a g-halving ladder.
 
-    ``params_ladder`` must share the detuning and descend in g > 0 (≥ 3 rungs).
+    ``params_ladder`` must share the detuning and descend in g > 0 (≥ 3 rungs);
+    ``times`` must be positive, as both sides vanish at t = 0 up to roundoff.
     The exponent at each (witness, time) is the least-squares slope of
     ln|err| vs ln g, fitted for all points in one ``np.polyfit`` call; it is
     NaN unless every rung's error is above 100× unit roundoff.  The
@@ -314,6 +323,8 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     if any(p.g <= 0.0 for p in ladder):
         raise ConfigError("ladder rungs need coupling g > 0")
     times = tuple(float(t) for t in times)
+    if not all(t > 0.0 for t in times):
+        raise ConfigError(f"compare certifies times t > 0 only, got {times!r}")
 
     shape = (len(ladder), len(wids), len(times))
     oracle_vals, pert_vals = np.empty(shape), np.empty(shape)

@@ -96,13 +96,13 @@ def eom_residual(params: ModelParams, t: float, cutoffs) -> float:
 
 
 def residual_scaling_slope(params: ModelParams, t: float, cutoffs,
-                           kind: str = "etcr", rungs: int = 3) -> float:
-    """Log-log slope of the residual over a g-halving ladder (expect ≈ 3);
-    ``kind`` is "etcr" or "eom"."""
+                           kind: str = "etcr") -> float:
+    """Log-log slope of the residual over the couplings g, g/2, g/4
+    (expect ≈ 3); ``kind`` is "etcr" or "eom"."""
     fn = {"etcr": etcr_residual, "eom": eom_residual}.get(kind)
     if fn is None:
         raise ConfigError(f"unknown residual kind {kind!r}; expected etcr or eom")
-    gs = [params.g / 2 ** k for k in range(rungs)]
+    gs = [params.g / 2 ** k for k in range(3)]
     vals = [fn(dataclasses.replace(params, g=g), t, cutoffs) for g in gs]
     if min(vals) <= 0.0:
         return float("inf")

@@ -137,13 +137,15 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
+    """With no ``format``, sweep writes CSV, compare JSON and check text."""
+
     path: str | None = None
-    format: str = "csv"
+    format: str | None = None
 
     def __post_init__(self):
         if self.path is not None and not isinstance(self.path, str):
             raise UsageError(f"output.path must be a string, got {self.path!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in (None, "csv", "json"):
             raise UsageError(f"output.format must be csv or json, got {self.format!r}")
 
 
@@ -399,7 +401,7 @@ def _compare_phi_task(args):
     config, phi = args
     synth, inp = _oracle_phi_payload(config, phi)
     g0 = synth.g
-    ladder = [ModelParams.from_detuning(synth.delta_omega1, g0 / 2 ** k)
+    ladder = [ModelParams.from_detuning(synth.delta_omega1, g0 * 0.5 ** k)
               for k in range(config.oracle.ladder_rungs)]
     times = [float(gt / g0) for gt in config.gt_grid.values() if gt > 0.0]
     return oracle_mod.compare(config.witness_ids(), ladder, inp, times,

@@ -6,6 +6,7 @@ though the genuine third-order truncation error of the cross-term-dominated
 witnesses measures 1.4e-3 to 5.1e-2 at the smallest rung under the pinned
 settings (see the failure message for the live numbers).
 """
+import dataclasses
 import math
 import sys
 
@@ -188,6 +189,33 @@ def test_criterion_5_figure_sign_patterns():
     _report("criterion 5 (figure sign patterns over the full grid)", ok,
             "all 4 presets" if ok else f"failing: {failures[:6]}")
     assert ok, failures
+
+
+def test_fig2_oracle_disagreement():
+    """Closed-form vs oracle ``entangled`` flags of the fig2 witnesses at
+    phi = 0 on the first 31 points of the fig2 grid (gt <= 0.1*30/399), at
+    the full figure amplitudes (basis dimension 110 376).  The flags differ
+    only for HZ1:ab from k = 22, HZ1:ac from k = 19 (the oracle is entangled
+    there and the closed form never is) and HZ2:bc at k = 25: the first
+    differences of the full 400-point grid."""
+    fig2 = presets()["fig2"]
+    cfg = dataclasses.replace(
+        fig2, input=dataclasses.replace(fig2.input, phi=(0.0,)),
+        gt_grid=GtGrid(start=0.0, stop=0.1 * 30 / 399, count=31),
+        oracle=OracleSpec(enabled=True))
+    flags = {}
+    for s in run_sweep(cfg)[0]:
+        flags.setdefault(s.witness.label(), {})[s.source] = s.value < 0.0
+    differ = {label: np.flatnonzero(f["perturbative"] != f["oracle"]).tolist()
+              for label, f in flags.items()}
+    want = {label: [] for label in fig2.witnesses}
+    want.update({"HZ1:ab": [22, 23, 24, 25], "HZ1:ac": [19, 20, 21, 22, 23, 24],
+                 "HZ2:bc": [25]})
+    ok = differ == want and not flags["HZ1:ac"]["perturbative"].any()
+    _report("fig2 oracle disagreement (phi = 0, first 31 grid points)", ok,
+            ", ".join(f"{k} from gt={cfg.gt_grid.values()[v[0]]:.3g}"
+                      for k, v in differ.items() if v))
+    assert ok, differ
 
 
 @pytest.fixture(scope="module")

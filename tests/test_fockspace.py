@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from fwm.fockspace import (MAX_MOMENT_ORDER, CutoffError, FockBasis,
-                           FockStateVector, MomentSpec, coherent_amplitudes,
+from fwm.fockspace import (CUTOFF_HEADROOM, CUTOFF_TAIL, MAX_MOMENT_ORDER,
+                           CutoffError, FockBasis, FockStateVector,
+                           MomentSpec, coherent_amplitudes,
                            coherent_state, cutoffs_for, edge_population,
                            moments)
 from fwm.model import CoherentInput, ConfigError
@@ -51,10 +52,10 @@ class TestCoherentState:
 
     def test_cutoff_policy_reaches_tail(self):
         inp = CoherentInput(1.2 * np.exp(0.5j), 0.9, 0.6)
-        cut = cutoffs_for(inp, tail=1e-12, headroom=(0, 0, 0))
-        for z, c in zip((inp.alpha, inp.beta, inp.gamma), cut):
-            _, tail = coherent_amplitudes(c, z)
-            assert tail < 1e-12
+        cut = cutoffs_for(inp)
+        for z, c, extra in zip((inp.alpha, inp.beta, inp.gamma), cut, CUTOFF_HEADROOM):
+            _, tail = coherent_amplitudes(c - extra, z)
+            assert tail < CUTOFF_TAIL
 
     def test_poisson_statistics(self):
         basis = FockBasis((16, 4, 4))

@@ -1,10 +1,12 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwm import model
 from fwm.model import (SERIES_SWITCHOVER, CoherentInput, ConfigError,
                        ModelParams, coefficient_derivatives, coefficients)
 
@@ -12,6 +14,16 @@ FIG_PARAMS = ModelParams(242.38e13, 36.05e13, 448.98e13, 2.7e9)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 small_pos = st.floats(min_value=1e-6, max_value=5.0, allow_nan=False)
+
+
+def branch_pair(p, t):
+    """The coefficients from the closed-form branch and from the series
+    branch, each forced by moving the switchover to 0 or to infinity."""
+    with mock.patch.object(model, "SERIES_SWITCHOVER", 0.0):
+        exact = coefficients(p, t)
+    with mock.patch.object(model, "SERIES_SWITCHOVER", math.inf):
+        series = coefficients(p, t)
+    return exact, series
 
 
 def coeff_tuple(c):
@@ -118,8 +130,7 @@ class TestResonantLimit:
         # non-degenerate branch at Δω₁·t = 1e-4 vs series branch: ≤ 1e-8 rel
         g, t = 0.8, 1.0
         p = ModelParams.from_detuning(1e-4 / t, g)
-        exact = coefficients(p, t, _force_series=False)
-        series = coefficients(p, t, _force_series=True)
+        exact, series = branch_pair(p, t)
         for ve, vs in zip(coeff_tuple(exact), coeff_tuple(series)):
             assert ve == pytest.approx(vs, rel=1e-8)
 
@@ -128,8 +139,7 @@ class TestResonantLimit:
            sign=st.sampled_from([-1.0, 1.0]))
     def test_branch_continuity_at_switchover(self, g, t, sign):
         p = ModelParams.from_detuning(sign * SERIES_SWITCHOVER / t, g)
-        exact = coefficients(p, t, _force_series=False)
-        series = coefficients(p, t, _force_series=True)
+        exact, series = branch_pair(p, t)
         for ve, vs in zip(coeff_tuple(exact), coeff_tuple(series)):
             assert ve == pytest.approx(vs, rel=1e-10, abs=1e-300)
 

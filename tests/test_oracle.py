@@ -383,10 +383,9 @@ class TestRun:
 class TestResonantCertification:
     def test_floor_follows_f2(self):
         """At Δω₁ = 0 the floor is the amplitude polynomial times the
-        smallest rung's |f2(t)|² = (2gt)², per grid time; at t = 0 it stays
-        at roundoff, so rel_err is finite there."""
+        smallest rung's |f2(t)|² = (2gt)², per grid time."""
         ladder = [ModelParams.from_detuning(0.0, 0.3 / 2 ** k) for k in range(3)]
-        times = [0.0, 0.25, 0.5]
+        times = [0.25, 0.5]
         res = compare(TestRun.WIDS, ladder, SMALL_INPUT, times)
         g = ladder[-1].g
         aa, bb, cc = (abs(z) ** 2 for z in (SMALL_INPUT.alpha, SMALL_INPUT.beta,
@@ -394,9 +393,7 @@ class TestResonantCertification:
         poly = (1 + aa) * (1 + bb) * (1 + cc) * (1 + aa + bb + cc)
         floor = oracle_mod._error_floor(g, 0.0, SMALL_INPUT,
                                         coefficients(ladder[-1], times).f2)
-        assert floor[1:] == pytest.approx(poly * (2 * g * np.array(times[1:])) ** 2,
-                                          rel=1e-12)
-        assert 0.0 < floor[0] < 1e-13
+        assert floor == pytest.approx(poly * (2 * g * np.array(times)) ** 2, rel=1e-12)
         errs = np.abs(res.oracle[-1] - res.perturbative[-1])
         assert np.array_equal(res.rel_err, errs / np.maximum(np.abs(res.oracle[-1]), floor))
         assert np.isfinite(res.rel_err).all()
@@ -447,6 +444,14 @@ class TestCompare:
             ladder = [ModelParams.from_detuning(-3.0, g) for g in gs]
             with pytest.raises(ConfigError, match="g > 0"):
                 compare(wids, ladder, SMALL_INPUT, [0.5])
+
+    @pytest.mark.parametrize("delta", [-3.0, 0.0])
+    def test_nonpositive_time_rejected(self, delta):
+        """Both sides are 0 at t = 0 up to roundoff, so compare certifies
+        t > 0 only: a grid holding t = 0 is refused before any propagation."""
+        with pytest.raises(ConfigError, match="t > 0"):
+            compare([WitnessId.parse("HZ1:ab")], self._ladder(delta=delta),
+                    SMALL_INPUT, [0.0, 0.5])
 
     def test_arrays_match_per_point_fit(self):
         """The one-call ladder fit equals np.polyfit point by point, bit for

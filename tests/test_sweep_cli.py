@@ -571,6 +571,24 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, needle, "finite")
         assert out == ""
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("compare", "--params.g", "1e308"), "Hamiltonian weights overflow"),
+        (("compare", "--params.delta_omega1", "-1e-160"), "delta_omega1 = -1e-160"),
+        (("compare", "--oracle.ladder_rungs", "1100"), "g > 0"),
+        (("check", "--preset", "fig2", "--params.omega_a", "1e308"),
+         "delta_omega1 must be finite"),
+    ])
+    def test_overflowing_compare_or_check_is_one_line_usage_error(self, argv, needle,
+                                                                  tmp_path):
+        """An H weight g·√n overflows, the agreement floor (2g/Δω₁)² overflows,
+        a ladder rung g/2^k underflows to 0, or the detuning 2ω_a − ω_b − ω_c
+        overflows: one line, no output written."""
+        f = tmp_path / "out.json"
+        code, out, err = main_in_process(*argv, "--input.phi", "0", "--gt_grid.count",
+                                         "2", "--out", str(f))
+        assert_one_line_usage_error(code, err, needle)
+        assert out == "" and not f.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("preset, flag, value, needle", [
         ("fig3", "--input.alpha_abs", "1e40", "HZ1:ab:2,1 values"),
@@ -648,6 +666,23 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, "--format")
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("source", ["--output.format", "--config"])
+    def test_check_format_from_config_is_one_line_usage_error(self, source, fmt,
+                                                              tmp_path):
+        """A format from a dotted override or a --config file is refused like
+        the flag, before anything is written."""
+        argv = (source, fmt)
+        if source == "--config":
+            cfg = {**presets()["fig2"].to_dict(), "output": {"format": fmt}}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            argv = (source, str(path))
+        f = tmp_path / "check.txt"
+        code, out, err = main_in_process("check", *argv, "--out", str(f))
+        assert_one_line_usage_error(code, err, "check writes a text report only")
+        assert out == "" and not f.exists()
+
     @pytest.mark.parametrize("field, value", [("tolerance", 1e-10), ("method", "rk4")])
     def test_removed_oracle_fields_rejected(self, field, value, tmp_path):
         code, _, err = main_in_process("compare", f"--oracle.{field}", json.dumps(value))
@@ -716,6 +751,18 @@ class TestCliBoundary:
         code, out, err = main_in_process("sweep", "--config", str(path))
         assert_one_line_usage_error(code, err, f"{section} must be a JSON object")
         assert out == ""
+
+    @pytest.mark.parametrize("extra", [("--out", "x.csv"), ("--workers", "2")])
+    def test_non_object_config_with_overrides_is_one_line_usage_error(
+            self, extra, tmp_path, monkeypatch):
+        """A config that is no JSON object is refused with one line before
+        any override or flag is applied to it."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        code, out, err = main_in_process("sweep", "--config", str(path), *extra)
+        assert_one_line_usage_error(code, err, "config must be a JSON object")
+        assert out == "" and not (tmp_path / "x.csv").exists()
 
     def test_compare_zero_coupling_is_one_line_usage_error(self, tmp_path):
         """g = 0 gives no ladder to certify: one line, no report written."""
@@ -830,6 +877,27 @@ class TestCliBoundary:
             assert code == 0 and out == ""
             assert set(json.loads(f.read_text())) >= {"witnesses"}
 
+    def test_compare_preset_settings_name_no_format(self, tmp_path):
+        """Presets carry no output format, so the settings of a compare
+        report run from one name none."""
+        f = tmp_path / "report.json"
+        code, out, err = main_in_process(
+            "compare", "--preset", "fig5", "--input.alpha_abs", "0.8", "--input.beta",
+            "0.6", "--input.gamma", "0.5", "--input.phi", "0.0", "--gt_grid.start",
+            "0.01", "--gt_grid.count", "2", "--out", str(f))
+        assert code == 0 and out == "", err
+        assert json.loads(f.read_text())["settings"]["output"] == {"path": str(f)}
+
+    def test_sweep_config_without_output_writes_csv(self, tmp_path):
+        cfg = presets()["fig5"].to_dict()
+        del cfg["output"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = main_in_process("sweep", "--config", str(path),
+                                         "--gt_grid.count", "2")
+        assert code == 0, err
+        assert out.startswith(CSV_HEADER + "\n")
+
     def test_presets_csv(self):
         code, out, err = main_in_process("presets")
         assert code == 0 and err == ""
@@ -855,8 +923,7 @@ class TestCliBoundary:
         code, out, _ = main_in_process(*argv)
         assert code == 0 and out.splitlines()[-1] == "check: PASS"
         ramp = model._ramp
-        monkeypatch.setattr(model, "_ramp",
-                            lambda x, series=None: ramp(x, series) * (1 + 1e-9))
+        monkeypatch.setattr(model, "_ramp", lambda x: ramp(x) * (1 + 1e-9))
         code, out, _ = main_in_process(*argv)
         assert code == 2
         lines = out.splitlines()
