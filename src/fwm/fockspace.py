@@ -95,9 +95,11 @@ def coherent_amplitudes(cutoff: int, z: complex) -> tuple[np.ndarray, float]:
     return amps, tail
 
 
+@functools.lru_cache
 def cutoffs_for(inp: CoherentInput) -> tuple[int, int, int]:
     """Smallest cutoffs keeping each mode's coherent tail below CUTOFF_TAIL,
-    plus CUTOFF_HEADROOM for the interaction (two pump quanta move per event)."""
+    plus CUTOFF_HEADROOM for the interaction (two pump quanta move per event).
+    Cached per input."""
     out = []
     for z, extra in zip((inp.alpha, inp.beta, inp.gamma), CUTOFF_HEADROOM):
         n = max(2, math.ceil(min(abs(z), 1e100) ** 2))   # capped as in coherent_amplitudes

@@ -7,8 +7,9 @@ basis, so it splits into one block per charge sector (Q1, Q2).
 Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
 so each block is tridiagonal and small.  Blocks are diagonalized exactly
 (equal sizes in one batched ``eigh``) and ψ(t) = V e^{-iEt} V†ψ0 is formed
-at every grid time, ``TIME_CHUNK`` times per batched matmul, with no time
-stepping, so the grid may list any nonnegative times in any order.
+at every grid time, ``TIME_CHUNK`` times per batched matmul.  The phases
+e^{-iEt} are running products of cached step factors that restart at every
+chunk, so the grid may list any nonnegative times in any order.
 
 `run` is the one oracle pass behind ``sweep --oracle`` (once per pump
 phase) and `compare` (once per ladder rung).  It builds the basis, ψ0 and H,
@@ -38,6 +39,7 @@ from .model import CoherentInput, ConfigError, ModelParams, coefficients
 from .witnesses import Criterion, WitnessId
 
 TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the temporaries
+                  # and each chain of phase step products
 PUMP = (2, -1, -1)   # occupation shift of a²b†c†, which moves n_b up by one
 
 
@@ -79,11 +81,13 @@ def build_hamiltonian(params: ModelParams, basis: FockBasis) -> Hamiltonian:
     return Hamiltonian(shifts=H, basis=basis, clipped_transitions=int(clipped))
 
 
-def charge_sectors(basis: FockBasis) -> list[np.ndarray]:
+@functools.lru_cache
+def charge_sectors(basis: FockBasis) -> tuple[np.ndarray, ...]:
     """Basis indices grouped by charge sector (n_a + 2n_b, n_b − n_c).
 
     Each sector is ordered by n_b.  Sectors of equal size are stacked into
-    one (sectors, size) array; the list runs over sizes in ascending order.
+    one (sectors, size) array; the tuple runs over sizes in ascending order.
+    Cached per basis and shared by every caller, so the arrays are read-only.
     """
     occ = basis.occupations()
     na, nb, nc = occ[:, 0], occ[:, 1], occ[:, 2]
@@ -93,8 +97,10 @@ def charge_sectors(basis: FockBasis) -> list[np.ndarray]:
     new[1:] = (np.diff(q1[order]) != 0) | (np.diff(q2[order]) != 0)
     starts = np.flatnonzero(new)
     sizes = np.diff(np.append(starts, order.size))
-    return [order[starts[sizes == s, None] + np.arange(s)]
-            for s in np.unique(sizes)]
+    out = tuple(order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes))
+    for idx in out:
+        idx.flags.writeable = False
+    return out
 
 
 def sector_blocks(op: ShiftOperator, basis: FockBasis) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -120,28 +126,47 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
                 ) -> list[FockStateVector]:
     """ψ(t) = e^{-iHt}ψ0 at each time of a nonnegative grid, in any order.
 
-    Exact up to roundoff: every charge-sector block is diagonalized once and
-    the grid is propagated in chunks of ``TIME_CHUNK`` times.  Each state is
-    a column view of its chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
+    Exact up to roundoff: every charge-sector block is diagonalized once,
+    with V†ψ0 folded into its eigenvectors, and the grid is propagated in
+    chunks of ``TIME_CHUNK`` times.  A chunk's phases e^{-iEt} are one
+    direct exp at its first time, then a running product of step factors
+    e^{-iE(t_k − t_{k−1})}; each distinct step is exponentiated once for
+    the whole grid.  The product restarts at every chunk, so each phase
+    carries at most ``TIME_CHUNK`` − 1 products' roundoff.  Each state is a
+    column view of its chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ConfigError(f"time grid must be nonnegative: {times!r}")
+    times = np.array([float(t) for t in times])
+    negative = np.flatnonzero(times < 0)
+    if negative.size:
+        k = negative[0]
+        raise ConfigError(f"time grid must be nonnegative: times[{k}] = {float(times[k])!r}")
 
     psi = psi0.amplitudes.astype(np.complex128)
-    modes = []
+    sectors, energies = [], []
     for idx, blocks in sector_blocks(H.shifts, H.basis):
-        energies, vectors = np.linalg.eigh(blocks)
+        e, vectors = np.linalg.eigh(blocks)
         coeffs = np.einsum("kji,kj->ki", vectors.conj(), psi[idx])
-        modes.append((idx, energies, vectors, coeffs))
+        sectors.append((idx, vectors * coeffs[:, None, :]))
+        energies.append(e.ravel())
+    energies = np.concatenate(energies)
+    steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    step_factors = np.exp(-1j * np.multiply.outer(steps, energies))   # (step, dim)
 
     out: list[FockStateVector] = []
-    for lo in range(0, len(times), TIME_CHUNK):
-        chunk = np.array(times[lo:lo + TIME_CHUNK])
+    # time-major, so each product runs over one contiguous row; reused by every chunk
+    buffer = np.empty((min(TIME_CHUNK, times.size), energies.size), dtype=np.complex128)
+    for lo in range(0, times.size, TIME_CHUNK):
+        chunk = times[lo:lo + TIME_CHUNK]
+        phases = buffer[:chunk.size]
+        np.exp(-1j * chunk[0] * energies, out=phases[0])
+        for j in range(1, chunk.size):
+            np.multiply(phases[j - 1], step_factors[step_of[lo + j]], out=phases[j])
         amps = np.empty((psi.size, chunk.size), dtype=np.complex128)
-        for idx, energies, vectors, coeffs in modes:
-            phased = np.exp(-1j * energies[..., None] * chunk) * coeffs[..., None]
-            amps[idx] = vectors @ phased                 # (sectors, size, time)
+        at = 0
+        for idx, weighted in sectors:
+            block = phases[:, at:at + idx.size].reshape(chunk.size, *idx.shape)
+            amps[idx] = weighted @ block.transpose(1, 2, 0)   # (sectors, size, time)
+            at += idx.size
         # witnesses vanish at t = 0 up to roundoff; returning ψ0 unchanged
         # keeps the sign of those values independent of the eigendecomposition
         amps[:, chunk == 0.0] = psi[:, None]

@@ -122,6 +122,13 @@ class TestSectors:
             assert np.all(np.diff(sector[..., 1], axis=1) == 1)
         assert [idx.shape[1] for idx in groups] == sorted({idx.shape[1] for idx in groups})
 
+    def test_sectors_cached_read_only(self):
+        _, basis, _, _ = small_setup()
+        groups = charge_sectors(basis)
+        assert charge_sectors(FockBasis(basis.cutoffs)) is groups
+        with pytest.raises(ValueError):
+            groups[0][0, 0] = 0
+
     def test_blocks_reassemble_hamiltonian(self):
         _, _, _, H = small_setup()
         assert H.clipped_transitions > 0
@@ -204,9 +211,9 @@ class TestEvolve:
             assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
 
     def test_shuffled_grid_matches_sorted(self):
-        """Each time is propagated on its own, so a shuffled 37-point grid
-        (t = 0 and a repeated time included) gives the sorted grid's state
-        at every time."""
+        """A shuffled 37-point grid (t = 0 and a repeated time included)
+        gives the sorted grid's state at every time, although its steps,
+        and so its step factors, differ."""
         _, _, psi0, H = small_setup()
         grid = np.linspace(0.0, 4.0, 36)
         times = np.sort(np.append(grid, grid[TIME_CHUNK - 1]))
@@ -218,10 +225,39 @@ class TestEvolve:
         for k, psi in zip(order, states):
             assert np.max(np.abs(psi.amplitudes - ref[k].amplitudes)) < 1e-14, times[k]
 
-    def test_bad_grid_rejected(self):
+    def test_linspace_grid_matches_single_times(self):
+        """On a 400-point grid (25 chunks of running step products) every
+        state is the state a one-time grid gives, and sampled states match
+        scipy's expm_multiply."""
         _, _, psi0, H = small_setup()
-        for times in ([-0.1], [0.2, -1e-300, 0.1]):
-            with pytest.raises(ConfigError, match="nonnegative"):
+        times = np.linspace(0.0, 40.0, 400)
+        assert math.ceil(len(times) / TIME_CHUNK) == 25
+        states = evolve_grid(H, psi0, times)
+        for t, psi in zip(times, states):
+            alone = evolve_grid(H, psi0, [t])[0]
+            assert np.max(np.abs(psi.amplitudes - alone.amplitudes)) < 1e-12, t
+        for k in (1, TIME_CHUNK - 1, TIME_CHUNK, 207, 399):
+            ref = spla.expm_multiply((-1j * times[k]) * H.matrix, psi0.amplitudes)
+            assert np.max(np.abs(states[k].amplitudes - ref)) < 1e-12, times[k]
+
+    def test_unsorted_grid_with_distinct_steps_matches_expm(self):
+        """40 random, unsorted times, so every step factor is distinct and
+        some steps are negative."""
+        _, _, psi0, H = small_setup()
+        times = np.random.default_rng(7).uniform(0.0, 40.0, 40)
+        assert np.unique(np.diff(times, prepend=0.0)).size == len(times)
+        for t, psi in zip(times, evolve_grid(H, psi0, times)):
+            ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
+            assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
+
+    def test_bad_grid_rejected(self):
+        """The error names the first negative time only."""
+        _, _, psi0, H = small_setup()
+        long_grid = [*np.linspace(0.0, 1.0, 400), -1.0, -2.0]
+        for times, first in (([-0.1], r"times\[0\] = -0\.1$"),
+                             ([0.2, -1e-300, 0.1], r"times\[1\] = -1e-300$"),
+                             (long_grid, r"times\[400\] = -1\.0$")):
+            with pytest.raises(ConfigError, match="nonnegative: " + first):
                 evolve_grid(H, psi0, times)
 
 
