@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
+CHECK_CUTOFFS = (10, 8, 8)   # per-mode cutoffs of check's residual basis
+
 _OVERRIDES_HELP = """\
 config overrides (any number):
   --<dotted.key> VALUE  set one config field, e.g. --input.phi 1.5
@@ -70,9 +72,7 @@ def _build_parser() -> _Parser:
     pr = sub.add_parser("presets", help="list the shipped figure presets")
     pr.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    ck = command("check", "run ETCR / equation-of-motion diagnostics")
-    ck.add_argument("--cutoffs", default="10,8,8",
-                    help="per-mode occupation cutoffs, comma separated")
+    command("check", "run ETCR / equation-of-motion diagnostics")
     return p
 
 
@@ -207,10 +207,6 @@ def _cmd_check(args, overrides) -> int:
     cfg = _load_config(args, overrides, default=presets()["fig2"])
     if cfg.output.format is not None:
         raise UsageError(f"check writes a text report only, not --format {cfg.output.format}")
-    try:
-        cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
-    except ValueError:
-        raise UsageError(f"bad --cutoffs {args.cutoffs!r}") from None
     seed = cfg.seed
     rng = np.random.default_rng(seed)
     params = cfg.params.to_model()
@@ -225,11 +221,11 @@ def _cmd_check(args, overrides) -> int:
     synth = ModelParams.from_detuning(delta, g0)
     ok = True
     report = []
-    r0 = etcr_residual(ModelParams.from_detuning(delta, 0.0), t, cutoffs)
+    r0 = etcr_residual(ModelParams.from_detuning(delta, 0.0), t, CHECK_CUTOFFS)
     report.append(f"etcr residual (g=0): {r0:.3e}")
     ok &= r0 < 1e-12
-    etcr_slope = residual_scaling_slope(synth, t, cutoffs, "etcr")
-    eom_slope = residual_scaling_slope(synth, t, cutoffs, "eom")
+    etcr_slope = residual_scaling_slope(synth, t, CHECK_CUTOFFS, "etcr")
+    eom_slope = residual_scaling_slope(synth, t, CHECK_CUTOFFS, "eom")
     report.append(f"etcr residual scaling slope: {etcr_slope:.3f}")
     report.append(f"eom  residual scaling slope: {eom_slope:.3f}")
     ok &= etcr_slope >= 2.5 and eom_slope >= 2.5

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .witnesses import Criterion, WitnessId
 TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the temporaries
                   # and each chain of phase step products
 PUMP = (2, -1, -1)   # occupation shift of a²b†c†, which moves n_b up by one
+LADDER_RUNGS = 3     # compare's couplings g, g/2, g/4
 
 
 @dataclass
@@ -150,7 +151,8 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
         energies.append(e.ravel())
     energies = np.concatenate(energies)
     steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    step_factors = np.exp(-1j * np.multiply.outer(steps, energies))   # (step, dim)
+    step_factors = np.multiply.outer(steps, -1j * energies)   # (step, dim)
+    np.exp(step_factors, out=step_factors)    # in place: no second (step, dim) array
 
     out: list[FockStateVector] = []
     # time-major, so each product runs over one contiguous row; reused by every chunk
@@ -309,43 +311,41 @@ class CompareResult:
     diagnostics: dict
 
 
-def _error_floor(g: float, delta: float, inp: CoherentInput, f2):
+def _error_floor(params: ModelParams, inp: CoherentInput, coeffs):
     """|f2|²-scale floor for relative agreement checks: a fixed
     amplitude-polynomial bound times the largest |f2|² over t, 4(2g/Δω₁)².
-    At Δω₁ = 0, |f2(t)|² = (2gt)² has no largest value, so the bound is
-    taken per time from ``f2`` and kept at or above unit roundoff, so that
-    an underflowed (2gt)² never divides 0 by 0.  Raises ConfigError when
-    4(2g/Δω₁)² overflows."""
+    While |Δω₁|·t stays below π over the grid, |f2(t)|² is still rising
+    (without bound at Δω₁ = 0), so the bound is taken per time from
+    ``coeffs.f2`` and kept at or above unit roundoff, so that an underflowed
+    |f2|² never divides 0 by 0.  Raises ConfigError when 4(2g/Δω₁)²
+    overflows."""
     aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
     poly = (1 + aa) * (1 + bb) * (1 + cc) * (1 + aa + bb + cc)
-    if delta == 0.0:
-        return poly * np.maximum(np.abs(f2) ** 2, np.finfo(float).eps)
+    delta = params.delta_omega1
+    if abs(delta) * np.max(coeffs.t) < math.pi:
+        return poly * np.maximum(np.abs(coeffs.f2) ** 2, np.finfo(float).eps)
     with np.errstate(over="ignore"):    # a numpy power gives inf where ** raises
-        floor = 4.0 * np.float64(2.0 * g / delta) ** 2 * poly
+        floor = 4.0 * np.float64(2.0 * params.g / delta) ** 2 * poly
     if not np.isfinite(floor):
         raise ConfigError(f"4(2g/delta_omega1)^2 overflows at delta_omega1 = {delta!r}")
     return floor
 
 
-def compare(wids, params_ladder, inp: CoherentInput, times,
+def compare(wids, params: ModelParams, inp: CoherentInput, times,
             cutoffs: tuple[int, int, int] | None = None) -> CompareResult:
-    """Certify closed forms against the oracle over a g-halving ladder.
+    """Certify closed forms against the oracle over the coupling ladder
+    g, g/2, g/4 (``LADDER_RUNGS`` rungs) from the top rung ``params``.
 
-    ``params_ladder`` must share the detuning and descend in g > 0 (≥ 3 rungs);
-    ``times`` must be positive, as both sides vanish at t = 0 up to roundoff.
+    The smallest rung needs g > 0, and ``times`` must be positive, as both
+    sides vanish at t = 0 up to roundoff.
     The exponent at each (witness, time) is the least-squares slope of
     ln|err| vs ln g, fitted for all points in one ``np.polyfit`` call; it is
     NaN unless every rung's error is above 100× unit roundoff.  The
     diagnostics are those of `run`, with each drift the largest over the
     rungs.
     """
-    ladder = list(params_ladder)
-    if len(ladder) < 3:
-        raise ConfigError("ladder needs >= 3 rungs")
-    deltas = {round(p.delta_omega1, 12) for p in ladder}
-    if len(deltas) != 1:
-        raise ConfigError("ladder rungs must share the detuning")
-    if any(p.g <= 0.0 for p in ladder):
+    ladder = [replace(params, g=params.g * 0.5 ** k) for k in range(LADDER_RUNGS)]
+    if ladder[-1].g <= 0.0:
         raise ConfigError("ladder rungs need coupling g > 0")
     times = tuple(float(t) for t in times)
     if not all(t > 0.0 for t in times):
@@ -370,7 +370,7 @@ def compare(wids, params_ladder, inp: CoherentInput, times,
     log_g = np.log([p.g for p in ladder])
     slope = np.polyfit(log_g, logs.reshape(len(ladder), -1), 1)[0]
     exponent = np.where(gated, slope.reshape(gated.shape), np.nan)
-    floor = _error_floor(ladder[-1].g, ladder[0].delta_omega1, inp, coeffs.f2)
+    floor = _error_floor(ladder[-1], inp, coeffs)
     rel_err = errs[-1] / np.maximum(np.abs(oracle_vals[-1]), floor)
     return CompareResult(oracle_vals, pert_vals, exponent, rel_err, diag)
 

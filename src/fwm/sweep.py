@@ -121,12 +121,10 @@ class GtGrid:
 class OracleSpec:
     enabled: bool = False
     cutoffs: tuple[int, int, int] | None = None
-    ladder_rungs: int = 3
 
     def __post_init__(self):
         if not isinstance(self.enabled, bool):
             raise UsageError(f"oracle.enabled must be true or false, got {self.enabled!r}")
-        _integer("oracle.ladder_rungs", self.ladder_rungs, 1)
         if self.cutoffs is not None:
             if not isinstance(self.cutoffs, (list, tuple)) or len(self.cutoffs) != 3:
                 raise UsageError(f"oracle.cutoffs must be three integers, got {self.cutoffs!r}")
@@ -400,23 +398,18 @@ def certification_witnesses() -> list[str]:
 def _compare_phi_task(args):
     config, phi = args
     synth, inp = _oracle_phi_payload(config, phi)
-    g0 = synth.g
-    ladder = [ModelParams.from_detuning(synth.delta_omega1, g0 * 0.5 ** k)
-              for k in range(config.oracle.ladder_rungs)]
-    times = [float(gt / g0) for gt in config.gt_grid.values() if gt > 0.0]
-    return oracle_mod.compare(config.witness_ids(), ladder, inp, times,
-                              cutoffs=config.oracle.cutoffs)
+    times = [float(gt / synth.g) for gt in config.gt_grid.values() if gt > 0.0]
+    return oracle_mod.compare(config.witness_ids(), synth, inp, times, config.oracle.cutoffs)
 
 
 def run_compare(config: RunConfig):
-    """Run the certification ladder for every φ; returns a report dict.
+    """Run the certification ladder g, g/2, g/4 for every φ; returns a
+    report dict.
 
     The oracle always runs, whatever ``oracle.enabled`` says.  Raises
-    UsageError unless g > 0 and the ladder has >= 3 rungs.
+    UsageError unless g > 0.
     """
     _coupled_params(config)
-    if config.oracle.ladder_rungs < 3:
-        raise UsageError("ladder needs >= 3 rungs")
     results = _map_phases(_compare_phi_task, config)
 
     wids = config.witness_ids()

@@ -273,8 +273,7 @@ def test_criterion_7_oracle_physics(certification_report):
             ["HZ1:ab", "HZ1:bc", "HZ1:ac", "HZ2:bc", "HZ1:ab:2,1",
              "DUAN:ab", "TRI_HZ1:abc", "TRI_SYM"]]
     base_cut = cutoffs_for(inp)
-    floor = oracle_mod._error_floor(params.g, params.delta_omega1, inp,
-                                    coefficients(params, t).f2)
+    floor = oracle_mod._error_floor(params, inp, coefficients(params, t))
 
     def witness_values(p, cutoffs):
         basis = FockBasis(cutoffs)

@@ -1,7 +1,10 @@
+import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 import fwm
+from fwm import cli, sweep
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +32,31 @@ def test_no_unused_module_imports():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _dotted_keys(cls, prefix=""):
+    for f in dataclasses.fields(cls):
+        if f.name in sweep._SECTIONS:
+            yield from _dotted_keys(sweep._SECTIONS[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_option_ledger():
+    """Every settable value: the config keys (each also a dotted flag) and
+    each subcommand's own flags.  A new option is an edit to these lists."""
+    assert list(_dotted_keys(sweep.RunConfig)) == [
+        "params.g", "params.omega_a", "params.omega_b", "params.omega_c",
+        "params.delta_omega1", "input.alpha_abs", "input.phi", "input.beta",
+        "input.gamma", "gt_grid.start", "gt_grid.stop", "gt_grid.count", "witnesses",
+        "oracle.enabled", "oracle.cutoffs", "output.path", "output.format",
+        "workers", "seed"]
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [o for a in sp._actions if a.dest != "help" for o in a.option_strings]
+             for name, sp in sub.choices.items()}
+    assert flags == {
+        "sweep": ["--config", "--preset", "--out", "--format", "--oracle"],
+        "compare": ["--config", "--preset", "--out", "--format"],
+        "presets": ["--format"],
+        "check": ["--config", "--preset", "--out", "--format"]}

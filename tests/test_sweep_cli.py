@@ -331,11 +331,6 @@ class TestRunCompare:
         assert {k: v for k, v in off.items() if k != "settings"} \
             == {k: v for k, v in on.items() if k != "settings"}
 
-    def test_requires_three_rungs(self):
-        cfg = tiny_config(oracle=OracleSpec(enabled=True, ladder_rungs=1))
-        with pytest.raises(UsageError, match="ladder needs >= 3 rungs"):
-            run_compare(cfg)
-
     def test_small_certification_run(self):
         cfg = RunConfig(
             params=ParamsSpec(g=0.3, delta_omega1=-3.0),
@@ -379,12 +374,6 @@ class TestCli:
         assert out.stderr.strip().splitlines() == [
             "usage error: coherent tail 1.000e+00 above 1.0e-09; raise cutoffs (3, 2, 2)"]
 
-    def test_single_rung_ladder_usage_error(self):
-        out = run_cli("compare", "--preset", "fig2", "--oracle.enabled", "true",
-                      "--oracle.ladder_rungs", "1")
-        assert out.returncode == 1
-        assert "ladder needs >= 3 rungs" in out.stderr
-
     def test_sweep_csv_deterministic(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         a1 = run_cli("sweep", "--preset", "fig5", "--out", str(f1),
@@ -415,15 +404,13 @@ class TestCli:
         assert all(line.split(",")[1] == "0.5" for line in lines[1:])
 
     def test_check_subcommand_passes(self):
-        out = run_cli("check", "--preset", "fig2", "--seed", "11",
-                      "--cutoffs", "8,6,6")
+        out = run_cli("check", "--preset", "fig2", "--seed", "11")
         assert out.returncode == 0
         assert "check: PASS" in out.stdout
 
     def test_check_writes_report_to_out(self, tmp_path):
         f = tmp_path / "check.txt"
-        out = run_cli("check", "--preset", "fig2", "--seed", "11",
-                      "--cutoffs", "8,6,6", "--out", str(f))
+        out = run_cli("check", "--preset", "fig2", "--seed", "11", "--out", str(f))
         assert out.returncode == 0
         assert out.stdout == ""
         assert f.read_text().splitlines()[-1] == "check: PASS"
@@ -490,10 +477,10 @@ BAD_PHASES = st.one_of(
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 
 # (dotted field, raw value) pairs that are not a valid value of the field:
-# non-integer counts and rungs, words and lists as amplitudes, cutoff lists
-# of the wrong length.
+# non-integer counts, words and lists as amplitudes, cutoff lists of the
+# wrong length.
 BAD_FIELDS = st.one_of(
-    st.tuples(st.sampled_from(["gt_grid.count", "oracle.ladder_rungs"]),
+    st.tuples(st.just("gt_grid.count"),
               st.floats().filter(lambda x: not x.is_integer()).map(repr)),
     st.tuples(st.sampled_from(["input.alpha_abs", "input.beta", "input.gamma"]),
               st.one_of(WORDS, st.lists(st.integers(), max_size=3).map(json.dumps))),
@@ -529,6 +516,7 @@ class TestCliBoundary:
     @example(("params.foo", "1"))
     @example(("gt_grid.stepz", "3"))
     @example(("oracle.cutof", "3"))
+    @example(("oracle.ladder_rungs", "3"))
     @example(("output.fmt", "json"))
     def test_bad_field_is_one_line_usage_error(self, case):
         field, raw = case
@@ -573,16 +561,20 @@ class TestCliBoundary:
 
     @pytest.mark.parametrize("argv, needle", [
         (("compare", "--params.g", "1e308"), "Hamiltonian weights overflow"),
-        (("compare", "--params.delta_omega1", "-1e-160"), "delta_omega1 = -1e-160"),
-        (("compare", "--oracle.ladder_rungs", "1100"), "g > 0"),
+        (("compare", "--params.delta_omega1", "-5.5e-154", "--gt_grid.stop", "5.8e153",
+          "--input.alpha_abs", "2", "--witnesses", '["HZ1:ab:2,1"]'),
+         "delta_omega1 = -5.5e-154"),
+        (("compare", "--params.g", "1e-323", "--gt_grid.start", "1e-17",
+          "--gt_grid.stop", "1e-16"), "g > 0"),
         (("check", "--preset", "fig2", "--params.omega_a", "1e308"),
          "delta_omega1 must be finite"),
     ])
     def test_overflowing_compare_or_check_is_one_line_usage_error(self, argv, needle,
                                                                   tmp_path):
-        """An H weight g·√n overflows, the agreement floor (2g/Δω₁)² overflows,
-        a ladder rung g/2^k underflows to 0, or the detuning 2ω_a − ω_b − ω_c
-        overflows: one line, no output written."""
+        """An H weight g·√n overflows, the agreement floor 4(2g/Δω₁)² of a
+        grid reaching |Δω₁|·t ≥ π overflows, the smallest ladder rung g/4
+        underflows to 0, or the detuning 2ω_a − ω_b − ω_c overflows: one
+        line, no output written."""
         f = tmp_path / "out.json"
         code, out, err = main_in_process(*argv, "--input.phi", "0", "--gt_grid.count",
                                          "2", "--out", str(f))
@@ -617,16 +609,6 @@ class TestCliBoundary:
                                          "--out", str(f))
         assert_one_line_usage_error(code, err, "no cutoff below 10000 reaches tail")
         assert out == "" and not f.exists()
-
-    @pytest.mark.parametrize("cutoffs, needle", [
-        ("100,100,100", "2048"),
-        ("10,8", "three"),
-        ("10,8,8,8", "three"),
-    ])
-    def test_oversized_check_cutoffs_is_one_line_usage_error(self, cutoffs, needle):
-        code, out, err = main_in_process("check", "--cutoffs", cutoffs)
-        assert_one_line_usage_error(code, err, needle)
-        assert out == ""
 
     @settings(max_examples=60, deadline=None)
     @given(BAD_PHASES)
@@ -836,7 +818,7 @@ class TestCliBoundary:
         ("compare", "--witnesses", '["HZ1:ab"]', "--input.phi", "0.0",
          "--input.alpha_abs", "0.8", "--input.beta", "0.6", "--input.gamma", "0.5",
          "--gt_grid.count", "2"),
-        ("check", "--cutoffs", "4,4,4"),
+        ("check",),
     ])
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out_is_one_line_usage_error(self, argv, where, tmp_path):
@@ -919,7 +901,7 @@ class TestCliBoundary:
         f3, g3 and h3) carry a 1e-9 relative error; the coefficient
         relations then catch it."""
         from fwm import model
-        argv = ("check", "--cutoffs", "4,4,4", *params)
+        argv = ("check", *params)
         code, out, _ = main_in_process(*argv)
         assert code == 0 and out.splitlines()[-1] == "check: PASS"
         ramp = model._ramp
