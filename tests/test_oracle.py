@@ -182,29 +182,31 @@ class TestEvolve:
         b = spla.expm_multiply((-1.2j) * H.matrix, psi0.amplitudes)
         assert np.max(np.abs(a.amplitudes - b)) < 1e-8
 
-    @pytest.mark.parametrize("random_state, times, clipped, bound", [
-        (False, [0.0, 0.4, 1.2, 2.5, 4.0], 91, 1e-12),
-        (True, [0.3], 50, 1e-9),
-    ])
-    def test_matches_expm_on_clipped_grid(self, random_state, times, clipped, bound):
-        """Exact propagation against scipy's expm_multiply on a clipped
-        basis: the coherent input on (8, 6, 6) over a multi-time grid, and
-        a random state filling every charge sector of (6, 4, 5) under
-        distinct mode frequencies."""
-        if random_state:
-            basis = FockBasis((6, 4, 5))
-            H = build_hamiltonian(ModelParams(1.3, 0.2, -0.7, 0.35), basis)
-            re, im = np.random.default_rng(5).standard_normal((2, basis.dimension))
-            psi0 = FockStateVector(amplitudes=(re + 1j * im) / np.linalg.norm(re + 1j * im),
-                                   basis=basis)
-        else:
-            _, _, psi0, H = small_setup()
-        assert H.clipped_transitions == clipped
+    @staticmethod
+    def _assert_matches_expm(H, psi0, times, bound):
         states = evolve_grid(H, psi0, times)
         assert len(states) == len(times)
         for t, psi in zip(times, states):
             ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
             assert np.max(np.abs(psi.amplitudes - ref)) < bound, t
+
+    def test_matches_expm_on_clipped_grid(self):
+        """Exact propagation against scipy's expm_multiply on the clipped
+        (8, 6, 6) basis, over a multi-time grid."""
+        _, _, psi0, H = small_setup()
+        assert H.clipped_transitions == 91
+        self._assert_matches_expm(H, psi0, [0.0, 0.4, 1.2, 2.5, 4.0], 1e-12)
+
+    def test_matches_expm_on_clipped_grid_all_sectors(self):
+        """The same check for a random state filling every charge sector of
+        the clipped (6, 4, 5) basis under distinct mode frequencies."""
+        basis = FockBasis((6, 4, 5))
+        H = build_hamiltonian(ModelParams(1.3, 0.2, -0.7, 0.35), basis)
+        assert H.clipped_transitions == 50
+        re, im = np.random.default_rng(5).standard_normal((2, basis.dimension))
+        psi0 = FockStateVector(amplitudes=(re + 1j * im) / np.linalg.norm(re + 1j * im),
+                               basis=basis)
+        self._assert_matches_expm(H, psi0, [0.3], 1e-9)
 
     def test_matches_expm_across_chunks(self):
         """Propagation over several chunks, with t = 0 and a repeated time,
@@ -562,6 +564,36 @@ class TestCompare:
                 rel = abs(o_small - p_small) / max(abs(o_small), floor[k])
                 assert res.rel_err[i, k] == rel, (wids[i].label(), k)
         assert 0 < gated < res.exponent.size
+
+    def test_too_few_rungs_rejected(self, monkeypatch):
+        """compare fits over LADDER_RUNGS = 3 rungs: at g = 1e-323 only g and
+        g/2 stay positive (g/4 underflows to 0), and the ladder is refused
+        before any propagation."""
+        def no_run(*args):
+            raise AssertionError("propagated")
+        monkeypatch.setattr(oracle_mod, "run", no_run)
+        assert oracle_mod.LADDER_RUNGS == 3
+        g = 1e-323
+        assert g * 0.5 > 0.0 == g * 0.25
+        with pytest.raises(ConfigError, match="g > 0"):
+            compare([WitnessId.parse("HZ1:ab")], ModelParams.from_detuning(-3.0, g),
+                    SMALL_INPUT, [0.5])
+
+    def test_ladder_shares_detuning(self, monkeypatch):
+        """Every rung compare propagates is the top rung with only g
+        halved: g, g/2, g/4 at one detuning and one set of mode
+        frequencies."""
+        rungs = []
+
+        def recorded(wids, params, *args):
+            rungs.append(params)
+            return run(wids, params, *args)
+        monkeypatch.setattr(oracle_mod, "run", recorded)
+        top = ModelParams(1.1, 0.4, -0.7, 0.3)
+        compare([WitnessId.parse("HZ1:ab")], top, SMALL_INPUT, [0.5])
+        assert rungs == [top, dataclasses.replace(top, g=top.g / 2),
+                         dataclasses.replace(top, g=top.g / 4)]
+        assert {p.delta_omega1 for p in rungs} == {top.delta_omega1}
 
     def test_mutation_drops_exponent(self, monkeypatch):
         """Corrupting the bc cross-term coefficient by 1% must push the

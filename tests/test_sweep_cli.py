@@ -331,6 +331,23 @@ class TestRunCompare:
         assert {k: v for k, v in off.items() if k != "settings"} \
             == {k: v for k, v in on.items() if k != "settings"}
 
+    def test_requires_three_rungs(self, monkeypatch):
+        """Each phase is certified over the three rungs g, g/2, g/4 of the
+        configured coupling, at the configured detuning."""
+        from fwm import oracle as oracle_mod
+        seen, run = [], oracle_mod.run
+
+        def recorded(wids, params, *args):
+            seen.append((params.g, params.delta_omega1))
+            return run(wids, params, *args)
+        monkeypatch.setattr(oracle_mod, "run", recorded)
+        run_compare(RunConfig(
+            params=ParamsSpec(g=0.3, delta_omega1=-3.0),
+            input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
+            gt_grid=GtGrid(start=0.15, stop=0.3, count=2),
+            witnesses=("HZ1:ab",)))
+        assert seen == [(0.3, -3.0), (0.15, -3.0), (0.075, -3.0)] * 2
+
     def test_small_certification_run(self):
         cfg = RunConfig(
             params=ParamsSpec(g=0.3, delta_omega1=-3.0),
@@ -373,6 +390,14 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr.strip().splitlines() == [
             "usage error: coherent tail 1.000e+00 above 1.0e-09; raise cutoffs (3, 2, 2)"]
+
+    def test_single_rung_ladder_usage_error(self):
+        """The ladder is fixed at three rungs: asking for one is an unknown
+        key, reported in one line."""
+        out = run_cli("compare", "--preset", "fig2", "--oracle.enabled", "true",
+                      "--oracle.ladder_rungs", "1")
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == ["usage error: unknown key oracle.ladder_rungs"]
 
     def test_sweep_csv_deterministic(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -516,7 +541,6 @@ class TestCliBoundary:
     @example(("params.foo", "1"))
     @example(("gt_grid.stepz", "3"))
     @example(("oracle.cutof", "3"))
-    @example(("oracle.ladder_rungs", "3"))
     @example(("output.fmt", "json"))
     def test_bad_field_is_one_line_usage_error(self, case):
         field, raw = case
@@ -609,6 +633,14 @@ class TestCliBoundary:
                                          "--out", str(f))
         assert_one_line_usage_error(code, err, "no cutoff below 10000 reaches tail")
         assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("cutoffs", ["100,100,100", "10,8", "10,8,8,8"])
+    def test_check_cutoffs_is_one_line_usage_error(self, cutoffs):
+        """check measures its residuals on the fixed box (10, 8, 8); a
+        --cutoffs flag, of any size or length, is an unknown key."""
+        code, out, err = main_in_process("check", "--cutoffs", cutoffs)
+        assert_one_line_usage_error(code, err, "unknown key cutoffs")
+        assert out == ""
 
     @settings(max_examples=60, deadline=None)
     @given(BAD_PHASES)
