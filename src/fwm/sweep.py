@@ -243,60 +243,100 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _render(template: str, columns) -> str:
+    """``template`` once per row, its ``%`` fields filled from the
+    equal-length ``columns`` in turn by one ``%`` call."""
+    k, n = len(columns), len(columns[0])
+    flat = [None] * (k * n)
+    for j, column in enumerate(columns):
+        flat[j::k] = column
+    return template * n % tuple(flat)
+
+
+def _gt_column(columns: dict, gt: np.ndarray, fmt: str) -> list[str]:
+    """``gt`` formatted with ``fmt``, once per distinct grid in ``columns``."""
+    key = (gt.dtype.str, gt.tobytes())
+    if key not in columns:
+        columns[key] = _render(fmt + ",", [gt.tolist()]).split(",")[:-1]
+    return columns[key]
+
+
+def _flags(values: np.ndarray) -> list[str]:
+    return np.where(values < 0.0, "true", "false").tolist()
+
+
+def _escape(text: str) -> str:
+    return text.replace("%", "%%")
+
+
 CSV_HEADER = "gt,phi,criterion,modes,m,n,value,entangled,source"
 
 
 def rows_to_csv(series) -> str:
-    """One row per (series, gt); a value is entangled when it is negative."""
-    lines = [CSV_HEADER]
+    """One row per (series, gt); a value is entangled when it is negative.
+
+    Floats are written as ``f"{x:.17g}"`` with -0.0 as 0.0.  Each series'
+    rows are rendered by one ``%`` call on a row template with the fixed
+    fields filled in, and each distinct gt grid is formatted once per call;
+    the bytes are those of one f-string per value.
+    """
+    gt_columns: dict[tuple, list[str]] = {}
+    blocks = [CSV_HEADER + "\n"]
     for s in series:
         w = s.witness
-        mid = f"{_fmt(s.phi)},{w.criterion.value},{w.mode_string},{w.m},{w.n}"
-        lines.extend(f"{_fmt(gt)},{mid},{_fmt(v)},{'true' if v < 0.0 else 'false'},"
-                     f"{s.source}" for gt, v in zip(s.gt.tolist(), s.value.tolist()))
-    return "\n".join(lines) + "\n"
+        fixed = _escape(f"{_fmt(s.phi)},{w.criterion.value},{w.mode_string},{w.m},{w.n}")
+        blocks.append(_render(f"%s,{fixed},%.17g,%s,{_escape(s.source)}\n", [
+            _gt_column(gt_columns, s.gt + 0.0, "%.17g"),   # + 0.0 turns -0.0 into 0.0
+            (s.value + 0.0).tolist(), _flags(s.value)]))
+    return "".join(blocks)
 
 
 def rows_to_json(series, summary) -> str:
     """Strict RFC 8259 JSON with the rows of `rows_to_csv`: the bytes of
     ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.
 
-    Rows are rendered from a per-series template, as ``json`` would: the
-    fixed fields through ``json.dumps`` once per series, ``gt`` and ``value``
-    through ``float.__repr__``, keys in sorted order.
+    Rows are rendered as ``json`` would, keys in sorted order, by one ``%``
+    call per series on a row template holding the fixed fields through
+    ``json.dumps``; ``gt`` and ``value`` go through ``float.__repr__``, each
+    distinct gt grid once per call.
     """
-    rows = []
+    gt_columns: dict[tuple, list[str]] = {}
+    blocks = []
     for s in series:
         if not (np.isfinite(s.gt).all() and np.isfinite(s.value).all()):
             raise ValueError("Out of range float values are not JSON compliant")
         w = s.witness
-        crit, m, modes, n, phi, source = map(json.dumps, (
+        crit, m, modes, n, phi, source = (_escape(json.dumps(x)) for x in (
             w.criterion.value, w.m, w.mode_string, w.n, s.phi, s.source))
-        head = f'    {{\n      "criterion": {crit},\n      "entangled": '
-        mid = (f',\n      "m": {m},\n      "modes": {modes},\n      "n": {n},'
-               f'\n      "phi": {phi},\n      "source": {source},\n      "value": ')
-        rows.extend(f'{head}{"true" if v < 0.0 else "false"},\n      "gt": '
-                    f'{float.__repr__(gt)}{mid}{float.__repr__(v)}\n    }}'
-                    for gt, v in zip(s.gt.tolist(), s.value.tolist()))
+        template = (f'    {{\n      "criterion": {crit},\n      "entangled": %s,'
+                    f'\n      "gt": %s,\n      "m": {m},\n      "modes": {modes},'
+                    f'\n      "n": {n},\n      "phi": {phi},\n      "source": {source},'
+                    f'\n      "value": %r\n    }},\n')
+        blocks.append(_render(template, [
+            _flags(s.value), _gt_column(gt_columns, s.gt, "%r"), s.value.tolist()]))
     tail = json.dumps({"summary": [
         {"witness": label, "phi": phi, "onset_gt": onset}
         for (label, phi), onset in summary.items()]},
         indent=2, sort_keys=True, allow_nan=False)
-    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    blocks = [b for b in blocks if b]   # a series on an empty grid has no rows
+    if blocks:
+        blocks[-1] = blocks[-1][:-2]   # every row but the last ends in ",\n"
+    body = ["[\n", *blocks, "\n  ]"] if blocks else ["[]"]
     # the rows go ahead of the summary-only payload, past its opening "{\n"
-    return '{\n  "rows": ' + body + ",\n" + tail[2:]
+    return "".join(['{\n  "rows": ', *body, ",\n", tail[2:]])
 
 
 def _onset(gts, values) -> float | None:
     """First negativity onset via linear interpolation, or None."""
-    for i, v in enumerate(values):
-        if v < 0.0:
-            if i == 0:
-                return float(gts[0])
-            v_prev = values[i - 1]
-            frac = v_prev / (v_prev - v)
-            return float(gts[i - 1] + frac * (gts[i] - gts[i - 1]))
-    return None
+    negative = np.flatnonzero(values < 0.0)
+    if not len(negative):
+        return None
+    i = negative[0]
+    if i == 0:
+        return float(gts[0])
+    v_prev, v = values[i - 1], values[i]
+    frac = v_prev / (v_prev - v)
+    return float(gts[i - 1] + frac * (gts[i] - gts[i - 1]))
 
 
 def _oracle_phi_payload(config: RunConfig, phi: float):
@@ -318,12 +358,22 @@ def _map_phases(fn, config: RunConfig) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _times(gts: np.ndarray, g: float) -> np.ndarray:
+    """The interaction times gt/g of a gt grid at coupling g > 0."""
+    with np.errstate(over="ignore"):
+        times = gts / g
+    if not np.isfinite(times).all():
+        raise UsageError(f"times gt/g must be finite, got gt = {float(gts.max())!r} "
+                         f"at params.g = {g!r}")
+    return times
+
+
 def _oracle_values_for_phi(args) -> np.ndarray:
     """(witness, gt) oracle values at one pump phase; raises CutoffError
     when the cutoffs cannot hold the coherent input."""
     config, phi = args
     synth, inp = _oracle_phi_payload(config, phi)
-    times = [float(gt / synth.g) for gt in config.gt_grid.values()]
+    times = _times(config.gt_grid.values(), synth.g).tolist()
     return oracle_mod.run(config.witness_ids(), synth, inp, times,
                           config.oracle.cutoffs)[0]
 
@@ -351,7 +401,7 @@ def run_sweep(config: RunConfig):
     gts = config.gt_grid.values()
     # one coefficient pass serves every series; a tuple of times keeps the
     # call's arguments hashable, as perfbench's tracer needs to count calls
-    coeffs = coefficients(params, tuple(gts / params.g))
+    coeffs = coefficients(params, tuple(_times(gts, params.g)))
     series: list[Series] = []
     summary: dict[tuple[str, float], float | None] = {}
     for w in wids:
@@ -398,7 +448,8 @@ def certification_witnesses() -> list[str]:
 def _compare_phi_task(args):
     config, phi = args
     synth, inp = _oracle_phi_payload(config, phi)
-    times = [float(gt / synth.g) for gt in config.gt_grid.values() if gt > 0.0]
+    gts = config.gt_grid.values()
+    times = _times(gts[gts > 0.0], synth.g).tolist()
     return oracle_mod.compare(config.witness_ids(), synth, inp, times, config.oracle.cutoffs)
 
 

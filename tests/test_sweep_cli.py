@@ -19,7 +19,7 @@ from fwm.fockspace import FockBasis, coherent_state, cutoffs_for
 from fwm.model import ModelParams
 from fwm.oracle import witness_grid
 from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, OracleSpec, ParamsSpec,
-                       RunConfig, Series, UsageError, apply_overrides,
+                       RunConfig, Series, UsageError, _onset, apply_overrides,
                        default_compare_config, presets, rows_to_csv,
                        rows_to_json, run_compare, run_sweep)
 from fwm.witnesses import WitnessId
@@ -256,15 +256,38 @@ def reference_json(series, summary) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def assert_json_matches_reference(series, summary) -> str:
-    """Byte identity with `reference_json`, reported at the first difference
-    (pytest's diff of megabyte payloads would take minutes)."""
-    text, ref = rows_to_json(series, summary), reference_json(series, summary)
+def reference_csv(series) -> str:
+    """The per-value writer `rows_to_csv` replaced; its bytes are the contract."""
+    def fmt(x):
+        if x == 0.0:
+            x = 0.0   # normalize -0.0
+        return f"{x:.17g}"
+
+    lines = [CSV_HEADER]
+    for s in series:
+        w = s.witness
+        mid = f"{fmt(s.phi)},{w.criterion.value},{w.mode_string},{w.m},{w.n}"
+        lines.extend(f"{fmt(gt)},{mid},{fmt(v)},{'true' if v < 0.0 else 'false'},"
+                     f"{s.source}" for gt, v in zip(s.gt.tolist(), s.value.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_bytes(text: str, ref: str) -> str:
+    """Byte identity, reported at the first difference (pytest's diff of
+    megabyte payloads would take minutes)."""
     if text != ref:
         at = next(i for i, (a, b) in enumerate(zip(text + "\0", ref + "\1")) if a != b)
         lo = max(at - 60, 0)
         pytest.fail(f"differs at byte {at}: {text[lo:at + 60]!r} != {ref[lo:at + 60]!r}")
     return text
+
+
+def assert_json_matches_reference(series, summary) -> str:
+    return assert_same_bytes(rows_to_json(series, summary), reference_json(series, summary))
+
+
+def assert_csv_matches_reference(series) -> str:
+    return assert_same_bytes(rows_to_csv(series), reference_csv(series))
 
 
 def one_series(value, phi=0.0):
@@ -273,20 +296,25 @@ def one_series(value, phi=0.0):
                    np.array(value, dtype=float))]
 
 
+def small_oracle_sweep():
+    """Two pump phases of three witnesses, closed form and oracle."""
+    cfg = tiny_config(
+        params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+        input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
+        gt_grid=GtGrid(start=0.0, stop=0.04, count=5),
+        witnesses=("HZ1:ab", "DUAN:bc", "TRI_SYM"), oracle=OracleSpec(enabled=True))
+    series, summary = run_sweep(cfg)
+    assert {s.source for s in series} == {"perturbative", "oracle"}
+    return series, summary
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_presets_byte_identical(self, name):
         assert_json_matches_reference(*run_sweep(presets()[name]))
 
     def test_oracle_sweep_byte_identical(self):
-        cfg = tiny_config(
-            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
-            input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
-            gt_grid=GtGrid(start=0.0, stop=0.04, count=5),
-            witnesses=("HZ1:ab", "DUAN:bc", "TRI_SYM"), oracle=OracleSpec(enabled=True))
-        series, summary = run_sweep(cfg)
-        assert {s.source for s in series} == {"perturbative", "oracle"}
-        assert_json_matches_reference(series, summary)
+        assert_json_matches_reference(*small_oracle_sweep())
 
     def test_empty_witnesses_byte_identical(self):
         text = assert_json_matches_reference(*run_sweep(tiny_config(witnesses=())))
@@ -313,6 +341,82 @@ class TestJsonWriter:
         for writer in (rows_to_json, reference_json):
             with pytest.raises(ValueError, match="JSON compliant"):
                 writer(series, {})
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_presets_byte_identical(self, name):
+        assert_csv_matches_reference(run_sweep(presets()[name])[0])
+
+    def test_oracle_sweep_byte_identical(self):
+        assert_csv_matches_reference(small_oracle_sweep()[0])
+
+    def test_negative_zero_and_tiny_values_byte_identical(self):
+        text = assert_csv_matches_reference(one_series([-0.0, 0.0, 2.5e-300, -1e-17]))
+        values = [line.split(",")[6:8] for line in text.splitlines()[1:]]
+        assert values[:2] == [["0", "false"]] * 2       # -0.0 is written as 0
+        assert [flag for _, flag in values[2:]] == ["false", "true"]
+
+    def test_integer_phi_from_config_byte_identical(self):
+        d = tiny_config().to_dict()
+        d["input"]["phi"] = [0, 1]
+        series, _ = run_sweep(RunConfig.from_dict(d))
+        assert [type(s.phi) for s in series] == [int] * 4
+        text = assert_csv_matches_reference(series)
+        assert ",1,HZ1,ab,1,1," in text
+
+    def test_non_finite_values_byte_identical(self):
+        text = assert_csv_matches_reference(one_series([math.nan, math.inf, -math.inf, 0.5]))
+        assert [line.split(",")[6:8] for line in text.splitlines()[1:4]] == [
+            ["nan", "false"], ["inf", "false"], ["-inf", "true"]]
+
+    def test_empty_witnesses_byte_identical(self):
+        series, _ = run_sweep(tiny_config(witnesses=()))
+        assert assert_csv_matches_reference(series) == CSV_HEADER + "\n"
+
+    def test_series_on_different_grids_byte_identical(self):
+        """Each series keeps its own gt column when two grids (and an
+        empty one, also last) share a call; JSON too."""
+        coarse, = one_series([0.5, -0.25, 1.0])
+        fine = coarse._replace(gt=np.linspace(0.0, 0.1, 5), value=np.linspace(1.0, -1.0, 5),
+                               source="oracle")
+        empty = coarse._replace(gt=np.empty(0), value=np.empty(0))
+        series = [coarse, fine, empty, coarse, fine, empty]
+        text = assert_csv_matches_reference(series)
+        assert len(text.splitlines()) == 1 + 2 * (3 + 5)
+        assert_json_matches_reference(series, {})
+
+
+def reference_onset(gts, values):
+    """The per-value loop `_onset` replaced; its floats are the contract."""
+    for i, v in enumerate(values):
+        if v < 0.0:
+            if i == 0:
+                return float(gts[0])
+            v_prev = values[i - 1]
+            frac = v_prev / (v_prev - v)
+            return float(gts[i - 1] + frac * (gts[i] - gts[i - 1]))
+    return None
+
+
+class TestOnset:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_presets_match_per_value_loop(self, name):
+        series, summary = run_sweep(presets()[name])
+        assert any(onset is not None for onset in summary.values())
+        for s in series:
+            assert summary[(s.witness.label(), s.phi)] == reference_onset(s.gt, s.value)
+
+    def test_first_point(self):
+        assert _onset(np.array([0.1, 0.2]), np.array([-1.0, 2.0])) == 0.1
+
+    def test_interpolated_crossing(self):
+        gts, values = np.array([0.0, 0.1, 0.2, 0.3]), np.array([3.0, 1.0, -3.0, -1.0])
+        assert _onset(gts, values) == 0.1 + 0.25 * (0.2 - 0.1)
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0, -0.0, 2.0], [math.nan, 1.0, 0.5, 0.25]])
+    def test_no_onset(self, values):
+        assert _onset(np.linspace(0.0, 0.3, 4), np.array(values)) is None
 
 
 class TestRunCompare:
@@ -603,6 +707,19 @@ class TestCliBoundary:
         code, out, err = main_in_process(*argv, "--input.phi", "0", "--gt_grid.count",
                                          "2", "--out", str(f))
         assert_one_line_usage_error(code, err, needle)
+        assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--preset", "fig2"),
+        ("sweep", "--preset", "fig2", "--oracle", "--input.phi", "0"),
+        ("compare",),
+    ])
+    def test_overflowing_times_are_one_line_usage_error(self, argv, tmp_path):
+        """On the default grids gt/g overflows at g = 1e-323: one line, no
+        overflow warning, no output written."""
+        f = tmp_path / "out"
+        code, out, err = main_in_process(*argv, "--params.g", "1e-323", "--out", str(f))
+        assert_one_line_usage_error(code, err, "gt/g must be finite", "1e-323")
         assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
