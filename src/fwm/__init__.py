@@ -16,9 +16,7 @@ from .oracle import (CompareResult, Hamiltonian, build_hamiltonian,
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, Series, UsageError, default_compare_config,
                     presets, run_compare, run_sweep)
-from .witnesses import (Criterion, InvalidWitness, WitnessId, duan_pair,
-                        evaluate, hz1_higher, hz1_pair, hz2_higher,
-                        hz2_pair, trimodal_hz, trimodal_symmetric)
+from .witnesses import Criterion, InvalidWitness, WitnessId, evaluate
 
 __version__ = "0.1.0"
 
@@ -33,8 +31,6 @@ __all__ = [
     "eom_residual", "etcr_residual", "residual_scaling_slope",
     "RunConfig", "Series", "UsageError", "default_compare_config",
     "presets", "run_compare", "run_sweep",
-    "Criterion", "InvalidWitness", "WitnessId", "duan_pair",
-    "evaluate", "hz1_higher", "hz1_pair", "hz2_higher",
-    "hz2_pair", "trimodal_hz", "trimodal_symmetric",
+    "Criterion", "InvalidWitness", "WitnessId", "evaluate",
     "__version__",
 ]

@@ -142,9 +142,6 @@ class MomentSpec:
         exps = (self.p, self.q, self.r, self.s, self.u, self.v)
         if any(int(e) != e or e < 0 for e in exps):
             raise ConfigError(f"moment exponents must be >= 0, got {exps!r}")
-        if sum(exps) > MAX_MOMENT_ORDER:
-            raise ConfigError(
-                f"moment order {sum(exps)} exceeds maximum {MAX_MOMENT_ORDER}")
 
 
 @functools.lru_cache
@@ -155,6 +152,9 @@ def _moment_plan(specs: tuple[MomentSpec, ...], shape: tuple[int, int, int]):
     groups: dict[int, list] = {}
     for row, spec in enumerate(specs):
         orders = ((spec.p, spec.q), (spec.r, spec.s), (spec.u, spec.v))
+        if sum(map(sum, orders)) > MAX_MOMENT_ORDER:
+            raise ConfigError(f"moment order {sum(map(sum, orders))} exceeds maximum "
+                              f"{MAX_MOMENT_ORDER}")
         box, weight = [], np.ones(())
         for (p, q), n in zip(orders, shape):
             k = np.arange(max(n - max(p, q), 0), dtype=float)

@@ -9,7 +9,8 @@ coupling g are
     c(t) = h1 c + h2 a²b† + h3 a²a†²c + h4 a†acbb† + h5 aa†cbb†
 
 with all fifteen coefficients closed functions of (Δω₁, g, t), where
-Δω₁ = 2ω_a − ω_b − ω_c.  Only Δω₁·t and g·t enter any observable; the ω's
+Δω₁ = 2ω_a − ω_b − ω_c.  `HEISENBERG_TERMS` holds these terms as data, for
+the residual checks and the closed-form witnesses alike.  Only Δω₁·t and g·t enter any observable; the ω's
 are treated as angular frequencies (s⁻¹).
 
 `coefficients` takes a scalar time or an array of times; for an array every
@@ -18,6 +19,7 @@ coefficient is an array over t, computed in one numpy pass.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,14 @@ import numpy as np
 # Below this value of |Δω₁·t| the coefficient helpers switch to a 4-term
 # Taylor series so the two-photon-resonance limit is smooth.
 SERIES_SWITCHOVER = 1e-4
+
+# The fifteen terms of a(t), b(t), c(t) as (coefficient field, ladder word):
+# a word is an operator product read left to right, upper case the adjoint.
+HEISENBERG_TERMS = {
+    "a": (("f1", "a"), ("f2", "Abc"), ("f3", "aBbCc"), ("f4", "AaaCc"), ("f5", "AaabB")),
+    "b": (("g1", "b"), ("g2", "aaC"), ("g3", "aaAAb"), ("g4", "AabcC"), ("g5", "aAbcC")),
+    "c": (("h1", "c"), ("h2", "aaB"), ("h3", "aaAAc"), ("h4", "AacbB"), ("h5", "aAcbB")),
+}
 
 
 class ConfigError(ValueError):
@@ -119,6 +129,20 @@ class PerturbativeCoefficients:
     h4: complex
     h5: complex
     t: float
+
+    @functools.cached_property
+    def r_powers(self) -> np.ndarray:
+        """Rows |r|², Re r, Im r, Re r², Im r² of r = f2/(2f1) = g·t·ramp(Δω₁t).
+
+        Divided by its first coefficient, each of a(t), b(t), c(t) depends
+        on t only through r and s = f3/(4f1) = |r|²/2 + iτ (τ real):
+        f2 = 2r·f1, g2 = −r̄·g1, f3 = 4s·f1, g3 = s̄·g1, and h as g.
+        Computed once per coefficient set.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self.f1.conjugate() * self.f2 / 2
+            r2 = r * r
+            return np.array([np.abs(r) ** 2, r.real, r.imag, r2.real, r2.imag])
 
 
 def _ramp(x):

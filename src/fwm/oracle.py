@@ -17,9 +17,10 @@ propagates with `evolve_grid` and reads everything it reports with
 `witness_grid`: the states are stacked ``TIME_CHUNK`` at a time, and one
 `fockspace.moments` call per stack reads every distinct moment the
 witnesses need together with ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩ and ⟨N_c⟩, from which the
-norm and charge drifts come.  Every witness reads its raw moments from one
-cached recipe (`_recipe`): HZ and trimodal values are a product of number
-moments minus one squared cross moment.  `compare` certifies every closed
+norm and charge drifts come.  Every witness reads its raw moments from the
+cached recipe the closed forms compile too (`witnesses._recipe`), and is
+assembled by the same formula (`witnesses._combine`): HZ and trimodal
+values are a product of number moments minus one squared cross moment.  `compare` certifies every closed
 form against the oracle over a coupling-halving ladder; it returns (rung,
 witness, time) value arrays and fits the error exponents of all (witness,
 time) points in one least-squares call.
@@ -36,7 +37,7 @@ from . import witnesses
 from .fockspace import (FockBasis, FockStateVector, MomentSpec, ShiftOperator,
                         coherent_state, cutoffs_for, ladders, moments)
 from .model import CoherentInput, ConfigError, ModelParams, coefficients
-from .witnesses import Criterion, WitnessId
+from .witnesses import Criterion, WitnessId, _combine, _recipe, _spec
 
 TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the temporaries
                   # and each chain of phase step products
@@ -177,36 +178,8 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
     return out
 
 
-def _spec(**orders) -> MomentSpec:
-    """MomentSpec of ⟨Π i†ᵖiᵠ⟩ from {mode i: (p, q)}; absent modes get (0, 0)."""
-    return MomentSpec(*(k for mode in "abc" for k in orders.get(mode, (0, 0))))
-
-
 # ⟨1⟩ = ‖ψ‖², ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩: the norm and charges `run` reports
 _TOTALS = (_spec(), _spec(a=(1, 1)), _spec(b=(1, 1)), _spec(c=(1, 1)))
-
-
-@functools.cache
-def _recipe(wid: WitnessId) -> tuple[tuple[MomentSpec, ...], MomentSpec]:
-    """(products, cross) of a witness.  HZ and trimodal values are
-    Π⟨product⟩ − |⟨cross⟩|²; for DUAN the products are (N_i, N_j, ⟨i⟩, ⟨j⟩)
-    and the cross moment is ⟨i j†⟩."""
-    m, n = wid.m, wid.n
-    if wid.criterion is Criterion.HZ1:
-        i, j = wid.modes
-        return (_spec(**{i: (m, m), j: (n, n)}),), _spec(**{i: (0, m), j: (n, 0)})
-    if wid.criterion is Criterion.HZ2:
-        i, j = wid.modes
-        return (_spec(**{i: (m, m)}), _spec(**{j: (n, n)})), _spec(**{i: (0, m), j: (0, n)})
-    if wid.criterion is Criterion.DUAN:
-        i, j = wid.modes
-        return ((_spec(**{i: (1, 1)}), _spec(**{j: (1, 1)}), _spec(**{i: (0, 1)}),
-                 _spec(**{j: (0, 1)})), _spec(**{i: (0, 1), j: (1, 0)}))
-    if wid.criterion is Criterion.TRI_HZ1:
-        i, j, k = wid.modes
-        return (_spec(a=(1, 1), b=(1, 1), c=(1, 1)),), _spec(**{i: (0, 1), j: (0, 1), k: (1, 0)})
-    return ((_spec(a=(1, 1)), _spec(b=(1, 1)), _spec(c=(1, 1))),
-            _spec(a=(0, 1), b=(0, 1), c=(0, 1)))
 
 
 @functools.cache
@@ -227,18 +200,14 @@ def _assemble(wid: WitnessId, mom: dict, params: ModelParams, t):
     HZ and trimodal criteria involve only moduli and number operators, so no
     frame correction is applied; the Duan quadratures use co-rotated
     operators (each mode rotated by e^{+iωt})."""
-    products, cross = _recipe(wid)
-    if wid.criterion is not Criterion.DUAN:
-        return math.prod(mom[s].real for s in products) - np.abs(mom[cross]) ** 2
-    i, j = wid.modes
-    rot_i = np.exp(1j * getattr(params, f"omega_{i}") * t)
-    rot_j = np.exp(1j * getattr(params, f"omega_{j}") * t)
-    ni, nj, mi, mj = (mom[s] for s in products)
-    mi, mj = mi * rot_i, mj * rot_j
-    cij = mom[cross] * rot_i * np.conj(rot_j)
-    return (2 * (ni.real - np.abs(mi) ** 2)
-            + 2 * (nj.real - np.abs(mj) ** 2)
-            + 4 * (cij - mi * np.conj(mj)).real)
+    if wid.criterion is Criterion.DUAN:
+        (_, _, si, sj), cross = _recipe(wid)
+        i, j = wid.modes
+        rot_i = np.exp(1j * getattr(params, f"omega_{i}") * t)
+        rot_j = np.exp(1j * getattr(params, f"omega_{j}") * t)
+        mom = {**mom, si: mom[si] * rot_i, sj: mom[sj] * rot_j,
+               cross: mom[cross] * rot_i * np.conj(rot_j)}
+    return _combine(wid, mom, lambda z: np.abs(z) ** 2)
 
 
 def witness_grid(wids, states, params: ModelParams, times

@@ -23,13 +23,15 @@ quadratic in g and H linear, so the EOM defect is exactly its g³ term.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 
 from .fockspace import FockBasis, ShiftOperator, ladders
-from .model import (ConfigError, ModelParams, PerturbativeCoefficients,
-                    coefficient_derivatives, coefficients)
+from .model import (HEISENBERG_TERMS, ConfigError, ModelParams,
+                    PerturbativeCoefficients, coefficient_derivatives, coefficients)
 from .oracle import build_hamiltonian, sector_blocks
 
 # Largest low-occupation block (states) accepted; bounds the Heisenberg
@@ -40,20 +42,12 @@ MAX_LOW_BLOCK = 2048
 def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
     """a(t), b(t), c(t) as weighted shifts from a coefficient set."""
     A, B, C = ladders(basis)
-    Ad, Bd, Cd = A.H, B.H, C.H
-    a_t = (c.f1 * A + c.f2 * (Ad @ B @ C)
-           + c.f3 * (A @ Bd @ B @ Cd @ C)
-           + c.f4 * (Ad @ A @ A @ Cd @ C)
-           + c.f5 * (Ad @ A @ A @ B @ Bd))
-    b_t = (c.g1 * B + c.g2 * (A @ A @ Cd)
-           + c.g3 * (A @ A @ Ad @ Ad @ B)
-           + c.g4 * (Ad @ A @ B @ C @ Cd)
-           + c.g5 * (A @ Ad @ B @ C @ Cd))
-    c_t = (c.h1 * C + c.h2 * (A @ A @ Bd)
-           + c.h3 * (A @ A @ Ad @ Ad @ C)
-           + c.h4 * (Ad @ A @ C @ B @ Bd)
-           + c.h5 * (A @ Ad @ C @ B @ Bd))
-    return a_t, b_t, c_t
+    ops = {"a": A, "b": B, "c": C, "A": A.H, "B": B.H, "C": C.H}
+    return tuple(functools.reduce(operator.add,
+                                  (getattr(c, field) * functools.reduce(
+                                      operator.matmul, (ops[x] for x in word))
+                                   for field, word in terms))
+                 for terms in HEISENBERG_TERMS.values())
 
 
 def _block_norm(M: ShiftOperator, basis: FockBasis) -> float:

@@ -1,9 +1,6 @@
-"""Moment-based inseparability witnesses evaluated in closed form.
+"""Moment-based inseparability witnesses: one definition, two sources.
 
-Each function maps (coefficients, coherent input) to a real witness value;
-a strictly negative value certifies inseparability of the named mode set.
-The arithmetic is elementwise, so coefficients over an array of times give
-an array of values over t in one pass.
+A strictly negative value certifies inseparability of the named mode set.
 Criteria:
 
     HZ1      ⟨N_i N_j⟩ − |⟨i j†⟩|²            (and the (m,n) generalization)
@@ -12,21 +9,42 @@ Criteria:
     TRI_HZ1  ⟨N_a N_b N_c⟩ − |⟨i j k†⟩|²      per bipartite cut (ij | k)
     TRI_SYM  ⟨N_a⟩⟨N_b⟩⟨N_c⟩ − |⟨a b c⟩|²
 
-The (m,n) closed forms are pinned by three requirements, enforced in the
-test suite: they reduce exactly to the m = n = 1 forms, they stay finite for
-vacuum signal/idler input (no negative amplitude powers survive), and their
-error against exact Fock-space propagation scales as g³ across a coupling
-ladder.  Every term below carries the unique coefficient satisfying all
-three; see tests/bruteforce.py for the independent re-derivation.
+Each witness is defined once, by the moments it reads (`_recipe`) and the
+formula that combines them (`_combine`).  The oracle reads the moments from
+propagated states.  `evaluate` gives the closed form: the same moments of
+the second-order Heisenberg operators (`model.HEISENBERG_TERMS`) in the
+coherent input, compiled once per witness (`_plan`).  Every term of x(t)
+carries x's first coefficient, a pure phase that every witness cancels, so
+each operator is divided by it; what is left is a polynomial in
+r = f2/(2f1) and s = f3/(4f1) = |r|²/2 + iτ.  Operator products are
+normal-ordered with the contraction rule, each ladder then reads its
+coherent amplitude, and `_combine` assembles the witness in exact dyadic
+arithmetic, truncated at second order in g.  The plan is a few amplitude
+polynomials A, and the value Σ weight·Re(A·rᵖ⁻ᵠ)·|r|²ᵠ is one dot product
+with the powers of r over t, so an array of times gives an array of values.
+
+The (m,n) closed forms meet three requirements.  They reduce exactly to the
+m = n = 1 forms, as (1, 1) is the same WitnessId and so the same plan.  They
+stay finite for vacuum signal/idler input, as a normal-ordered moment has
+no negative amplitude power.  Their error against exact Fock-space
+propagation scales as g³, as each is the exact second-order truncation of
+its recipe; `oracle.compare` certifies this, and tests/bruteforce.py
+re-derives every value independently.  Any (m, n) compiles:
+`fockspace.MAX_MOMENT_ORDER` bounds only the oracle's moment reads.
 """
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoherentInput, ConfigError, PerturbativeCoefficients
+from .fockspace import MomentSpec
+from .model import HEISENBERG_TERMS, CoherentInput, ConfigError, PerturbativeCoefficients
 
 _PAIRS = {("a", "b"), ("b", "c"), ("a", "c")}
 _CUTS = {("a", "b", "c"), ("b", "c", "a"), ("a", "c", "b")}
@@ -103,218 +121,212 @@ class WitnessId:
         return cls(criterion=crit, modes=modes, m=m, n=n)
 
 
-def _pair_key(pair) -> tuple[str, str]:
-    key = tuple(pair)
-    if key not in _PAIRS:
-        raise InvalidWitness(f"invalid mode pair {pair!r}")
-    return key
+def _spec(**orders) -> MomentSpec:
+    """MomentSpec of ⟨Π i†ᵖiᵠ⟩ from {mode i: (p, q)}; absent modes get (0, 0)."""
+    return MomentSpec(*(k for mode in "abc" for k in orders.get(mode, (0, 0))))
 
 
-def hz1_pair(pair, coeffs: PerturbativeCoefficients,
-             inp: CoherentInput) -> float | np.ndarray:
-    """⟨N_i N_j⟩ − |⟨i j†⟩|² for a mode pair."""
-    key = _pair_key(pair)
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    f2s = abs(coeffs.f2) ** 2
-    if key == ("a", "b"):
-        val = f2s * (aa ** 3 / 4 + bb ** 2 * cc - aa ** 2 * bb / 2 - aa * bb * cc)
-    elif key == ("a", "c"):
-        val = f2s * (aa ** 3 / 4 + bb * cc ** 2 - aa ** 2 * cc / 2 - aa * bb * cc)
-    else:
-        g2s = abs(coeffs.g2) ** 2
-        bracket = aa ** 2 * (1 + 3 * bb + 3 * cc) - 2 * bb * cc * (1 + 2 * aa)
-        cross = 2 * (coeffs.h1 * coeffs.h2.conjugate()
-                     * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma).real
-        val = g2s * bracket + cross
-    return val
+@functools.cache
+def _recipe(wid: WitnessId) -> tuple[tuple[MomentSpec, ...], MomentSpec]:
+    """(products, cross) of a witness.  HZ and trimodal values are
+    Π⟨product⟩ − |⟨cross⟩|²; for DUAN the products are (N_i, N_j, ⟨i⟩, ⟨j⟩)
+    and the cross moment is ⟨i j†⟩."""
+    m, n = wid.m, wid.n
+    if wid.criterion is Criterion.HZ1:
+        i, j = wid.modes
+        return (_spec(**{i: (m, m), j: (n, n)}),), _spec(**{i: (0, m), j: (n, 0)})
+    if wid.criterion is Criterion.HZ2:
+        i, j = wid.modes
+        return (_spec(**{i: (m, m)}), _spec(**{j: (n, n)})), _spec(**{i: (0, m), j: (0, n)})
+    if wid.criterion is Criterion.DUAN:
+        i, j = wid.modes
+        return ((_spec(**{i: (1, 1)}), _spec(**{j: (1, 1)}), _spec(**{i: (0, 1)}),
+                 _spec(**{j: (0, 1)})), _spec(**{i: (0, 1), j: (1, 0)}))
+    if wid.criterion is Criterion.TRI_HZ1:
+        i, j, k = wid.modes
+        return (_spec(a=(1, 1), b=(1, 1), c=(1, 1)),), _spec(**{i: (0, 1), j: (0, 1), k: (1, 0)})
+    return ((_spec(a=(1, 1)), _spec(b=(1, 1)), _spec(c=(1, 1))),
+            _spec(a=(0, 1), b=(0, 1), c=(0, 1)))
 
 
-def hz2_pair(pair, coeffs: PerturbativeCoefficients,
-             inp: CoherentInput) -> float | np.ndarray:
-    """⟨N_i⟩⟨N_j⟩ − |⟨i j⟩|² for a mode pair."""
-    key = _pair_key(pair)
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    f2s = abs(coeffs.f2) ** 2
-    if key == ("a", "b"):
-        val = f2s * (aa ** 3 / 4 + bb ** 2 * cc + aa ** 2 * bb / 2 + aa * bb * cc)
-    elif key == ("a", "c"):
-        val = f2s * (aa ** 3 / 4 + bb * cc ** 2 + aa ** 2 * cc / 2 + aa * bb * cc)
-    else:
-        g2s = abs(coeffs.g2) ** 2
-        bracket = 2 * bb * cc * (1 + 2 * aa) - aa ** 2 * (1 + bb + cc)
-        cross = 2 * (coeffs.h1 * coeffs.h2.conjugate()
-                     * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma).real
-        val = g2s * bracket - cross
-    return val
+def _combine(wid: WitnessId, mom: dict, abs2):
+    """Witness value from ``mom``, which maps each MomentSpec of the recipe
+    to its value, with ``abs2`` giving |z|².  The Duan quadratures take
+    co-rotated moments.  Only +, −, ·, ``.real`` and ``.conjugate()`` are
+    used, so arrays and order series both serve."""
+    products, cross = _recipe(wid)
+    if wid.criterion is not Criterion.DUAN:
+        return math.prod(mom[s].real for s in products) - abs2(mom[cross])
+    ni, nj, mi, mj = (mom[s] for s in products)
+    return (2 * (ni.real - abs2(mi)) + 2 * (nj.real - abs2(mj))
+            + 4 * (mom[cross] - mi * mj.conjugate()).real)
 
 
-def duan_pair(pair, coeffs: PerturbativeCoefficients,
-              inp: CoherentInput) -> float | np.ndarray:
-    """Joint-quadrature variance sum minus 2; manifestly ≥ 0 for this model."""
-    key = _pair_key(pair)
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    f2s = abs(coeffs.f2) ** 2
-    if key == ("b", "c"):
-        val = f2s * aa ** 2
-    else:
-        val = f2s * (aa ** 2 / 2 + 2 * bb * cc)
-    return val
+# x_k/x_1 for the coefficient fields of a(t) (f) and of b(t), c(t) (g, h),
+# as (factor, exponents of r, r̄, s, s̄): f2 = 2r·f1, g2 = −r̄·g1, f3 = 4s·f1,
+# g3 = s̄·g1, f4 = f5 = −2s·f1, g4 = g5 = −2s̄·g1, and h as g.
+_ONE, _R, _RB, _S, _SB = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_SIGNAL = ((1, _ONE), (-1, _RB), (1, _SB), (-2, _SB), (-2, _SB))
+_HATS = {"f": ((1, _ONE), (2, _R), (4, _S), (-2, _S), (-2, _S)), "g": _SIGNAL, "h": _SIGNAL}
 
 
-def _hz1_pump_pair(aa, bb, oth, m, n):
-    """⟨a†ᵐaᵐx†ⁿxⁿ⟩ − |⟨aᵐx†ⁿ⟩|² polynomial (x = b or c, oth = third mode),
-    divided by |f2|².  Five terms; the candidate |α|^{2m−2} and |α|^{2m−4}
-    occupation terms cancel identically at every order."""
-    return (m * m * aa ** (m - 1) * bb ** (n + 1) * oth
-            - m * n * aa ** m * bb ** n * oth
-            - m * n / 2 * aa ** (m + 1) * bb ** n
-            + n * n / 4 * aa ** (m + 2) * bb ** (n - 1)
-            - m * n * (m - 1) / 4 * aa ** m * bb ** n)
+class _Series(dict):
+    """{(m, e): coefficient}, truncated above second order in g: m holds the
+    exponents of r, r̄ (first order) and s, s̄ (second order), e those of
+    a monomial a†ᵖaᵠb†ʳbˢc†ᵘcᵛ.  For an operator e is a normal-ordered
+    ladder monomial; for a coherent moment, the amplitude monomial
+    ᾱᵖαᵠβ̄ʳβˢγ̄ᵘγᵛ it takes, and products commute."""
+
+    def __add__(self, other):
+        out = _Series(self)
+        for k, v in other.items():
+            out[k] = out.get(k, 0.0) + v
+        return _Series({k: v for k, v in out.items() if v})
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, _Series):
+            return _product(self, other, _commuting)
+        return _Series({k: v * other for k, v in self.items()})
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        """Complex conjugate of a moment, adjoint of an operator."""
+        return _Series({((rb, r, sb, s), (e[1], e[0], e[3], e[2], e[5], e[4])): v
+                        for ((r, rb, s, sb), e), v in self.items()})
+
+    @property
+    def real(self):
+        return (self + self.conjugate()) * 0.5
 
 
-def _bc_cross_terms(coeffs, inp, m, n):
-    """The four phase-sensitive monomials shared by the (b,c) witness family.
+def _commuting(e1, e2):
+    return ((1, tuple(map(operator.add, e1, e2))),)
 
-    Returns (base, t_beta, t_gamma, t_double) where each entry is already a
-    full complex monomial (coefficient × amplitudes); terms whose
-    combinatorial factor vanishes are skipped so no negative amplitude power
-    is ever formed (β = 0 or γ = 0 are legitimate inputs).
+
+@functools.cache
+def _normal_product(e1, e2):
+    """(weight, e) terms of the normal-ordered product of two ladder
+    monomials: per mode (x†ᵖxᵠ)(x†ᵖ'xᵠ') = Σₖ k!·C(q,k)·C(p',k) x†ᵖ⁺ᵖ'⁻ᵏxᵠ⁺ᵠ'⁻ᵏ."""
+    per_mode = [[(math.factorial(k) * math.comb(q, k) * math.comb(p2, k), p + p2 - k, q + q2 - k)
+                 for k in range(min(q, p2) + 1)]
+                for p, q, p2, q2 in zip(e1[::2], e1[1::2], e2[::2], e2[1::2])]
+    return tuple((wa * wb * wc, (*ea, *eb, *ec)) for (wa, *ea), (wb, *eb), (wc, *ec)
+                 in itertools.product(*per_mode))
+
+
+def _product(x: _Series, y: _Series, contract) -> _Series:
+    out: dict = {}
+    for (m1, e1), c1 in x.items():
+        for (m2, e2), c2 in y.items():
+            m = tuple(map(operator.add, m1, m2))
+            if m[0] + m[1] + 2 * (m[2] + m[3]) > 2:
+                continue
+            for w, e in contract(e1, e2):
+                out[m, e] = out.get((m, e), 0.0) + c1 * c2 * w
+    return _Series({k: v for k, v in out.items() if v})
+
+
+@functools.cache
+def _power(letter: str, k: int) -> _Series:
+    """x(t)ᵏ/x₁ᵏ for a ladder letter (upper case: the adjoint), from the
+    Heisenberg table with every coefficient divided by the first one."""
+    if k == 0:
+        return _Series({(_ONE, (0,) * 6): 1.0})
+    if letter.isupper():
+        return _power(letter.lower(), k).conjugate()
+    if k > 1:
+        return _product(_power(letter, k - 1), _power(letter, 1), _normal_product)
+    out = _Series()
+    for field, word in HEISENBERG_TERMS[letter]:
+        factor, mono = _HATS[field[0]][int(field[1:]) - 1]
+        term = _Series({(mono, (0,) * 6): float(factor)})
+        for x in word:
+            e = [0] * 6
+            e[2 * "abc".index(x.lower()) + x.islower()] = 1     # x† at 2i, x at 2i + 1
+            term = _product(term, _Series({(_ONE, tuple(e)): 1.0}), _normal_product)
+        out += term
+    return out
+
+
+def _moment(spec: MomentSpec) -> _Series:
+    """⟨a†ᵖaᵠb†ʳbˢc†ᵘcᵛ⟩ of the phase-free operators x(t)/x₁ in a coherent
+    state, as an order series."""
+    out = _power("a", 0)     # the identity
+    for letter, k in zip("AaBbCc", (spec.p, spec.q, spec.r, spec.s, spec.u, spec.v)):
+        out = _product(out, _power(letter, k), _normal_product)
+    return out
+
+
+# rows of `PerturbativeCoefficients.r_powers` for Re and Im of r^(p-q)·|r|^(2q)
+_ROWS = {(1, 1): (0,), (1, 0): (1, 2), (2, 0): (3, 4)}
+
+
+@functools.cache
+def _plan(wid: WitnessId) -> tuple:
+    """The witness as ((rows, weight, amplitude terms), ...): its value is
+    Σ weight·Re(A·rᵖ⁻ᵠ)·|r|²ᵠ over the `_ROWS` of (p, q), with
+    A = Σ coefficient·ᾱᵖαᵠβ̄ʳβˢγ̄ᵘγᵛ.
+
+    Each moment carries one pure phase (x₁ per x), which every witness
+    cancels, so the phase-free moments give its value.  With r = f2/(2f1)
+    and s = f3/(4f1) = |r|²/2 + iτ (τ real), the series is compiled in
+    exact dyadic arithmetic; order 0 and τ must then cancel exactly.
     """
-    al, be, ga = inp.alpha, inp.beta, inp.gamma
-    kbar = coeffs.h1 * coeffs.h2.conjugate()       # = conj(g2/g1) = conj(h2/h1)
-    base = m * n * kbar * al.conjugate() ** 2 \
-        * be ** m * be.conjugate() ** (m - 1) * ga ** n * ga.conjugate() ** (n - 1)
-    t_beta = 0j
-    t_gamma = 0j
-    t_double = 0j
-    if m > 1 or n > 1:
-        k2 = (coeffs.h2 / coeffs.h1) ** 2    # h1 is a pure phase, never zero
-        a4 = al ** 4
-        if n > 1:
-            t_beta = m * n * (n - 1) * k2 * a4 \
-                * be ** (m - 1) * be.conjugate() ** (m + 1) \
-                * ga ** (n - 2) * ga.conjugate() ** n
-        if m > 1:
-            t_gamma = m * n * (m - 1) * k2 * a4 \
-                * be ** (m - 2) * be.conjugate() ** m \
-                * ga ** (n - 1) * ga.conjugate() ** (n + 1)
-        if m > 1 and n > 1:
-            t_double = m * n * (m - 1) * (n - 1) / 2 * k2 * a4 \
-                * be ** (m - 2) * be.conjugate() ** m \
-                * ga ** (n - 2) * ga.conjugate() ** n
-    return base, t_beta, t_gamma, t_double
+    products, cross = _recipe(wid)
+    value = _combine(wid, {s: _moment(s) for s in {*products, cross}},
+                     lambda z: z * z.conjugate())
+    terms: dict = {}
+    for ((r, rb, s, sb), e), c in value.items():
+        if s or sb:
+            assert value.get(((r, rb, sb, s), e)) == c, f"{wid.label()}: τ does not cancel"
+        poly = terms.setdefault((r + s + sb, rb + s + sb), {})
+        poly[e] = poly.get(e, 0.0) + (c / 2 if s or sb else c)
+    assert (0, 0) not in terms, f"{wid.label()}: order 0 does not cancel"
+    plan = []
+    for (p, q), poly in sorted(terms.items()):
+        if p < q:       # the conjugate of term (q, p), which weight 2 counts
+            continue
+        amps = tuple((c, tuple(min(e[i], e[i + 1]) for i in (0, 2, 4)),
+                      tuple(e[i + 1] - e[i] for i in (0, 2, 4)))
+                     for e, c in poly.items() if c)
+        plan.append((_ROWS[p, q], 1 + (p > q), amps))
+    return tuple(plan)
 
 
-def hz1_higher(pair, m: int, n: int, coeffs: PerturbativeCoefficients,
-               inp: CoherentInput) -> float | np.ndarray:
-    """⟨i†ᵐiᵐj†ⁿjⁿ⟩ − |⟨iᵐj†ⁿ⟩|²; reduces bit-for-bit to hz1_pair at (1,1)."""
-    key = WitnessId(Criterion.HZ1, tuple(pair), m, n).modes   # validates orders
-    if (m, n) == (1, 1):
-        return hz1_pair(key, coeffs, inp)
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    if key == ("a", "b"):
-        val = abs(coeffs.f2) ** 2 * _hz1_pump_pair(aa, bb, cc, m, n)
-    elif key == ("a", "c"):
-        val = abs(coeffs.f2) ** 2 * _hz1_pump_pair(aa, cc, bb, m, n)
-    else:
-        g2s = abs(coeffs.g2) ** 2
-        bracket = ((2 * m * n * n + n * n) * aa ** 2 * bb ** m * cc ** (n - 1)
-                   + m * m * n * n * aa ** 2 * bb ** (m - 1) * cc ** (n - 1)
-                   + (2 * m * m * n + m * m) * aa ** 2 * bb ** (m - 1) * cc ** n
-                   - 2 * m * n * (1 + 2 * aa) * bb ** m * cc ** n)
-        base, t_beta, t_gamma, t_double = _bc_cross_terms(coeffs, inp, m, n)
-        val = g2s * bracket + 2 * (base + t_beta + t_gamma + t_double).real
-    return val
-
-
-def hz2_higher(pair, m: int, n: int, coeffs: PerturbativeCoefficients,
-               inp: CoherentInput) -> float | np.ndarray:
-    """⟨i†ᵐiᵐ⟩⟨j†ⁿjⁿ⟩ − |⟨iᵐjⁿ⟩|²; reduces bit-for-bit to hz2_pair at (1,1)."""
-    key = WitnessId(Criterion.HZ2, tuple(pair), m, n).modes   # validates orders
-    if (m, n) == (1, 1):
-        return hz2_pair(key, coeffs, inp)
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    f2s = abs(coeffs.f2) ** 2
-    if key in (("a", "b"), ("a", "c")):
-        xx, oth = (bb, cc) if key == ("a", "b") else (cc, bb)
-        val = f2s * (m * m * aa ** (m - 1) * xx ** (n + 1) * oth
-                     + m * n * (m - 1) / 4 * aa ** m * xx ** n
-                     + m * n / 2 * aa ** (m + 1) * xx ** n
-                     + n * n / 4 * aa ** (m + 2) * xx ** (n - 1)
-                     + m * n * aa ** m * xx ** n * oth)
-    else:
-        g2s = abs(coeffs.g2) ** 2
-        bracket = ((m * m - 2 * m * m * n) * aa ** 2 * bb ** (m - 1) * cc ** n
-                   - m * m * n * n * aa ** 2 * bb ** (m - 1) * cc ** (n - 1)
-                   + (1 - 2 * m) * n * n * aa ** 2 * bb ** m * cc ** (n - 1)
-                   + 2 * m * n * (1 + 2 * aa) * bb ** m * cc ** n)
-        base, t_beta, t_gamma, t_double = _bc_cross_terms(coeffs, inp, m, n)
-        val = g2s * bracket - 2 * (base + t_beta + t_gamma + t_double).real
-    return val
-
-
-def trimodal_hz(cut, coeffs: PerturbativeCoefficients,
-                inp: CoherentInput) -> float | np.ndarray:
-    """⟨N_a N_b N_c⟩ − |⟨i j k†⟩|² for the bipartite cut (i, j | k)."""
-    key = tuple(cut)
-    if key not in _CUTS:
-        raise InvalidWitness(f"invalid bipartite cut {cut!r}")
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    f2s = abs(coeffs.f2) ** 2
-    if key == ("b", "c", "a"):
-        poly = (aa ** 3 / 4 * (bb + cc)
-                - (1 + aa + bb + cc) * aa * bb * cc + bb ** 2 * cc ** 2)
-        val = f2s * poly
-    else:
-        mid = bb if key == ("a", "b", "c") else cc
-        poly = (aa ** 3 / 4 * (1 + 3 * bb + 3 * cc)
-                - aa * bb * cc / 2 * (5 * aa + 2 * mid + 3) + bb ** 2 * cc ** 2)
-        cross = 2 * (coeffs.h1 * coeffs.h2.conjugate() * aa
-                     * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma
-                     + coeffs.f1.conjugate() * coeffs.f2
-                     * coeffs.g1 * coeffs.g2.conjugate()
-                     * inp.alpha.conjugate() ** 4 * inp.beta ** 2 * inp.gamma ** 2).real
-        val = f2s * poly + cross
-    return val
-
-
-def trimodal_symmetric(coeffs: PerturbativeCoefficients,
-                       inp: CoherentInput) -> float | np.ndarray:
-    """Symmetric three-mode criterion ⟨N_a⟩⟨N_b⟩⟨N_c⟩ − |⟨a b c⟩|²."""
-    aa, bb, cc = abs(inp.alpha) ** 2, abs(inp.beta) ** 2, abs(inp.gamma) ** 2
-    f2s = abs(coeffs.f2) ** 2
-    poly = (-aa ** 3 / 4 * (1 + bb + cc)
-            + aa * bb * cc * (3 * aa + bb + cc + 1.5) + bb ** 2 * cc ** 2)
-    cross = 2 * (coeffs.h1 * coeffs.h2.conjugate() * aa
-                 * inp.alpha.conjugate() ** 2 * inp.beta * inp.gamma
-                 + coeffs.f1 * coeffs.f2.conjugate()
-                 * coeffs.h1.conjugate() * coeffs.h2
-                 * inp.alpha ** 4 * inp.beta.conjugate() ** 2
-                 * inp.gamma.conjugate() ** 2).real
-    return f2s * poly - cross
+def _amplitude(terms, inp: CoherentInput) -> complex:
+    """Σ coefficient·Πᵢ |xᵢ|^{2kᵢ}·xᵢ^{dᵢ} (x̄ᵢ^{−dᵢ} for dᵢ < 0)."""
+    amps = (inp.alpha, inp.beta, inp.gamma)
+    total = 0j
+    for c, ks, ds in terms:
+        for x, k, d in zip(amps, ks, ds):
+            c = c * abs(x) ** (2 * k) * (x ** d if d >= 0 else x.conjugate() ** -d)
+        total += c
+    return total
 
 
 def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
              inp: CoherentInput) -> float | np.ndarray:
-    """Dispatch a WitnessId to its evaluator: a float for a scalar t, an
-    array over t otherwise; raises ConfigError when any value overflows."""
+    """Closed-form value of a witness: a float for a scalar t, an array over
+    t otherwise.  Raises ConfigError when any value overflows."""
+    weights = [0.0] * 5
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if wid.criterion is Criterion.HZ1:
-                out = hz1_higher(wid.modes, wid.m, wid.n, coeffs, inp)
-            elif wid.criterion is Criterion.HZ2:
-                out = hz2_higher(wid.modes, wid.m, wid.n, coeffs, inp)
-            elif wid.criterion is Criterion.DUAN:
-                out = duan_pair(wid.modes, coeffs, inp)
-            elif wid.criterion is Criterion.TRI_HZ1:
-                out = trimodal_hz(wid.modes, coeffs, inp)
-            else:
-                out = trimodal_symmetric(coeffs, inp)
+        for rows, w, terms in _plan(wid):
+            a = w * _amplitude(terms, inp)
+            weights[rows[0]] += a.real
+            if len(rows) > 1:
+                weights[rows[1]] -= a.imag
     except OverflowError:      # a Python float power of an amplitude overflowed
-        amps = ", ".join(f"{abs(z):.6g}" for z in (inp.alpha, inp.beta, inp.gamma))
+        weights = [math.inf]
+    if not all(map(math.isfinite, weights)):
+        mags = ", ".join(f"{abs(z):.6g}" for z in (inp.alpha, inp.beta, inp.gamma))
         raise ConfigError(f"{wid.label()} values must be finite, got an overflow from the "
-                          f"input amplitudes |alpha|, |beta|, |gamma| = {amps}") from None
-    value = np.asarray(out, dtype=float)
+                          f"input amplitudes |alpha|, |beta|, |gamma| = {mags}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.dot(weights, coeffs.r_powers)
     if not np.isfinite(value).all():
         raise ConfigError(f"{wid.label()} values must be finite, got an overflow "
                           f"at t up to {float(np.max(coeffs.t))!r}")

@@ -22,8 +22,7 @@ from fwm.residuals import residual_scaling_slope
 from fwm.sweep import (GtGrid, InputSpec, OracleSpec, ParamsSpec, RunConfig,
                        default_compare_config, presets, rows_to_csv,
                        run_compare, run_sweep)
-from fwm.witnesses import (WitnessId, duan_pair, evaluate, hz1_higher,
-                           hz1_pair, hz2_higher, hz2_pair, trimodal_hz)
+from fwm.witnesses import WitnessId, evaluate
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -38,6 +37,10 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 
 FIG_INPUT = CoherentInput.from_pump_phase(5.0, 0.0, 4.0, 2.0)
+
+
+def ev(label, coeffs, inp):
+    return evaluate(WitnessId.parse(label), coeffs, inp)
 
 
 def random_case(rng):
@@ -73,6 +76,9 @@ def test_criterion_2_residual_scaling():
 
 
 def test_criterion_3_order_reduction():
+    """HZ1:ab:1,1 parses to the WitnessId of HZ1:ab and so reads one compiled
+    plan: the reduction holds by construction.  The (m, n) forms are checked
+    against the independent reference in test_witnesses.TestAgainstBruteForce."""
     rng = np.random.default_rng(3)
     ok = True
     for _ in range(1000):
@@ -81,11 +87,9 @@ def test_criterion_3_order_reduction():
                             beta=complex(rng.normal(), rng.normal()),
                             gamma=complex(rng.normal(), rng.normal()))
         coeffs = coefficients(params, t)
-        for pair in (("a", "b"), ("b", "c"), ("a", "c")):
-            ok &= hz1_higher(pair, 1, 1, coeffs, inp) == \
-                hz1_pair(pair, coeffs, inp)
-            ok &= hz2_higher(pair, 1, 1, coeffs, inp) == \
-                hz2_pair(pair, coeffs, inp)
+        for pair in ("ab", "bc", "ac"):
+            ok &= ev(f"HZ1:{pair}:1,1", coeffs, inp) == ev(f"HZ1:{pair}", coeffs, inp)
+            ok &= ev(f"HZ2:{pair}:1,1", coeffs, inp) == ev(f"HZ2:{pair}", coeffs, inp)
     _report("criterion 3 (order reduction bit-for-bit, 1000 random draws)", ok)
     assert ok
 
@@ -94,17 +98,15 @@ def test_criterion_4_hand_evaluated_polynomials():
     coeffs = coefficients(ModelParams.from_detuning(-100.0, 1.0), 0.017)
     f2s = abs(coeffs.f2) ** 2
     checks = {
-        "E_ab": (hz1_pair(("a", "b"), coeffs, FIG_INPUT) / f2s, -1669.75),
-        "E_ac": (hz1_pair(("a", "c"), coeffs, FIG_INPUT) / f2s, 1312.25),
-        "D_ab": (duan_pair(("a", "b"), coeffs, FIG_INPUT) / f2s, 440.5),
-        "D_bc": (duan_pair(("b", "c"), coeffs, FIG_INPUT) / f2s, 625.0),
+        "E_ab": (ev("HZ1:ab", coeffs, FIG_INPUT) / f2s, -1669.75),
+        "E_ac": (ev("HZ1:ac", coeffs, FIG_INPUT) / f2s, 1312.25),
+        "D_ab": (ev("DUAN:ab", coeffs, FIG_INPUT) / f2s, 440.5),
+        "D_bc": (ev("DUAN:bc", coeffs, FIG_INPUT) / f2s, 625.0),
         # the certified 5-term (m,n) = (2,1) closed form; the value its own
         # brute-force re-verification yields (the originally quoted -23757.75
         # reproduces only the inconsistent 8-term layout, see docs)
-        "E21_ac": (hz1_higher(("a", "c"), 2, 1, coeffs, FIG_INPUT) / f2s,
-                   -20493.75),
-        "E_bca": (trimodal_hz(("b", "c", "a"), coeffs, FIG_INPUT) / f2s,
-                  8621.0),
+        "E21_ac": (ev("HZ1:ac:2,1", coeffs, FIG_INPUT) / f2s, -20493.75),
+        "E_bca": (ev("TRI_HZ1:bca", coeffs, FIG_INPUT) / f2s, 8621.0),
     }
     ok = all(got == pytest.approx(want, rel=1e-9) for got, want in checks.values())
     _report("criterion 4 (hand-evaluated polynomial ratios)", ok,

@@ -92,10 +92,14 @@ class TestMoments:
         assert a2a2.real == pytest.approx(abs(inp.alpha) ** 4, rel=1e-7)
 
     def test_moment_spec_validation(self):
+        """Exponents must be >= 0; the order bound holds only where a
+        moment is read, as closed forms take any (m, n)."""
         with pytest.raises(ConfigError):
             MomentSpec(-1, 0, 0, 0, 0, 0)
-        with pytest.raises(ConfigError):
-            MomentSpec(4, 4, 2, 2, 1, 0)   # order 13 > 12
+        spec = MomentSpec(4, 4, 2, 2, 1, 0)   # order 13 > 12
+        with pytest.raises(ConfigError, match="exceeds maximum"):
+            moments(coherent_state(FockBasis((8, 6, 6)), CoherentInput(0.5, 0.3, 0.2)),
+                    (spec,))
 
     def test_hermitian_conjugate_pairing(self):
         basis = FockBasis((8, 8, 6))

@@ -34,6 +34,23 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_api_ledger():
+    """The public names of ``fwm``; a new or dropped name is an edit here."""
+    assert fwm.__all__ == [
+        "CutoffError", "FockBasis", "FockStateVector", "MomentSpec",
+        "coherent_state", "cutoffs_for", "moments",
+        "ConfigError", "CoherentInput", "ModelParams", "PerturbativeCoefficients",
+        "coefficient_derivatives", "coefficients",
+        "CompareResult", "Hamiltonian", "build_hamiltonian",
+        "certification_summary", "compare", "evolve_grid", "run",
+        "witness_grid",
+        "eom_residual", "etcr_residual", "residual_scaling_slope",
+        "RunConfig", "Series", "UsageError", "default_compare_config",
+        "presets", "run_compare", "run_sweep",
+        "Criterion", "InvalidWitness", "WitnessId", "evaluate",
+        "__version__"]
+
+
 def _dotted_keys(cls, prefix=""):
     for f in dataclasses.fields(cls):
         if f.name in sweep._SECTIONS:

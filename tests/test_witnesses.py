@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fwm.model import SERIES_SWITCHOVER, CoherentInput, ModelParams, coefficients
 from fwm.sweep import Series, certification_witnesses, rows_to_csv
-from fwm.witnesses import (Criterion, InvalidWitness, WitnessId, duan_pair,
-                           evaluate, hz1_higher, hz1_pair, hz2_higher,
-                           hz2_pair, trimodal_hz, trimodal_symmetric)
+from fwm.witnesses import (_HATS, Criterion, InvalidWitness, WitnessId, _plan,
+                           evaluate)
 
 from bruteforce import TruthEngine
 
@@ -26,6 +25,11 @@ def random_setting(rng, amp=1.0):
         beta=complex(rng.normal(), rng.normal()) * amp,
         gamma=complex(rng.normal(), rng.normal()) * amp)
     return params, t, inp
+
+
+def ev(label, coeffs, inp):
+    """The closed form of a witness label, as `evaluate` gives it."""
+    return evaluate(WitnessId.parse(label), coeffs, inp)
 
 
 def some_coeffs(phi=0.0, gt=0.03):
@@ -46,31 +50,31 @@ class TestHandValues:
         return value / self.f2s
 
     def test_hz1_ab(self):
-        assert self.ratio(hz1_pair(("a", "b"), self.coeffs, FIG_INPUT)) == \
+        assert self.ratio(ev("HZ1:ab", self.coeffs, FIG_INPUT)) == \
             pytest.approx(-1669.75, rel=1e-12)
 
     def test_hz1_ac(self):
-        assert self.ratio(hz1_pair(("a", "c"), self.coeffs, FIG_INPUT)) == \
+        assert self.ratio(ev("HZ1:ac", self.coeffs, FIG_INPUT)) == \
             pytest.approx(1312.25, rel=1e-12)
 
     def test_hz2_ab(self):
-        assert self.ratio(hz2_pair(("a", "b"), self.coeffs, FIG_INPUT)) == \
+        assert self.ratio(ev("HZ2:ab", self.coeffs, FIG_INPUT)) == \
             pytest.approx(11530.25, rel=1e-12)
 
     def test_duan_ab(self):
-        assert self.ratio(duan_pair(("a", "b"), self.coeffs, FIG_INPUT)) == \
+        assert self.ratio(ev("DUAN:ab", self.coeffs, FIG_INPUT)) == \
             pytest.approx(440.5, rel=1e-12)
 
     def test_duan_bc(self):
-        assert self.ratio(duan_pair(("b", "c"), self.coeffs, FIG_INPUT)) == \
+        assert self.ratio(ev("DUAN:bc", self.coeffs, FIG_INPUT)) == \
             pytest.approx(625.0, rel=1e-12)
 
     def test_hz1_higher_ac_21(self):
-        wv = hz1_higher(("a", "c"), 2, 1, self.coeffs, FIG_INPUT)
+        wv = ev("HZ1:ac:2,1", self.coeffs, FIG_INPUT)
         assert self.ratio(wv) == pytest.approx(-20493.75, rel=1e-12)
 
     def test_trimodal_bca(self):
-        wv = trimodal_hz(("b", "c", "a"), self.coeffs, FIG_INPUT)
+        wv = ev("TRI_HZ1:bca", self.coeffs, FIG_INPUT)
         assert self.ratio(wv) == pytest.approx(8621.0, rel=1e-12)
 
 
@@ -79,16 +83,16 @@ class TestZeroAtSeparability:
         params = ModelParams(242.38e13, 36.05e13, 448.98e13, 2.7e9)
         coeffs = coefficients(params, 0.0)
         inp = FIG_INPUT
-        for pair in PAIRS:
-            assert hz1_pair(pair, coeffs, inp) == 0.0
-            assert hz2_pair(pair, coeffs, inp) == 0.0
-            assert duan_pair(pair, coeffs, inp) == 0.0
+        for i, j in PAIRS:
+            assert ev(f"HZ1:{i}{j}", coeffs, inp) == 0.0
+            assert ev(f"HZ2:{i}{j}", coeffs, inp) == 0.0
+            assert ev(f"DUAN:{i}{j}", coeffs, inp) == 0.0
             for (m, n) in [(2, 1), (1, 2), (3, 2)]:
-                assert hz1_higher(pair, m, n, coeffs, inp) == 0.0
-                assert hz2_higher(pair, m, n, coeffs, inp) == 0.0
+                assert ev(f"HZ1:{i}{j}:{m},{n}", coeffs, inp) == 0.0
+                assert ev(f"HZ2:{i}{j}:{m},{n}", coeffs, inp) == 0.0
         for cut in CUTS:
-            assert trimodal_hz(cut, coeffs, inp) == 0.0
-        assert trimodal_symmetric(coeffs, inp) == 0.0
+            assert ev("TRI_HZ1:" + "".join(cut), coeffs, inp) == 0.0
+        assert ev("TRI_SYM", coeffs, inp) == 0.0
 
 
 class TestAgainstBruteForce:
@@ -101,23 +105,25 @@ class TestAgainstBruteForce:
         coeffs = coefficients(params, t)
         truth = TruthEngine(coeffs, inp)
         for (i, j) in PAIRS:
-            for fn, ref in [(hz1_pair, truth.hz1), (hz2_pair, truth.hz2)]:
-                got = fn((i, j), coeffs, inp)
+            for crit, ref in [("HZ1", truth.hz1), ("HZ2", truth.hz2)]:
+                got = ev(f"{crit}:{i}{j}", coeffs, inp)
                 want = ref(i, j)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             wi = getattr(params, f"omega_{i}")
             wj = getattr(params, f"omega_{j}")
-            got = duan_pair((i, j), coeffs, inp)
+            got = ev(f"DUAN:{i}{j}", coeffs, inp)
             assert got == pytest.approx(truth.duan(i, j, wi, wj, t),
                                         rel=1e-7, abs=1e-9)
         for cut in CUTS:
-            got = trimodal_hz(cut, coeffs, inp)
+            got = ev("TRI_HZ1:" + "".join(cut), coeffs, inp)
             assert got == pytest.approx(truth.trimodal(cut[2]), rel=1e-9, abs=1e-9)
-        got = trimodal_symmetric(coeffs, inp)
+        got = ev("TRI_SYM", coeffs, inp)
         assert got == pytest.approx(truth.trimodal_sym(), rel=1e-8, abs=1e-9)
 
+    # (7, 1) reads moments of order 16: closed forms take any (m, n), and
+    # fockspace.MAX_MOMENT_ORDER = 12 bounds only the oracle's moment reads
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3),
-                                     (2, 2), (3, 2), (2, 3)])
+                                     (2, 2), (3, 2), (2, 3), (3, 3), (4, 1), (7, 1)])
     def test_higher_order_grid(self, m, n):
         rng = np.random.default_rng(10 * m + n)
         for _ in range(3):
@@ -125,10 +131,10 @@ class TestAgainstBruteForce:
             coeffs = coefficients(params, t)
             truth = TruthEngine(coeffs, inp)
             for (i, j) in PAIRS:
-                got = hz1_higher((i, j), m, n, coeffs, inp)
+                got = ev(f"HZ1:{i}{j}:{m},{n}", coeffs, inp)
                 assert got == pytest.approx(truth.hz1(i, j, m, n),
                                             rel=1e-9, abs=1e-10)
-                got = hz2_higher((i, j), m, n, coeffs, inp)
+                got = ev(f"HZ2:{i}{j}:{m},{n}", coeffs, inp)
                 assert got == pytest.approx(truth.hz2(i, j, m, n),
                                             rel=1e-9, abs=1e-10)
 
@@ -140,26 +146,44 @@ class TestAgainstBruteForce:
         truth = TruthEngine(coeffs, inp)
         for (m, n) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
             for (i, j) in PAIRS:
-                got = hz1_higher((i, j), m, n, coeffs, inp)
+                got = ev(f"HZ1:{i}{j}:{m},{n}", coeffs, inp)
                 assert math.isfinite(got)
                 assert got == pytest.approx(truth.hz1(i, j, m, n),
                                             rel=1e-10, abs=1e-12)
-                got = hz2_higher((i, j), m, n, coeffs, inp)
+                got = ev(f"HZ2:{i}{j}:{m},{n}", coeffs, inp)
                 assert got == pytest.approx(truth.hz2(i, j, m, n),
                                             rel=1e-10, abs=1e-12)
 
 
 class TestOrderReduction:
     def test_bit_for_bit_at_11(self):
+        """HZ1:ab:1,1 is HZ1:ab (one WitnessId, one compiled plan), so the
+        reduction holds by construction; `TestAgainstBruteForce` checks
+        both against the independent reference."""
         rng = np.random.default_rng(7)
         for _ in range(1000):
             params, t, inp = random_setting(rng)
             coeffs = coefficients(params, t)
-            for pair in PAIRS:
-                assert hz1_higher(pair, 1, 1, coeffs, inp) == \
-                    hz1_pair(pair, coeffs, inp)
-                assert hz2_higher(pair, 1, 1, coeffs, inp) == \
-                    hz2_pair(pair, coeffs, inp)
+            for i, j in PAIRS:
+                assert ev(f"HZ1:{i}{j}:1,1", coeffs, inp) == \
+                    ev(f"HZ1:{i}{j}", coeffs, inp)
+                assert ev(f"HZ2:{i}{j}:1,1", coeffs, inp) == \
+                    ev(f"HZ2:{i}{j}", coeffs, inp)
+
+    def test_plan_has_hand_form_shape(self):
+        """HZ1:ab compiles to one |r|² term with four amplitude monomials,
+        (|α|⁶ − 2|α|⁴|β|² − 4|α|²|β|²|γ|² + 4|β|⁴|γ|²)·|r|²; HZ1:bc adds one
+        first-order cross term in r·ᾱ²βγ."""
+        assert _plan(WitnessId.parse("HZ1:ab:1,1")) is _plan(WitnessId.parse("HZ1:ab"))
+        [(rows, weight, terms)] = _plan(WitnessId.parse("HZ1:ab"))
+        assert (rows, weight) == ((0,), 1)
+        assert sorted(terms) == sorted([(1.0, (3, 0, 0), (0, 0, 0)),
+                                        (-2.0, (2, 1, 0), (0, 0, 0)),
+                                        (-4.0, (1, 1, 1), (0, 0, 0)),
+                                        (4.0, (0, 2, 1), (0, 0, 0))])
+        cross, square = _plan(WitnessId.parse("HZ1:bc"))
+        assert cross == ((1, 2), 2, ((-1.0, (0, 0, 0), (-2, 1, 1)),))
+        assert square[:2] == ((0,), 1)
 
 
 class TestPhaseParity:
@@ -171,19 +195,19 @@ class TestPhaseParity:
         for phi in (0.0, 0.33, math.pi / 2, 2.2):
             a = CoherentInput.from_pump_phase(2.5, phi, 1.5, 0.8)
             b = CoherentInput(alpha=-a.alpha, beta=a.beta, gamma=a.gamma)
-            for pair in PAIRS:
+            for i, j in PAIRS:
                 for (m, n) in [(1, 1), (2, 1), (1, 2)]:
-                    assert hz1_higher(pair, m, n, coeffs, a) == \
-                        hz1_higher(pair, m, n, coeffs, b)
-                    assert hz2_higher(pair, m, n, coeffs, a) == \
-                        hz2_higher(pair, m, n, coeffs, b)
-                assert duan_pair(pair, coeffs, a) == \
-                    duan_pair(pair, coeffs, b)
+                    assert ev(f"HZ1:{i}{j}:{m},{n}", coeffs, a) == \
+                        ev(f"HZ1:{i}{j}:{m},{n}", coeffs, b)
+                    assert ev(f"HZ2:{i}{j}:{m},{n}", coeffs, a) == \
+                        ev(f"HZ2:{i}{j}:{m},{n}", coeffs, b)
+                assert ev(f"DUAN:{i}{j}", coeffs, a) == \
+                    ev(f"DUAN:{i}{j}", coeffs, b)
             for cut in CUTS:
-                assert trimodal_hz(cut, coeffs, a) == \
-                    trimodal_hz(cut, coeffs, b)
-            assert trimodal_symmetric(coeffs, a) == \
-                trimodal_symmetric(coeffs, b)
+                assert ev("TRI_HZ1:" + "".join(cut), coeffs, a) == \
+                    ev("TRI_HZ1:" + "".join(cut), coeffs, b)
+            assert ev("TRI_SYM", coeffs, a) == \
+                ev("TRI_SYM", coeffs, b)
 
     def test_cross_terms_odd_under_detuning_flip(self):
         """Conjugating all amplitudes while flipping Δω₁ → −Δω₁ flips the
@@ -203,15 +227,15 @@ class TestPhaseParity:
                                  gamma=inp.gamma.conjugate())
             c_fwd = coefficients(ModelParams.from_detuning(delta, g), t)
             c_rev = coefficients(ModelParams.from_detuning(-delta, g), t)
-            for pair in (("a", "b"), ("a", "c")):
-                v1 = hz1_pair(pair, c_fwd, inp)
-                v2 = hz1_pair(pair, c_rev, conj)
+            for label in ("HZ1:ab", "HZ1:ac"):
+                v1 = ev(label, c_fwd, inp)
+                v2 = ev(label, c_rev, conj)
                 assert v1 == pytest.approx(v2, rel=1e-10, abs=1e-14)
             # bc: flipping the detuning with conjugated amplitudes flips the
             # cross term only, same as rotating the pump phase by π/2
-            v2 = hz1_pair(("b", "c"), c_rev, conj)
+            v2 = ev("HZ1:bc", c_rev, conj)
             quarter = CoherentInput(1j * inp.alpha, inp.beta, inp.gamma)
-            v_flip = hz1_pair(("b", "c"), c_fwd, quarter)
+            v_flip = ev("HZ1:bc", c_fwd, quarter)
             assert v2 == pytest.approx(v_flip, rel=1e-10, abs=1e-13)
 
 
@@ -222,31 +246,28 @@ def test_duan_never_negative(aa, bb, cc, phi, gt, delta_ratio):
     params = ModelParams.from_detuning(delta_ratio, 1.0)
     coeffs = coefficients(params, gt)
     inp = CoherentInput.from_pump_phase(aa, phi, bb, cc)
-    for pair in PAIRS:
-        assert duan_pair(pair, coeffs, inp) >= 0.0
+    for i, j in PAIRS:
+        assert ev(f"DUAN:{i}{j}", coeffs, inp) >= 0.0
 
 
 class TestWitnessIds:
     def test_invalid_pair_rejected(self):
-        coeffs, inp = some_coeffs()
         with pytest.raises(InvalidWitness):
-            hz1_pair(("b", "a"), coeffs, inp)
+            WitnessId(Criterion.HZ1, ("b", "a"))
         with pytest.raises(InvalidWitness):
-            duan_pair(("a", "a"), coeffs, inp)
+            WitnessId(Criterion.DUAN, ("a", "a"))
 
     def test_invalid_cut_rejected(self):
-        coeffs, inp = some_coeffs()
         with pytest.raises(InvalidWitness):
-            trimodal_hz(("c", "a", "b"), coeffs, inp)
+            WitnessId(Criterion.TRI_HZ1, ("c", "a", "b"))
 
     def test_invalid_orders_rejected(self):
         with pytest.raises(InvalidWitness):
             WitnessId(Criterion.HZ1, ("a", "b"), 0, 1)
         with pytest.raises(InvalidWitness):
             WitnessId(Criterion.DUAN, ("a", "b"), 2, 1)
-        coeffs, inp = some_coeffs()
         with pytest.raises(InvalidWitness):
-            hz1_higher(("a", "b"), 0, 2, coeffs, inp)
+            WitnessId.parse("HZ1:ab:0,2")
 
     def test_parse_round_trip(self):
         for label in ["HZ1:ab", "HZ2:bc:1,2", "HZ1:ac:3,1", "DUAN:bc",
@@ -255,21 +276,22 @@ class TestWitnessIds:
             assert WitnessId.parse(wid.label()) == wid
 
     def test_evaluate_dispatch(self):
+        """Each criterion reads its own recipe: evaluate agrees with the
+        brute-force reference of the same witness."""
         coeffs, inp = some_coeffs(phi=0.4)
-        wid = WitnessId.parse("HZ2:bc:1,2")
-        assert evaluate(wid, coeffs, inp) == \
-            hz2_higher(("b", "c"), 1, 2, coeffs, inp)
-        wid = WitnessId.parse("TRI_SYM")
-        assert evaluate(wid, coeffs, inp) == \
-            trimodal_symmetric(coeffs, inp)
+        truth = TruthEngine(coeffs, inp)
+        assert ev("HZ2:bc:1,2", coeffs, inp) == \
+            pytest.approx(truth.hz2("b", "c", 1, 2), rel=1e-9)
+        assert ev("TRI_SYM", coeffs, inp) == \
+            pytest.approx(truth.trimodal_sym(), rel=1e-9)
 
 
 def test_entangled_flag_strict_negativity():
     """The written ``entangled`` flag is strict negativity of the value:
     false at ±0 and for a NaN (failed) value."""
     coeffs, inp = some_coeffs(phi=math.pi / 2)
-    bc = hz1_pair(("b", "c"), coeffs, inp)
-    ac = hz1_pair(("a", "c"), coeffs, inp)
+    bc = ev("HZ1:bc", coeffs, inp)
+    ac = ev("HZ1:ac", coeffs, inp)
     assert bc < 0 < ac
     values = np.array([bc, ac, 0.0, -0.0, -5e-324, np.nan])
     series = Series(WitnessId.parse("HZ1:bc"), 0.0, "perturbative",
@@ -288,11 +310,11 @@ def test_detuning_sufficiency_on_values():
         inp = CoherentInput.from_pump_phase(1.3, 0.7, 0.9, 0.5)
         c0 = coefficients(ModelParams(wa, wb, wc, g), t)
         c1 = coefficients(ModelParams(wa + shift, wb + shift, wc + shift, g), t)
-        for pair in PAIRS:
-            assert hz1_pair(pair, c0, inp) == \
-                pytest.approx(hz1_pair(pair, c1, inp), rel=1e-12, abs=1e-15)
-        assert trimodal_symmetric(c0, inp) == \
-            pytest.approx(trimodal_symmetric(c1, inp), rel=1e-12, abs=1e-15)
+        for i, j in PAIRS:
+            assert ev(f"HZ1:{i}{j}", c0, inp) == \
+                pytest.approx(ev(f"HZ1:{i}{j}", c1, inp), rel=1e-12, abs=1e-15)
+        assert ev("TRI_SYM", c0, inp) == \
+            pytest.approx(ev("TRI_SYM", c1, inp), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("delta, times", [
@@ -316,3 +338,20 @@ def test_array_evaluation_matches_scalar(delta, times):
         np.testing.assert_allclose(series, scalar, rtol=1e-13,
                                    atol=1e-13 * np.abs(scalar).max(), err_msg=label)
         assert (series < 0).tolist() == [v < 0 for v in points], label
+
+
+def test_phase_free_coefficients():
+    """Every coefficient is its mode's first one times the `_HATS` factor
+    and monomial in r = f2/(2f1) and s = f3/(4f1), with Re s = |r|²/2."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        params, t, _ = random_setting(rng)
+        c = coefficients(params, t)
+        r = c.f2 / (2 * c.f1)
+        s = c.f3 / (4 * c.f1)
+        assert s.real == pytest.approx(abs(r) ** 2 / 2, rel=1e-12, abs=1e-300)
+        for x in "fgh":
+            for k, (factor, (pr, prb, ps, psb)) in enumerate(_HATS[x], 1):
+                want = factor * r ** pr * r.conjugate() ** prb * s ** ps * s.conjugate() ** psb
+                got = getattr(c, f"{x}{k}") / getattr(c, f"{x}1")
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300), f"{x}{k}"
