@@ -132,13 +132,9 @@ class PerturbativeCoefficients:
 
     @functools.cached_property
     def r_powers(self) -> np.ndarray:
-        """Rows |r|², Re r, Im r, Re r², Im r² of r = f2/(2f1) = g·t·ramp(Δω₁t).
-
-        Divided by its first coefficient, each of a(t), b(t), c(t) depends
-        on t only through r and s = f3/(4f1) = |r|²/2 + iτ (τ real):
-        f2 = 2r·f1, g2 = −r̄·g1, f3 = 4s·f1, g3 = s̄·g1, and h as g.
-        Computed once per coefficient set.
-        """
+        """Rows |r|², Re r, Im r, Re r², Im r² of r = f2/(2f1) = g·t·ramp(Δω₁t),
+        once per coefficient set: divided by its first coefficient, each of
+        a(t), b(t), c(t) depends on t only through r and f3/(4f1) = |r|²/2 + iτ."""
         with np.errstate(over="ignore", invalid="ignore"):
             r = self.f1.conjugate() * self.f2 / 2
             r2 = r * r

@@ -9,28 +9,19 @@ Criteria:
     TRI_HZ1  ⟨N_a N_b N_c⟩ − |⟨i j k†⟩|²      per bipartite cut (ij | k)
     TRI_SYM  ⟨N_a⟩⟨N_b⟩⟨N_c⟩ − |⟨a b c⟩|²
 
-Each witness is defined once, by the moments it reads (`_recipe`) and the
-formula that combines them (`_combine`).  The oracle reads the moments from
-propagated states.  `evaluate` gives the closed form: the same moments of
-the second-order Heisenberg operators (`model.HEISENBERG_TERMS`) in the
-coherent input, compiled once per witness (`_plan`).  Every term of x(t)
-carries x's first coefficient, a pure phase that every witness cancels, so
-each operator is divided by it; what is left is a polynomial in
-r = f2/(2f1) and s = f3/(4f1) = |r|²/2 + iτ.  Operator products are
-normal-ordered with the contraction rule, each ladder then reads its
-coherent amplitude, and `_combine` assembles the witness in exact dyadic
-arithmetic, truncated at second order in g.  The plan is a few amplitude
-polynomials A, and the value Σ weight·Re(A·rᵖ⁻ᵠ)·|r|²ᵠ is one dot product
-with the powers of r over t, so an array of times gives an array of values.
+A witness is the moments it reads (`_recipe`) and the formula combining
+them (`_combine`).  The oracle reads the moments from propagated states;
+`evaluate` compiles them once per witness (`_plan`) from the second-order
+Heisenberg operators in the coherent input, an array over t in one pass.
 
-The (m,n) closed forms meet three requirements.  They reduce exactly to the
-m = n = 1 forms, as (1, 1) is the same WitnessId and so the same plan.  They
-stay finite for vacuum signal/idler input, as a normal-ordered moment has
-no negative amplitude power.  Their error against exact Fock-space
-propagation scales as g³, as each is the exact second-order truncation of
-its recipe; `oracle.compare` certifies this, and tests/bruteforce.py
-re-derives every value independently.  Any (m, n) compiles:
-`fockspace.MAX_MOMENT_ORDER` bounds only the oracle's moment reads.
+The (m,n) closed forms meet three requirements.  They reduce exactly to
+the m = n = 1 forms: (1, 1) is the same WitnessId, so the same plan.  They
+stay finite for vacuum signal/idler input: a normal-ordered moment has no
+negative amplitude power.  Their error against exact Fock-space propagation
+scales as g³: each is the exact second-order truncation of its recipe
+(certified by `oracle.compare`; tests/bruteforce.py re-derives every value
+independently).  Any (m, n) compiles; `fockspace.MAX_MOMENT_ORDER` bounds
+only the oracle's moment reads.
 """
 from __future__ import annotations
 
@@ -271,10 +262,10 @@ def _plan(wid: WitnessId) -> tuple:
     Σ weight·Re(A·rᵖ⁻ᵠ)·|r|²ᵠ over the `_ROWS` of (p, q), with
     A = Σ coefficient·ᾱᵖαᵠβ̄ʳβˢγ̄ᵘγᵛ.
 
-    Each moment carries one pure phase (x₁ per x), which every witness
-    cancels, so the phase-free moments give its value.  With r = f2/(2f1)
-    and s = f3/(4f1) = |r|²/2 + iτ (τ real), the series is compiled in
-    exact dyadic arithmetic; order 0 and τ must then cancel exactly.
+    Every term of x(t) carries x₁, a pure phase that every witness cancels,
+    so the moments of x(t)/x₁ give the value.  Their series in r and
+    s = |r|²/2 + iτ (τ real) is exact in dyadic arithmetic, where order 0
+    and τ must cancel exactly.
     """
     products, cross = _recipe(wid)
     value = _combine(wid, {s: _moment(s) for s in {*products, cross}},
