@@ -43,10 +43,10 @@ def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
     """a(t), b(t), c(t) as weighted shifts from a coefficient set."""
     A, B, C = ladders(basis)
     ops = {"a": A, "b": B, "c": C, "A": A.H, "B": B.H, "C": C.H}
-    return tuple(functools.reduce(operator.add,
-                                  (getattr(c, field) * functools.reduce(
-                                      operator.matmul, (ops[x] for x in word))
-                                   for field, word in terms))
+
+    def product(word):
+        return functools.reduce(operator.matmul, (ops[x] for x in word))
+    return tuple(functools.reduce(operator.add, (getattr(c, f) * product(w) for f, w in terms))
                  for terms in HEISENBERG_TERMS.values())
 
 
