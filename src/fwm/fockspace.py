@@ -69,11 +69,10 @@ class FockBasis:
 @dataclass
 class FockStateVector:
     """Complex (dim,) amplitudes over a FockBasis, or a (T, dim) stack of
-    states, with truncation bookkeeping."""
+    states."""
 
     amplitudes: np.ndarray
     basis: FockBasis
-    tail_mass: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.amplitudes.shape[:-1] + self.basis.shape)
@@ -124,7 +123,7 @@ def coherent_state(basis: FockBasis, inp: CoherentInput,
             f"raise cutoffs {basis.cutoffs}")
     psi = np.einsum("i,j,k->ijk", va, vb, vc).ravel()
     psi /= np.linalg.norm(psi)
-    return FockStateVector(amplitudes=psi, basis=basis, tail_mass=(ta, tb, tc))
+    return FockStateVector(amplitudes=psi, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -285,10 +284,3 @@ def ladders(basis: FockBasis) -> tuple[ShiftOperator, ShiftOperator, ShiftOperat
         out.append(ShiftOperator({tuple(int(k == mode) for k in range(3)): w}))
     return tuple(out)
 
-
-def edge_population(psi: FockStateVector, margin: int = 0) -> float:
-    """Probability mass with any mode within ``margin`` of its cutoff."""
-    prob = np.abs(psi.tensor()) ** 2
-    sa, sb, sc = prob.shape
-    interior = prob[: sa - 1 - margin, : sb - 1 - margin, : sc - 1 - margin]
-    return float(1.0 - interior.sum())

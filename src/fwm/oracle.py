@@ -1,25 +1,26 @@
 """Exact propagation on the truncated Fock space and the certification harness.
 
 The Hamiltonian H = ω_a a†a + ω_b b†b + ω_c c†c + g(a²b†c† + a†²bc) is built
-from the truncated ladders as three weighted shifts (`fockspace.ShiftOperator`).
+from the truncated ladders as three real weighted shifts (`fockspace.ShiftOperator`).
 It conserves Q1 = n_a + 2n_b and Q2 = n_b − n_c, also on the truncated
 basis, so it splits into one block per charge sector (Q1, Q2).
 Inside a sector the state is fixed by n_b and H only links n_b to n_b ± 1,
-so each block is tridiagonal and small.  Blocks are diagonalized exactly
-(equal sizes in one batched ``eigh``) and ψ(t) = V e^{-iEt} V†ψ0 is formed
-at every grid time, ``TIME_CHUNK`` times per batched matmul.  The phases
-e^{-iEt} are running products of cached step factors that restart at every
+so each block is real symmetric, tridiagonal and small.  Blocks are diagonalized
+exactly (equal sizes in one batched ``eigh``, real eigenvectors V) and
+ψ(t) = V e^{-iEt} V†ψ0 is formed at every grid time, ``TIME_CHUNK`` times per
+real batched matmul over the (re, im) pairs of the phases V†ψ0·e^{-iEt}.  Those
+are running products of cached step factors that restart at every
 chunk, so the grid may list any nonnegative times in any order.
 
 `run` is the one oracle pass behind ``sweep --oracle`` (once per pump
 phase) and `compare` (once per ladder rung).  It builds the basis, ψ0 and H,
 propagates with `evolve_grid` and reads everything it reports with
-`witness_grid`: the states are stacked ``TIME_CHUNK`` at a time, and one
-`fockspace.moments` call per stack reads every distinct moment the
+`witness_grid`: one `fockspace.moments` call per (dim, chunk) array of the
+propagated grid reads every distinct moment the
 witnesses need together with ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩ and ⟨N_c⟩, from which the
 norm and charge drifts come.  Every witness reads its raw moments from the
 cached recipe the closed forms compile too (`witnesses._recipe`), and is
-assembled by the same formula (`witnesses._combine`): HZ and trimodal
+assembled once over the grid by the same formula (`witnesses._combine`): HZ and trimodal
 values are a product of number moments minus one squared cross moment.  `compare` certifies every closed
 form against the oracle over a coupling-halving ladder; it returns (rung,
 witness, time) value arrays and fits the error exponents of all (witness,
@@ -53,7 +54,7 @@ class Hamiltonian:
 
     @functools.cached_property
     def matrix(self):
-        """H as a complex scipy CSR matrix of its nonzero elements; needs
+        """H as a scipy CSR matrix of its nonzero elements; needs
         scipy, which nothing else in fwm imports."""
         import scipy.sparse as sp
         rows, cols, vals = self.shifts.entries(self.basis.shape)
@@ -64,22 +65,23 @@ class Hamiltonian:
 
 @np.errstate(over="ignore", invalid="ignore")     # overflow is checked below
 def build_hamiltonian(params: ModelParams, basis: FockBasis) -> Hamiltonian:
-    """Hermitian H = diag(ω·n) + g(a²b†c† + h.c.) from the truncated ladders
-    of ``fockspace.ladders``.
+    """Real symmetric H = diag(ω·n) + g(a²b†c† + h.c.) from the truncated
+    ladders of ``fockspace.ladders``.
 
     The truncated b† and c† drop every interaction transition that would
-    leave the basis (counted in ``clipped_transitions``), so H still commutes
-    exactly with the conserved charges n_a + 2n_b and n_b − n_c.  A weight
-    that overflows raises ConfigError."""
+    leave the basis, so H still commutes exactly with the conserved charges
+    n_a + 2n_b and n_b − n_c.  ``clipped_transitions`` counts those sources:
+    n_a ≥ 2 with n_b or n_c at its cutoff.  A weight that overflows raises
+    ConfigError."""
     a, b, c = ladders(basis)
     pump = a @ a @ b.H @ c.H                          # a²b†c†
     na, nb, nc = np.indices(basis.shape)
     energy = params.omega_a * na + params.omega_b * nb + params.omega_c * nc
-    H = ShiftOperator({(0, 0, 0): energy.astype(np.complex128)}) \
-        + params.g * (pump + pump.H)
+    H = ShiftOperator({(0, 0, 0): energy}) + params.g * (pump + pump.H)
     if not all(np.isfinite(w).all() for w in H.values()):
         raise ConfigError(f"Hamiltonian weights overflow at g = {params.g!r}")
-    clipped = np.count_nonzero(na >= 2) - np.count_nonzero(pump.entries(basis.shape)[2])
+    _, cb, cc = basis.cutoffs
+    clipped = np.count_nonzero((na >= 2) & ((nb == cb) | (nc == cc)))
     return Hamiltonian(shifts=H, basis=basis, clipped_transitions=int(clipped))
 
 
@@ -110,11 +112,13 @@ def sector_blocks(op: ShiftOperator, basis: FockBasis) -> list[tuple[np.ndarray,
     that conserves both charges (H, or M†M of a charge-shifting M) at the
     indices of ``charge_sectors``.  Sector states are ordered by n_b, so
     element (i, j) of a block is the weight of shift (i − j)·PUMP at state
-    i; the blocks of H are tridiagonal."""
+    i.  Blocks take the operator's dtype: those of H are real symmetric
+    tridiagonal."""
+    dtype = np.result_type(np.float64, *op.values())
     out = []
     for idx in charge_sectors(basis):
         k, s = idx.shape
-        blocks = np.zeros((k, s, s), dtype=np.complex128)
+        blocks = np.zeros((k, s, s), dtype=dtype)
         for m in range(1 - s, s):
             w = op.get(tuple(m * x for x in PUMP))
             if w is not None:
@@ -124,18 +128,29 @@ def sector_blocks(op: ShiftOperator, basis: FockBasis) -> list[tuple[np.ndarray,
     return out
 
 
-def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
-                ) -> list[FockStateVector]:
+class StateGrid(list):
+    """The per-time states of `evolve_grid`, in grid order, together with
+    ``chunks``: the (dim, chunk) amplitude arrays whose columns they view."""
+
+    def __init__(self, states, chunks: list[np.ndarray]):
+        super().__init__(states)
+        self.chunks = chunks
+
+
+def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     """ψ(t) = e^{-iHt}ψ0 at each time of a nonnegative grid, in any order.
 
-    Exact up to roundoff: every charge-sector block is diagonalized once,
-    with V†ψ0 folded into its eigenvectors, and the grid is propagated in
-    chunks of ``TIME_CHUNK`` times.  A chunk's phases e^{-iEt} are one
-    direct exp at its first time, then a running product of step factors
-    e^{-iE(t_k − t_{k−1})}; each distinct step is exponentiated once for
-    the whole grid.  The product restarts at every chunk, so each phase
-    carries at most ``TIME_CHUNK`` − 1 products' roundoff.  Each state is a
-    column view of its chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
+    Exact up to roundoff: every charge-sector block of H is real symmetric
+    and diagonalized once, and the grid is propagated in chunks of
+    ``TIME_CHUNK`` times.  A chunk's phases c e^{-iEt}, with c = V†ψ0, are
+    one direct exp at its first time times c, then a running product of
+    step factors e^{-iE(t_k − t_{k−1})}; each distinct step is exponentiated
+    once for the whole grid.  The product restarts at every chunk, so each
+    phase carries at most ``TIME_CHUNK`` − 1 products' roundoff.  One real
+    matmul per sector size applies V to the (re, im) pairs of the phases,
+    and one ``np.take`` moves the chunk from sector order to flat order.
+    Each state is a column view of its chunk's (dim, chunk) array.  ψ(0) is
+    a copy of ψ0.
     """
     times = np.array([float(t) for t in times])
     negative = np.flatnonzero(times < 0)
@@ -144,38 +159,46 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times
         raise ConfigError(f"time grid must be nonnegative: times[{k}] = {float(times[k])!r}")
 
     psi = psi0.amplitudes.astype(np.complex128)
-    sectors, energies = [], []
+    vectors, energies, coeffs = [], [], []
     for idx, blocks in sector_blocks(H.shifts, H.basis):
-        e, vectors = np.linalg.eigh(blocks)
-        coeffs = np.einsum("kji,kj->ki", vectors.conj(), psi[idx])
-        sectors.append((idx, vectors * coeffs[:, None, :]))
+        e, v = np.linalg.eigh(blocks)
+        vectors.append(v)
         energies.append(e.ravel())
-    energies = np.concatenate(energies)
+        coeffs.append(np.einsum("kji,kj->ki", v, psi[idx]).ravel())
+    energies, coeffs = np.concatenate(energies), np.concatenate(coeffs)   # sector order
+    # the sector-order position of every flat index
+    to_flat = np.argsort(np.concatenate([idx.ravel() for idx in charge_sectors(H.basis)]))
     steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     step_factors = np.multiply.outer(steps, -1j * energies)   # (step, dim)
     np.exp(step_factors, out=step_factors)    # in place: no second (step, dim) array
 
-    out: list[FockStateVector] = []
-    # time-major, so each product runs over one contiguous row; reused by every chunk
-    buffer = np.empty((min(TIME_CHUNK, times.size), energies.size), dtype=np.complex128)
+    states, chunks = [], []
+    # reused by every chunk: the phases, (dim, time), and the sector-order
+    # results, (dim, time), whose space first holds the (time, dim) products
+    buffers = np.empty((2, energies.size * min(TIME_CHUNK, times.size)), dtype=np.complex128)
     for lo in range(0, times.size, TIME_CHUNK):
         chunk = times[lo:lo + TIME_CHUNK]
-        phases = buffer[:chunk.size]
-        np.exp(-1j * chunk[0] * energies, out=phases[0])
+        phases, result = (b[:energies.size * chunk.size].reshape(-1, chunk.size)
+                          for b in buffers)
+        products = result.reshape(chunk.size, -1)   # each product runs over one contiguous row
+        np.multiply(coeffs, np.exp(-1j * chunk[0] * energies), out=products[0])
         for j in range(1, chunk.size):
-            np.multiply(phases[j - 1], step_factors[step_of[lo + j]], out=phases[j])
-        amps = np.empty((psi.size, chunk.size), dtype=np.complex128)
+            np.multiply(products[j - 1], step_factors[step_of[lo + j]], out=products[j])
+        phases[...] = products.T
         at = 0
-        for idx, weighted in sectors:
-            block = phases[:, at:at + idx.size].reshape(chunk.size, *idx.shape)
-            amps[idx] = weighted @ block.transpose(1, 2, 0)   # (sectors, size, time)
-            at += idx.size
+        for v in vectors:
+            k, s, _ = v.shape
+            rows = slice(at, at + k * s)
+            np.matmul(v, phases[rows].reshape(k, s, -1).view(np.float64),
+                      out=result[rows].reshape(k, s, -1).view(np.float64))
+            at += k * s
+        amps = np.take(result, to_flat, axis=0)
         # witnesses vanish at t = 0 up to roundoff; returning ψ0 unchanged
         # keeps the sign of those values independent of the eigendecomposition
         amps[:, chunk == 0.0] = psi[:, None]
-        out.extend(FockStateVector(amplitudes=a, basis=psi0.basis,
-                                   tail_mass=psi0.tail_mass) for a in amps.T)
-    return out
+        chunks.append(amps)
+        states.extend(FockStateVector(amplitudes=a, basis=psi0.basis) for a in amps.T)
+    return StateGrid(states, chunks)
 
 
 # ⟨1⟩ = ‖ψ‖², ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩: the norm and charges `run` reports
@@ -215,22 +238,29 @@ def witness_grid(wids, states, params: ModelParams, times
     """(witness, time) oracle values of propagated ``states``, and their
     (4, time) ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩.
 
-    The states are stacked ``TIME_CHUNK`` at a time as the columns of one
-    (dim, chunk) array, and one ``moments`` call per stack reads every
-    distinct moment the witnesses and the four totals need.  Values at
-    t = 0 are returned as computed, roundoff included."""
+    One ``moments`` call per (dim, chunk) array reads every distinct moment
+    the witnesses and the four totals need into one (moment, time) array,
+    and each witness is then assembled once over the whole grid.  The
+    arrays are the ``chunks`` of a `StateGrid`; any other sequence of
+    states is stacked ``TIME_CHUNK`` at a time.  Values at t = 0 are
+    returned as computed, roundoff included."""
     specs = _distinct_specs(tuple(wids))
+    chunks = getattr(states, "chunks", None)
+    if chunks is None:
+        chunks = (np.stack([s.amplitudes for s in states[lo:lo + TIME_CHUNK]], axis=1)
+                  for lo in range(0, len(states), TIME_CHUNK))
+    values = np.empty((len(specs), len(states)), dtype=np.complex128)
+    lo = 0
+    for amps in chunks:
+        hi = lo + amps.shape[1]
+        values[:, lo:hi] = moments(FockStateVector(amps.T, states[lo].basis), specs)
+        lo = hi
+    mom = dict(zip(specs, values))
+    t = np.asarray(times, dtype=float)
     out = np.empty((len(wids), len(states)))
-    totals = np.empty((len(_TOTALS), len(states)))
-    for lo in range(0, len(states), TIME_CHUNK):
-        chunk = states[lo:lo + TIME_CHUNK]
-        stack = np.stack([s.amplitudes for s in chunk], axis=1)
-        values = dict(zip(specs, moments(FockStateVector(stack.T, chunk[0].basis), specs)))
-        t = np.asarray(times[lo:lo + TIME_CHUNK], dtype=float)
-        for i, wid in enumerate(wids):
-            out[i, lo:lo + len(chunk)] = _assemble(wid, values, params, t)
-        totals[:, lo:lo + len(chunk)] = [values[s].real for s in _TOTALS]
-    return out, totals
+    for i, wid in enumerate(wids):
+        out[i] = _assemble(wid, mom, params, t)
+    return out, np.array([mom[s].real for s in _TOTALS])
 
 
 def run(wids, params: ModelParams, inp: CoherentInput, times,

@@ -282,8 +282,7 @@ def test_criterion_7_oracle_physics(certification_report):
         psi0 = coherent_state(basis, inp)
         H = oracle_mod.build_hamiltonian(p, basis)
         amps = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
-        psi = FockStateVector(amplitudes=amps, basis=basis,
-                              tail_mass=psi0.tail_mass)
+        psi = FockStateVector(amplitudes=amps, basis=basis)
         return oracle_mod.witness_grid(wids, [psi], p, [t])[0][:, 0]
 
     base_vals = witness_values(params, base_cut)

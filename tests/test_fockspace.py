@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fwm.fockspace import (CUTOFF_HEADROOM, CUTOFF_TAIL, MAX_MOMENT_ORDER,
                            CutoffError, FockBasis, FockStateVector,
                            MomentSpec, coherent_amplitudes,
-                           coherent_state, cutoffs_for, edge_population,
-                           moments)
+                           coherent_state, cutoffs_for, moments)
 from fwm.model import CoherentInput, ConfigError
 
 from csr_reference import csr_ladders
@@ -199,9 +198,3 @@ class TestBatchedMoments:
                     or max(spec.u, spec.v) > cut[2]:
                 assert np.all(row == 0)
 
-
-def test_edge_population_decreases_with_margin():
-    basis = FockBasis((10, 8, 8))
-    psi = coherent_state(basis, CoherentInput(1.0, 0.8, 0.6), tail_tol=1e-6)
-    assert edge_population(psi, margin=0) < 1e-6
-    assert edge_population(psi, margin=0) <= edge_population(psi, margin=2)

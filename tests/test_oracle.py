@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import fwm.oracle as oracle_mod
+from fwm import residuals
 from fwm.fockspace import (FockBasis, FockStateVector, MomentSpec, coherent_state,
                            cutoffs_for, moments)
 from fwm.model import CoherentInput, ConfigError, ModelParams, coefficients
@@ -143,6 +144,30 @@ class TestSectors:
         assert abs(rebuilt - H.matrix).max() == 0.0
 
 
+    def test_hamiltonian_blocks_real_symmetric(self, monkeypatch):
+        """H's sector blocks are real symmetric, while the M†M blocks that
+        the residual norm gathers from a complex defect M stay complex
+        Hermitian."""
+        _, _, _, H = small_setup()
+        for _, blocks in sector_blocks(H.shifts, H.basis):
+            assert blocks.dtype == np.float64
+            assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        seen = []
+
+        def recording(op, basis):
+            out = sector_blocks(op, basis)
+            seen.extend(blocks for _, blocks in out)
+            return out
+
+        monkeypatch.setattr(residuals, "sector_blocks", recording)
+        residuals.eom_residual(ModelParams.from_detuning(-3.0, 0.4), 0.7, (7, 6, 6))
+        assert seen and all(b.dtype == np.complex128 for b in seen)
+        assert max(np.abs(b.imag).max() for b in seen) > 0.0
+        for blocks in seen:     # Hermitian up to the roundoff of the shift products
+            defect = np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max()
+            assert defect <= 1e-13 * max(np.abs(blocks).max(), 1e-300)
+
+
 class TestEvolve:
     def test_t0_identity(self):
         _, _, psi0, H = small_setup()
@@ -239,6 +264,30 @@ class TestEvolve:
         for k, psi in zip(order, states):
             assert np.max(np.abs(psi.amplitudes - ref[k].amplitudes)) < 1e-14, times[k]
 
+    def test_complex_input_matches_expm(self):
+        """The real-symmetric sector solve with a complex ψ0 (pump phase
+        φ = 1.0) against scipy's expm_multiply, on the clipped (8, 6, 6)
+        basis under distinct mode frequencies, over several chunks."""
+        basis = FockBasis((8, 6, 6))
+        H = build_hamiltonian(ModelParams(1.3, 0.2, -0.7, 0.35), basis)
+        assert H.clipped_transitions > 0
+        psi0 = coherent_state(basis, CoherentInput.from_pump_phase(0.8, 1.0, 0.6, 0.5),
+                              tail_tol=1e-6)
+        assert np.abs(psi0.amplitudes.imag).max() > 0.1
+        self._assert_matches_expm(H, psi0, np.linspace(0.0, 4.0, 2 * TIME_CHUNK + 3), 1e-12)
+
+    def test_states_view_chunk_arrays(self):
+        """The states are the columns of the grid's (dim, chunk) arrays, in
+        grid order, with a partial last chunk."""
+        _, basis, psi0, H = small_setup()
+        states = evolve_grid(H, psi0, np.linspace(0.0, 3.0, 37))
+        assert [a.shape for a in states.chunks] == [(basis.dimension, TIME_CHUNK)] * 2 \
+            + [(basis.dimension, 5)]
+        for k, psi in enumerate(states):
+            chunk = states.chunks[k // TIME_CHUNK]
+            assert np.shares_memory(psi.amplitudes, chunk)
+            assert np.array_equal(psi.amplitudes, chunk[:, k % TIME_CHUNK])
+
     def test_linspace_grid_matches_single_times(self):
         """On a 400-point grid (25 chunks of running step products) every
         state is the state a one-time grid gives, and sampled states match
@@ -322,6 +371,20 @@ class TestOracleWitness:
             want = [witness_grid([wid], [psi], params, [t])[0][0, 0]
                     for psi, t in zip(states, times)]
             assert np.allclose(grid[i], want, rtol=1e-12, atol=1e-12), wid.label()
+
+    def test_chunk_arrays_match_plain_list(self):
+        """Reading the chunk arrays of evolve_grid's grid and stacking a plain
+        list of the same states give bit-identical values and totals, on a
+        grid whose last chunk is partial."""
+        params, _, psi0, H = small_setup()
+        times = np.linspace(0.0, 3.0, 37)
+        grid = evolve_grid(H, psi0, times)
+        assert len(times) % TIME_CHUNK != 0 and len(grid.chunks) == 3
+        wids = [WitnessId.parse(s) for s in certification_witnesses()]
+        chunked = witness_grid(wids, grid, params, times)
+        stacked = witness_grid(wids, list(grid), params, times)
+        for a, b in zip(chunked, stacked):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("labels, distinct", [
         (presets()["fig2"].witnesses, 16),
