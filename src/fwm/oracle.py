@@ -176,6 +176,10 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     # reused by every chunk: the phases, (dim, time), and the sector-order
     # results, (dim, time), whose space first holds the (time, dim) products
     buffers = np.empty((2, energies.size * min(TIME_CHUNK, times.size)), dtype=np.complex128)
+    # every chunk's (dim, time) amplitudes, back to back in one allocation:
+    # freed whole with the states, it is reused whole by the next call
+    # instead of being faulted in again page by page
+    grid = np.empty(energies.size * times.size, dtype=np.complex128)
     for lo in range(0, times.size, TIME_CHUNK):
         chunk = times[lo:lo + TIME_CHUNK]
         phases, result = (b[:energies.size * chunk.size].reshape(-1, chunk.size)
@@ -192,7 +196,8 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
             np.matmul(v, phases[rows].reshape(k, s, -1).view(np.float64),
                       out=result[rows].reshape(k, s, -1).view(np.float64))
             at += k * s
-        amps = np.take(result, to_flat, axis=0)
+        amps = grid[energies.size * lo:energies.size * (lo + chunk.size)].reshape(-1, chunk.size)
+        np.take(result, to_flat, axis=0, out=amps, mode="clip")   # "raise" would buffer out
         # witnesses vanish at t = 0 up to roundoff; returning ψ0 unchanged
         # keeps the sign of those values independent of the eigendecomposition
         amps[:, chunk == 0.0] = psi[:, None]

@@ -278,11 +278,15 @@ class TestEvolve:
 
     def test_states_view_chunk_arrays(self):
         """The states are the columns of the grid's (dim, chunk) arrays, in
-        grid order, with a partial last chunk."""
+        grid order, with a partial last chunk.  The arrays are contiguous
+        and back to back in one allocation."""
         _, basis, psi0, H = small_setup()
         states = evolve_grid(H, psi0, np.linspace(0.0, 3.0, 37))
         assert [a.shape for a in states.chunks] == [(basis.dimension, TIME_CHUNK)] * 2 \
             + [(basis.dimension, 5)]
+        assert all(a.flags.c_contiguous for a in states.chunks)
+        ends = [a.ctypes.data + a.nbytes for a in states.chunks[:-1]]
+        assert ends == [a.ctypes.data for a in states.chunks[1:]]
         for k, psi in enumerate(states):
             chunk = states.chunks[k // TIME_CHUNK]
             assert np.shares_memory(psi.amplitudes, chunk)
