@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage error (also when ``oracle.cutoffs`` cannot
 hold the coherent input, an amplitude overflows a closed form, or ``--out``
-cannot be written), 2 when a ``check`` diagnostic fails.  Any config
-field can be overridden with a flag of the same dotted path, e.g.
+cannot be written), 2 when a ``check`` diagnostic fails.  Every command
+writes to stdout or to ``--out``; only ``sweep`` has a choice of format
+(``--format csv|json``) and an ``--oracle`` switch, which are flags and not
+config keys.  Any config field can be overridden with a flag of the same
+dotted path, e.g.
 ``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and the
 top-level keys the same way, as ``--workers N`` (parallel processes, at
 most one per pump phase; default 1) and ``--seed N`` (seed of ``check``'s
@@ -60,10 +63,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", help="JSON run configuration file")
         sp.add_argument("--preset", help="named preset (fig2..fig5)")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["csv", "json"], help="output format")
         return sp
 
     sw = command("sweep", "evaluate witnesses over a (gt, phi) grid")
+    sw.add_argument("--format", choices=["csv", "json"], default="csv",
+                    help="rows as CSV (default) or as JSON with the onset summary")
     sw.add_argument("--oracle", action="store_true",
                     help="also evaluate every witness with the Fock oracle")
 
@@ -104,8 +108,7 @@ def _parse_overrides(extra: list[str]) -> dict:
 
 def _load_config(args, overrides, default=None) -> RunConfig:
     """The config of ``--config``, ``--preset`` or ``default``, with the
-    dotted overrides and then the flags applied, so flags win over dotted
-    overrides of the same field."""
+    dotted overrides applied."""
     if args.config and args.preset:
         raise UsageError("give either --config or --preset, not both")
     if args.config:
@@ -126,10 +129,7 @@ def _load_config(args, overrides, default=None) -> RunConfig:
         base = default.to_dict()
     else:
         raise UsageError("need --config or --preset")
-    flags = {"oracle.enabled": getattr(args, "oracle", False) or None,
-             "output.format": args.format, "output.path": args.out}
-    return RunConfig.from_dict(apply_overrides(
-        base, {**overrides, **{k: v for k, v in flags.items() if v is not None}}))
+    return RunConfig.from_dict(apply_overrides(base, overrides))
 
 
 def _emit(text: str, path: str | None):
@@ -145,11 +145,11 @@ def _emit(text: str, path: str | None):
 
 def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args, overrides)
-    series, summary = run_sweep(cfg)
-    if cfg.output.format == "json":
-        _emit(rows_to_json(series, summary), cfg.output.path)
+    series, summary = run_sweep(cfg, oracle=args.oracle)
+    if args.format == "json":
+        _emit(rows_to_json(series, summary), args.out)
     else:
-        _emit(rows_to_csv(series), cfg.output.path)
+        _emit(rows_to_csv(series), args.out)
     n_witness = len(cfg.witnesses)
     sys.stderr.write(f"{n_witness} witnesses evaluated\n")
     for (label, phi), onset in summary.items():
@@ -160,11 +160,8 @@ def _cmd_sweep(args, overrides) -> int:
 
 def _cmd_compare(args, overrides) -> int:
     cfg = _load_config(args, overrides, default=default_compare_config())
-    if cfg.output.format not in (None, "json"):
-        raise UsageError(f"compare writes a JSON report only, not --format {cfg.output.format}")
     report = run_compare(cfg)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    _emit(text + "\n", cfg.output.path)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     sys.stderr.write(compare_report_text(report))
     return EXIT_OK
 
@@ -205,10 +202,7 @@ def _coefficient_defect(params: ModelParams, t: float) -> float:
 
 def _cmd_check(args, overrides) -> int:
     cfg = _load_config(args, overrides, default=presets()["fig2"])
-    if cfg.output.format is not None:
-        raise UsageError(f"check writes a text report only, not --format {cfg.output.format}")
-    seed = cfg.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     params = cfg.params.to_model()
     delta = params.delta_omega1
     scale = abs(delta) if delta != 0.0 else 1.0
@@ -237,7 +231,7 @@ def _cmd_check(args, overrides) -> int:
         report.append(f"coefficient identities (trial {trial}): {ident:.3e}")
         ok &= ident < 1e-13
     report.append("check: " + ("PASS" if ok else "FAIL"))
-    _emit("\n".join(report) + "\n", cfg.output.path)
+    _emit("\n".join(report) + "\n", args.out)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

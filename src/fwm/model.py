@@ -197,23 +197,25 @@ def coefficients(params: ModelParams, t) -> PerturbativeCoefficients:
     # f3 = (2g/Δω₁)(f2 + 2igt f1)           = 4g²t²·f1·ramp2(Δω₁t)
     # g2 = −(g/Δω₁) g1 (1 − e^{−iΔω₁t})     = g·t·g1·ramp(−Δω₁t)
     # g3 = −(g/Δω₁)(g2 + igt g1)            = g²t²·g1·ramp2(−Δω₁t)
+    # (gt)² rather than g²t², which underflows for g < 1e-154 at any t
     with np.errstate(over="ignore", invalid="ignore"):
+        gt = g * t
         rp = _ramp(x)
         rm = _ramp(-x)
         r2m = _ramp2(-x)
-        f2 = 2.0 * g * t * f1 * rp
-        f3 = 4.0 * g * g * t * t * f1 * _ramp2(x)
-        g2 = g * t * g1 * rm
-        g3 = g * g * t * t * g1 * r2m
-        h2 = g * t * h1 * rm
-        h3 = g * g * t * t * h1 * r2m
+        f2 = 2.0 * gt * f1 * rp
+        f3 = 4.0 * gt * gt * f1 * _ramp2(x)
+        g2 = gt * g1 * rm
+        g3 = gt * gt * g1 * r2m
+        h2 = gt * h1 * rm
+        h3 = gt * gt * h1 * r2m
         out = PerturbativeCoefficients(
             f1=f1, f2=f2, f3=f3, f4=-f3 / 2.0, f5=-f3 / 2.0,
             g1=g1, g2=g2, g3=g3, g4=-2.0 * g3, g5=-2.0 * g3,
             h1=h1, h2=h2, h3=h3, h4=-2.0 * h3, h5=-2.0 * h3, t=t)
     if not all(np.isfinite(v).all() for k, v in vars(out).items() if k != "t"):
         raise ConfigError(f"coefficients must be finite, got an overflow at "
-                          f"g*t up to {float(np.max(g * t))!r}")
+                          f"g*t up to {float(np.max(gt))!r}")
     return out
 
 

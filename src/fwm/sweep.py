@@ -90,10 +90,13 @@ class InputSpec:
         object.__setattr__(self, "phi", tuple(phi))
         if not self.phi:
             raise UsageError("input.phi: need at least one pump phase")
-        for p in self.phi:
+        # results are keyed by phase, so a repeated one would be dropped
+        for i, p in enumerate(self.phi):
             _real("input.phi", p)
             if not (0.0 <= p < TWO_PI):
                 raise UsageError(f"input.phi: phases must lie in [0, 2pi), got {p!r}")
+            if p in self.phi[:i]:
+                raise UsageError(f"input.phi: phase {p!r} is listed twice")
 
     def coherent(self, phi: float) -> CoherentInput:
         return CoherentInput.from_pump_phase(self.alpha_abs, phi, self.beta, self.gamma)
@@ -119,12 +122,9 @@ class GtGrid:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    enabled: bool = False
     cutoffs: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.enabled, bool):
-            raise UsageError(f"oracle.enabled must be true or false, got {self.enabled!r}")
         if self.cutoffs is not None:
             if not isinstance(self.cutoffs, (list, tuple)) or len(self.cutoffs) != 3:
                 raise UsageError(f"oracle.cutoffs must be three integers, got {self.cutoffs!r}")
@@ -134,27 +134,12 @@ class OracleSpec:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    """With no ``format``, sweep writes CSV, compare JSON and check text."""
-
-    path: str | None = None
-    format: str | None = None
-
-    def __post_init__(self):
-        if self.path is not None and not isinstance(self.path, str):
-            raise UsageError(f"output.path must be a string, got {self.path!r}")
-        if self.format not in (None, "csv", "json"):
-            raise UsageError(f"output.format must be csv or json, got {self.format!r}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     params: ParamsSpec
     input: InputSpec
     gt_grid: GtGrid
     witnesses: tuple[str, ...]
     oracle: OracleSpec = OracleSpec()
-    output: OutputSpec = OutputSpec()
     workers: int = 1
     seed: int = 0
 
@@ -166,9 +151,15 @@ class RunConfig:
             raise UsageError(f"witnesses must be a list of labels, got {self.witnesses!r}")
         object.__setattr__(self, "witnesses", tuple(self.witnesses))
         try:
-            self.witness_ids()
+            wids = self.witness_ids()
         except InvalidWitness as exc:
             raise UsageError(f"witnesses: {exc}") from None
+        # as for phases: results are keyed by witness, however it is spelled
+        for i, w in enumerate(wids):
+            if w in wids[:i]:
+                first = self.witnesses[wids.index(w)]
+                raise UsageError(f"witnesses: {first!r} and {self.witnesses[i]!r} "
+                                 f"name the same witness")
 
     def witness_ids(self) -> list[WitnessId]:
         return [WitnessId.parse(s) for s in self.witnesses]
@@ -193,7 +184,7 @@ class RunConfig:
 
 
 _SECTIONS = {"params": ParamsSpec, "input": InputSpec, "gt_grid": GtGrid,
-             "oracle": OracleSpec, "output": OutputSpec}
+             "oracle": OracleSpec}
 
 
 def _section(cls, d, prefix: str):
@@ -385,11 +376,12 @@ def _coupled_params(config: RunConfig) -> ModelParams:
     return params
 
 
-def run_sweep(config: RunConfig):
+def run_sweep(config: RunConfig, oracle: bool = False):
     """Execute a sweep; returns (series, summary).
 
     ``series`` is a list of `Series`, ordered by (witness as listed, phi as
-    listed) with perturbative series first, then oracle series when enabled.
+    listed) with perturbative series first, then, with ``oracle``, the
+    oracle series.
     The summary maps (witness label, phi) to the first negativity onset gt*
     or None.  Raises CutoffError when ``oracle.cutoffs`` cannot hold the
     coherent input.
@@ -410,7 +402,7 @@ def run_sweep(config: RunConfig):
             series.append(Series(w, phi, "perturbative", gts, vals))
             summary[(w.label(), phi)] = _onset(gts, vals)
 
-    if config.oracle.enabled:
+    if oracle:
         results = _map_phases(_oracle_values_for_phi, config)
         for i, w in enumerate(wids):
             for phi, vals in zip(config.input.phi, results):
@@ -425,8 +417,6 @@ def default_compare_config() -> RunConfig:
         input=InputSpec(alpha_abs=1.2, phi=FIG_PHIS, beta=0.9, gamma=0.6),
         gt_grid=GtGrid(start=0.01, stop=0.1, count=10),
         witnesses=tuple(certification_witnesses()),
-        oracle=OracleSpec(enabled=True),
-        output=OutputSpec(path=None, format="json"),
     )
 
 
@@ -455,11 +445,7 @@ def _compare_phi_task(args):
 
 def run_compare(config: RunConfig):
     """Run the certification ladder g, g/2, g/4 for every φ; returns a
-    report dict.
-
-    The oracle always runs, whatever ``oracle.enabled`` says.  Raises
-    UsageError unless g > 0.
-    """
+    report dict.  Raises UsageError unless g > 0."""
     _coupled_params(config)
     results = _map_phases(_compare_phi_task, config)
 

@@ -19,7 +19,7 @@ from fwm.fockspace import (FockBasis, FockStateVector, coherent_state,
                            cutoffs_for)
 from fwm.model import CoherentInput, ModelParams, coefficients
 from fwm.residuals import residual_scaling_slope
-from fwm.sweep import (GtGrid, InputSpec, OracleSpec, ParamsSpec, RunConfig,
+from fwm.sweep import (GtGrid, InputSpec, ParamsSpec, RunConfig,
                        default_compare_config, presets, rows_to_csv,
                        run_compare, run_sweep)
 from fwm.witnesses import WitnessId, evaluate
@@ -203,10 +203,9 @@ def test_fig2_oracle_disagreement():
     fig2 = presets()["fig2"]
     cfg = dataclasses.replace(
         fig2, input=dataclasses.replace(fig2.input, phi=(0.0,)),
-        gt_grid=GtGrid(start=0.0, stop=0.1 * 30 / 399, count=31),
-        oracle=OracleSpec(enabled=True))
+        gt_grid=GtGrid(start=0.0, stop=0.1 * 30 / 399, count=31))
     flags = {}
-    for s in run_sweep(cfg)[0]:
+    for s in run_sweep(cfg, oracle=True)[0]:
         flags.setdefault(s.witness.label(), {})[s.source] = s.value < 0.0
     differ = {label: np.flatnonzero(f["perturbative"] != f["oracle"]).tolist()
               for label, f in flags.items()}

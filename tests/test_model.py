@@ -98,6 +98,18 @@ class TestCoefficientBasics:
         assert inp.alpha == pytest.approx(5j, abs=1e-12)
         assert inp.phi == pytest.approx(math.pi / 2)
 
+    def test_second_order_at_tiny_coupling(self):
+        """g·g underflows to 0 below g ≈ 1e-154 whatever t is; at g = 1e-200
+        and gt = 0.1 the second-order fields still follow (gt)²."""
+        g, t = 1e-200, 1e199
+        p = ModelParams.from_detuning(-3e-199, g)
+        c = coefficients(p, t)
+        gt, x = g * t, p.delta_omega1 * t
+        assert c.f3 == pytest.approx(4 * gt * gt * c.f1 * model._ramp2(x), rel=1e-15)
+        assert c.g3 == pytest.approx(gt * gt * c.g1 * model._ramp2(-x), rel=1e-15)
+        assert c.h3 == pytest.approx(gt * gt * c.h1 * model._ramp2(-x), rel=1e-15)
+        assert abs(c.f3) > 1e-3
+
 
 @settings(max_examples=200, deadline=None)
 @given(wa=finite, wb=finite, wc=finite,

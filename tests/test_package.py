@@ -66,14 +66,13 @@ def test_option_ledger():
         "params.g", "params.omega_a", "params.omega_b", "params.omega_c",
         "params.delta_omega1", "input.alpha_abs", "input.phi", "input.beta",
         "input.gamma", "gt_grid.start", "gt_grid.stop", "gt_grid.count", "witnesses",
-        "oracle.enabled", "oracle.cutoffs", "output.path", "output.format",
-        "workers", "seed"]
+        "oracle.cutoffs", "workers", "seed"]
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     flags = {name: [o for a in sp._actions if a.dest != "help" for o in a.option_strings]
              for name, sp in sub.choices.items()}
     assert flags == {
         "sweep": ["--config", "--preset", "--out", "--format", "--oracle"],
-        "compare": ["--config", "--preset", "--out", "--format"],
+        "compare": ["--config", "--preset", "--out"],
         "presets": ["--format"],
-        "check": ["--config", "--preset", "--out", "--format"]}
+        "check": ["--config", "--preset", "--out"]}

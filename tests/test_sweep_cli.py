@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -43,7 +44,7 @@ class TestConfig:
         assert again == cfg
 
     def test_round_trip_with_oracle(self):
-        cfg = tiny_config(oracle=OracleSpec(enabled=True, cutoffs=(8, 6, 6)))
+        cfg = tiny_config(oracle=OracleSpec(cutoffs=(8, 6, 6)))
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_shorthand_expands_to_synthetic(self):
@@ -134,9 +135,8 @@ class TestRunSweep:
             params=ParamsSpec(g=0.05, delta_omega1=-5.0),
             input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
             gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
-            witnesses=("HZ1:ab",),
-            oracle=OracleSpec(enabled=True))
-        series, _ = run_sweep(cfg)
+            witnesses=("HZ1:ab",))
+        series, _ = run_sweep(cfg, oracle=True)
         prt, orc = series
         assert (prt.source, orc.source) == ("perturbative", "oracle")
         assert orc.value.shape == prt.value.shape == (3,)
@@ -168,8 +168,8 @@ class TestRunSweep:
             params=ParamsSpec(g=0.05, delta_omega1=-5.0),
             input=InputSpec(alpha_abs=0.8, phi=phases, beta=0.6, gamma=0.5),
             gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
-            witnesses=("HZ1:ab",), oracle=OracleSpec(enabled=True), workers=100_000)
-        series, _ = run_sweep(cfg)
+            witnesses=("HZ1:ab",), workers=100_000)
+        series, _ = run_sweep(cfg, oracle=True)
         assert [s.source for s in series] == ["perturbative"] * len(phases) \
             + ["oracle"] * len(phases)
         assert sizes == ([] if pool_size is None else [pool_size])
@@ -185,10 +185,9 @@ class TestRunSweep:
             input=InputSpec(alpha_abs=0.8, phi=(0.0, math.pi / 2),
                             beta=0.6, gamma=0.5),
             gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
-            witnesses=("HZ1:ab", "HZ1:bc"),
-            oracle=OracleSpec(enabled=True))
-        serial, _ = run_sweep(RunConfig(workers=1, **base))
-        parallel, _ = run_sweep(RunConfig(workers=2, **base))
+            witnesses=("HZ1:ab", "HZ1:bc"))
+        serial, _ = run_sweep(RunConfig(workers=1, **base), oracle=True)
+        parallel, _ = run_sweep(RunConfig(workers=2, **base), oracle=True)
         assert rows_to_csv(serial) == rows_to_csv(parallel)
 
     def test_oracle_at_gt_zero_is_never_entangled(self):
@@ -197,7 +196,7 @@ class TestRunSweep:
         cfg = RunConfig.from_dict(apply_overrides(default_compare_config().to_dict(), {
             "input.phi": [0.0, 1.0, 2.0], "gt_grid.start": 0.0,
             "gt_grid.count": 3}))
-        series, _ = run_sweep(cfg)
+        series, _ = run_sweep(cfg, oracle=True)
         oracle = [s for s in series if s.source == "oracle"]
         assert len(oracle) == 31 * 3 and all(s.gt[0] == 0.0 for s in oracle)
         assert all(s.value[0] >= 0.0 for s in oracle)
@@ -217,8 +216,8 @@ class TestRunSweep:
         cfg = tiny_config(
             params=ParamsSpec(g=0.05, delta_omega1=-5.0),
             input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
-            witnesses=("HZ1:ab", "DUAN:ab"), oracle=OracleSpec(enabled=True))
-        series, summary = run_sweep(cfg)
+            witnesses=("HZ1:ab", "DUAN:ab"))
+        series, summary = run_sweep(cfg, oracle=True)
         assert [s.source for s in series] == ["perturbative"] * 2 + ["oracle"] * 2
         header, *lines = rows_to_csv(series).splitlines()
         rows = json.loads(rows_to_json(series, summary))["rows"]
@@ -302,8 +301,8 @@ def small_oracle_sweep():
         params=ParamsSpec(g=0.05, delta_omega1=-5.0),
         input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
         gt_grid=GtGrid(start=0.0, stop=0.04, count=5),
-        witnesses=("HZ1:ab", "DUAN:bc", "TRI_SYM"), oracle=OracleSpec(enabled=True))
-    series, summary = run_sweep(cfg)
+        witnesses=("HZ1:ab", "DUAN:bc", "TRI_SYM"))
+    series, summary = run_sweep(cfg, oracle=True)
     assert {s.source for s in series} == {"perturbative", "oracle"}
     return series, summary
 
@@ -421,19 +420,18 @@ class TestOnset:
 
 class TestRunCompare:
     def test_requires_oracle(self):
-        """compare requires the oracle and always runs it: oracle.enabled
-        changes only the settings it echoes."""
-        base = dict(
+        """compare always runs the oracle, with no switch to turn it on: a
+        config naming no oracle setting propagates every phase, and the
+        settings it echoes have none."""
+        report = run_compare(RunConfig(
             params=ParamsSpec(g=0.3, delta_omega1=-3.0),
-            input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
+            input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
             gt_grid=GtGrid(start=0.15, stop=0.3, count=2),
-            witnesses=("HZ1:ab", "DUAN:ab"))
-        off = run_compare(RunConfig(oracle=OracleSpec(enabled=False), **base))
-        on = run_compare(RunConfig(oracle=OracleSpec(enabled=True), **base))
-        assert off["settings"]["oracle"]["enabled"] is False
-        assert sorted(off["witnesses"]) == ["DUAN:ab", "HZ1:ab"]
-        assert {k: v for k, v in off.items() if k != "settings"} \
-            == {k: v for k, v in on.items() if k != "settings"}
+            witnesses=("HZ1:ab", "DUAN:ab")))
+        assert report["settings"]["oracle"] == {}
+        assert sorted(report["witnesses"]) == ["DUAN:ab", "HZ1:ab"]
+        assert [per["diagnostics"]["dimension"] > 0 for per in report["per_phi"].values()] \
+            == [True, True]
 
     def test_requires_three_rungs(self, monkeypatch):
         """Each phase is certified over the three rungs g, g/2, g/4 of the
@@ -457,8 +455,7 @@ class TestRunCompare:
             params=ParamsSpec(g=0.3, delta_omega1=-3.0),
             input=InputSpec(alpha_abs=0.8, phi=(0.0,), beta=0.6, gamma=0.5),
             gt_grid=GtGrid(start=0.15, stop=0.3, count=2),
-            witnesses=("HZ1:ab", "HZ1:bc", "DUAN:ab"),
-            oracle=OracleSpec(enabled=True))
+            witnesses=("HZ1:ab", "HZ1:bc", "DUAN:ab"))
         report = run_compare(cfg)
         for label, s in report["witnesses"].items():
             assert s["exponent_min"] is None or s["exponent_min"] >= 2.3, (label, s)
@@ -488,8 +485,8 @@ class TestCli:
         assert "usage error" in out.stderr
 
     def test_compare_without_oracle_usage_error(self):
-        """With oracle.enabled false (the fig2 preset) compare still runs the
-        oracle, so cutoffs too small for the input end it with one line."""
+        """compare runs the oracle from any config, a figure preset's too,
+        so cutoffs too small for the input end it with one line."""
         out = run_cli("compare", "--preset", "fig2", "--oracle.cutoffs", "[3,2,2]")
         assert out.returncode == 1
         assert out.stderr.strip().splitlines() == [
@@ -498,8 +495,7 @@ class TestCli:
     def test_single_rung_ladder_usage_error(self):
         """The ladder is fixed at three rungs: asking for one is an unknown
         key, reported in one line."""
-        out = run_cli("compare", "--preset", "fig2", "--oracle.enabled", "true",
-                      "--oracle.ladder_rungs", "1")
+        out = run_cli("compare", "--preset", "fig2", "--oracle.ladder_rungs", "1")
         assert out.returncode == 1
         assert out.stderr.splitlines() == ["usage error: unknown key oracle.ladder_rungs"]
 
@@ -594,6 +590,9 @@ def assert_one_line_usage_error(code, err, *needles):
 
 SWEEP = ("sweep", "--preset", "fig5", "--gt_grid.count", "2")
 RESONANT = ("--params.omega_a", "1", "--params.omega_b", "1", "--params.omega_c", "1")
+# check probes g = 0.05·|Δω₁| at t = 1/|Δω₁|: here g·g underflows, gt does not
+TINY_COUPLING = ("--params.omega_a", "null", "--params.omega_b", "null", "--params.omega_c",
+                 "null", "--params.delta_omega1", "1e-300", "--params.g", "1")
 
 # Values a user may type after --input.phi that are not a phase in [0, 2pi):
 # out-of-range and non-finite floats (repr gives 'nan', 'inf', '1e+300'),
@@ -649,7 +648,9 @@ class TestCliBoundary:
     def test_bad_field_is_one_line_usage_error(self, case):
         field, raw = case
         code, out, err = main_in_process(*SWEEP, "--oracle", f"--{field}", raw)
-        assert_one_line_usage_error(code, err, field)
+        # no config section is named output, so its first key is unknown
+        needle = "unknown key output" if field.startswith("output.") else field
+        assert_one_line_usage_error(code, err, needle)
         assert out == ""
 
     @settings(max_examples=40, deadline=None)
@@ -793,16 +794,19 @@ class TestCliBoundary:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_check_format_is_one_line_usage_error(self, fmt):
+        """check has one format and no --format flag: the flag falls through
+        to the overrides as the unknown key format."""
         code, out, err = main_in_process("check", "--format", fmt)
-        assert_one_line_usage_error(code, err, "--format")
+        assert_one_line_usage_error(code, err, "unknown key format")
         assert out == ""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("source", ["--output.format", "--config"])
     def test_check_format_from_config_is_one_line_usage_error(self, source, fmt,
                                                               tmp_path):
-        """A format from a dotted override or a --config file is refused like
-        the flag, before anything is written."""
+        """A config has no output section: a format from a dotted override or
+        a --config file is the unknown key output, before anything is
+        written."""
         argv = (source, fmt)
         if source == "--config":
             cfg = {**presets()["fig2"].to_dict(), "output": {"format": fmt}}
@@ -811,7 +815,7 @@ class TestCliBoundary:
             argv = (source, str(path))
         f = tmp_path / "check.txt"
         code, out, err = main_in_process("check", *argv, "--out", str(f))
-        assert_one_line_usage_error(code, err, "check writes a text report only")
+        assert_one_line_usage_error(code, err, "unknown key output")
         assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("field, value", [("tolerance", 1e-10), ("method", "rk4")])
@@ -978,56 +982,115 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, "cannot write", str(path))
         assert out == ""
 
-    @pytest.mark.parametrize("flag", ["--format", "--output.format"])
-    def test_compare_csv_format_is_one_line_usage_error(self, flag, tmp_path):
-        """compare writes only a JSON report, so a CSV request is refused
-        before anything runs or is written."""
+    @pytest.mark.parametrize("flag, needle", [("--format", "unknown key format"),
+                                              ("--output.format", "unknown key output")])
+    def test_compare_csv_format_is_one_line_usage_error(self, flag, needle, tmp_path):
+        """compare writes only a JSON report and takes no format: a CSV
+        request is an unknown key, refused before anything runs or is
+        written."""
         f = tmp_path / "report.csv"
         code, out, err = main_in_process("compare", flag, "csv", "--out", str(f))
-        assert_one_line_usage_error(code, err, "compare writes a JSON report only")
+        assert_one_line_usage_error(code, err, needle)
         assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", None])
     def test_compare_config_file_format(self, fmt, tmp_path):
-        """A CSV format written in a --config file is refused like the flag;
-        a config file that names no format gets the JSON report."""
+        """A format written in a --config file is the unknown key output; a
+        config file that names none, as compare's own settings do, gets the
+        JSON report."""
         d = default_compare_config().to_dict()
+        assert "output" not in d
         d["input"]["phi"] = [0.0]
         d["gt_grid"]["count"] = 2
-        del d["output"]["format"]
         if fmt is not None:
-            d["output"]["format"] = fmt
+            d["output"] = {"format": fmt}
         cfg = tmp_path / "compare.json"
         cfg.write_text(json.dumps(d))
         f = tmp_path / "y.csv"
         code, out, err = main_in_process("compare", "--config", str(cfg), "--out", str(f))
         if fmt == "csv":
-            assert_one_line_usage_error(code, err, "compare writes a JSON report only")
+            assert_one_line_usage_error(code, err, "unknown key output")
             assert out == "" and not f.exists()
         else:
             assert code == 0 and out == ""
             assert set(json.loads(f.read_text())) >= {"witnesses"}
 
     def test_compare_preset_settings_name_no_format(self, tmp_path):
-        """Presets carry no output format, so the settings of a compare
-        report run from one name none."""
+        """--out, --format and --oracle are not config keys, so the settings
+        of a compare report name neither the output nor an oracle switch."""
         f = tmp_path / "report.json"
         code, out, err = main_in_process(
             "compare", "--preset", "fig5", "--input.alpha_abs", "0.8", "--input.beta",
             "0.6", "--input.gamma", "0.5", "--input.phi", "0.0", "--gt_grid.start",
             "0.01", "--gt_grid.count", "2", "--out", str(f))
         assert code == 0 and out == "", err
-        assert json.loads(f.read_text())["settings"]["output"] == {"path": str(f)}
+        settings = json.loads(f.read_text())["settings"]
+        assert sorted(settings) == ["gt_grid", "input", "oracle", "params", "seed",
+                                    "witnesses", "workers"]
+        assert settings["oracle"] == {}
 
     def test_sweep_config_without_output_writes_csv(self, tmp_path):
         cfg = presets()["fig5"].to_dict()
-        del cfg["output"]
+        assert "output" not in cfg
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, out, err = main_in_process("sweep", "--config", str(path),
                                          "--gt_grid.count", "2")
         assert code == 0, err
         assert out.startswith(CSV_HEADER + "\n")
+
+    @pytest.mark.parametrize("argv, config, needle", [
+        (("sweep", "--preset", "fig5", "--output.path", "x.csv"), None,
+         "unknown key output"),
+        (("sweep", "--preset", "fig5", "--output.format", "json"), None,
+         "unknown key output"),
+        (("sweep", "--preset", "fig5", "--oracle.enabled", "true"), None,
+         "unknown key oracle.enabled"),
+        (("sweep",), {"output": {"format": "json"}}, "unknown key output"),
+        (("compare",), {"output": {"path": "x.json"}}, "unknown key output"),
+        (("sweep",), {"oracle": {"enabled": True}}, "unknown key oracle.enabled"),
+        (("check",), {"oracle": {"enabled": False}}, "unknown key oracle.enabled"),
+        (("compare", "--format", "json"), None, "unknown key format"),
+        (("compare", "--format", "csv"), None, "unknown key format"),
+        (("check", "--format", "json"), None, "unknown key format"),
+        (("check", "--format", "csv"), None, "unknown key format"),
+    ])
+    def test_removed_spelling_is_one_line_usage_error(self, argv, config, needle,
+                                                      tmp_path, monkeypatch):
+        """The output path and format and the oracle switch are flags only:
+        --out for every command, --format and --oracle for sweep.  Their
+        former config keys, as dotted flags or in a --config file, and a
+        --format given to compare or check, are unknown keys, refused
+        before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("cfg.json").write_text(json.dumps({**presets()["fig5"].to_dict(), **config}))
+            argv += ("--config", "cfg.json")
+        code, out, err = main_in_process(*argv, "--out", "out")
+        assert_one_line_usage_error(code, err, needle)
+        assert out == ""
+        assert sorted(os.listdir()) == ([] if config is None else ["cfg.json"])
+
+    @pytest.mark.parametrize("argv, needle", [
+        (("sweep", "--preset", "fig2", "--input.phi", "[0.0, 0.0]", "--gt_grid.count",
+          "5", "--format", "json"), "input.phi: phase 0.0 is listed twice"),
+        (("compare", "--input.phi", "[0.5, 1, 1.0]"), "input.phi: phase 1.0 is listed twice"),
+        (("sweep", "--preset", "fig5", "--input.phi", "[0, 0.0]"),
+         "input.phi: phase 0.0 is listed twice"),
+        (("compare", "--input.phi", "[0.0]", "--witnesses", '["HZ1:ab", "HZ1:ab:1,1"]'),
+         "witnesses: 'HZ1:ab' and 'HZ1:ab:1,1' name the same witness"),
+        (("sweep", "--preset", "fig5", "--witnesses", '["TRI_SYM", "DUAN:ab", "TRI_SYM"]'),
+         "witnesses: 'TRI_SYM' and 'TRI_SYM' name the same witness"),
+    ])
+    def test_duplicate_phase_or_witness_is_one_line_usage_error(self, argv, needle,
+                                                               tmp_path):
+        """sweep's onset summary and compare's report are keyed by witness
+        and phase, so a phase or a witness given twice (however the label
+        is spelled) would be dropped from them: one line, nothing written."""
+        f = tmp_path / "out"
+        code, out, err = main_in_process(*argv, "--out", str(f))
+        assert_one_line_usage_error(code, err, needle)
+        assert out == "" and not f.exists()
 
     def test_presets_csv(self):
         code, out, err = main_in_process("presets")
@@ -1044,11 +1107,11 @@ class TestCliBoundary:
             assert (float(r["gt_start"]), float(r["gt_stop"]), int(r["gt_count"])) \
                 == (cfg.gt_grid.start, cfg.gt_grid.stop, cfg.gt_grid.count)
 
-    @pytest.mark.parametrize("params", [(), RESONANT])
+    @pytest.mark.parametrize("params", [(), RESONANT, TINY_COUPLING])
     def test_check_fails_on_perturbed_coefficients(self, params, monkeypatch):
-        """check passes, detuned or resonant, until f2, g2 and h2 (and so
-        f3, g3 and h3) carry a 1e-9 relative error; the coefficient
-        relations then catch it."""
+        """check passes, detuned, resonant or at a coupling g = 5e-302 whose
+        square underflows, until f2, g2 and h2 (and so f3, g3 and h3) carry
+        a 1e-9 relative error; the coefficient relations then catch it."""
         from fwm import model
         argv = ("check", *params)
         code, out, _ = main_in_process(*argv)
@@ -1062,3 +1125,63 @@ class TestCliBoundary:
         trials = [float(line.rsplit(" ", 1)[1]) for line in lines
                   if line.startswith("coefficient identities")]
         assert len(trials) == 3 and min(trials) > 1e-13
+
+
+class TestConfigRoundTrip:
+    """The configs the CLI prints load back as --config files and give the
+    same results."""
+
+    def test_preset_json_reproduces_sweeps(self, tmp_path):
+        code, out, _ = main_in_process("presets", "--format", "json")
+        assert code == 0
+        printed = json.loads(out)
+        assert sorted(printed) == sorted(presets())
+        for name, cfg in printed.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            from_file = main_in_process("sweep", "--config", str(path))
+            from_preset = main_in_process("sweep", "--preset", name)
+            assert from_file[0] == 0 and from_file[1].startswith(CSV_HEADER + "\n")
+            assert from_file == from_preset, name
+
+    def test_compare_settings_reproduce_report(self, tmp_path):
+        report, again = tmp_path / "report.json", tmp_path / "again.json"
+        code, _, err = main_in_process("compare", "--out", str(report))
+        assert code == 0, err
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(json.loads(report.read_text())["settings"]))
+        code, _, err2 = main_in_process("compare", "--config", str(settings),
+                                        "--out", str(again))
+        assert code == 0, err2
+        assert again.read_bytes() == report.read_bytes()
+        assert err2 == err   # the verdict table
+
+
+def _load_perfbench_workloads():
+    """perfbench/workloads.py, which is not in a package, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["figures", "certify", "oracle_grid"])
+def test_benchmark_command_lines_load(name, tmp_path):
+    """Every job of the benchmark's workloads parses and loads its config
+    as the CLI would, without running, so a CLI change that would fail
+    the benchmark fails here."""
+    workloads = _load_perfbench_workloads()
+    defaults = {"sweep": None, "compare": default_compare_config(),
+                "check": presets()["fig2"]}
+    jobs = workloads.make(name, 0, tmp_path).jobs
+    assert jobs
+    for job in jobs:
+        args, extra = cli._build_parser().parse_known_args(job.argv)
+        overrides = cli._parse_overrides(extra)
+        cfg = cli._load_config(args, overrides, default=defaults[args.command])
+        assert isinstance(cfg, RunConfig), job.name
+        assert cfg.workers == 1
+        if job.out is not None:
+            assert args.out == str(job.out)
