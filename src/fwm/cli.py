@@ -1,8 +1,8 @@
 """Command-line front end: sweep, compare, presets, check.
 
-Exit codes: 0 success, 1 usage error (also when ``oracle.cutoffs`` cannot
-hold the coherent input, an amplitude overflows a closed form, or ``--out``
-cannot be written), 2 when a ``check`` diagnostic fails.  Every command
+Exit codes: 0 success, 1 usage error (also when an amplitude overflows a
+closed form or needs an oracle cutoff above 10 000, or ``--out`` cannot be
+written), 2 when a ``check`` diagnostic fails.  Every command
 writes to stdout or to ``--out``; only ``sweep`` has a choice of format
 (``--format csv|json``) and an ``--oracle`` switch, which are flags and not
 config keys.  Any config field can be overridden with a flag of the same
@@ -12,11 +12,11 @@ top-level keys the same way, as ``--workers N`` (parallel processes, at
 most one per pump phase; default 1) and ``--seed N`` (seed of ``check``'s
 random trials; default 0).
 
-Frequencies are angular (s⁻¹).  Oracle propagation always substitutes the
-synthetic frequency triple (Δω₁/2, 0, 0) for the configured frequencies:
-witness values depend on the frequencies only through the detuning
-Δω₁ = 2ω_a − ω_b − ω_c, and the substitution keeps the exactly diagonalized
-Hamiltonian blocks at the scale of Δω₁ and g rather than optical frequencies.
+Frequencies are angular (s⁻¹).  Witness values depend on the frequencies
+only through the detuning Δω₁ = 2ω_a − ω_b − ω_c, so ``params`` holds g and
+Δω₁ alone, and every command works at the synthetic frequency triple
+(Δω₁/2, 0, 0), which keeps the exactly diagonalized Hamiltonian blocks at
+the scale of Δω₁ and g rather than optical frequencies.
 """
 from __future__ import annotations
 
@@ -53,12 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="fwm", description=__doc__,
+    # allow_abbrev=False: a prefix such as --fo is an override, not --format
+    p = _Parser(prog="fwm", description=__doc__, allow_abbrev=False,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, help):
-        sp = sub.add_parser(name, help=help, epilog=_OVERRIDES_HELP,
+        sp = sub.add_parser(name, help=help, epilog=_OVERRIDES_HELP, allow_abbrev=False,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", help="JSON run configuration file")
         sp.add_argument("--preset", help="named preset (fig2..fig5)")
@@ -73,7 +74,8 @@ def _build_parser() -> _Parser:
 
     command("compare", "certify closed forms against the oracle")
 
-    pr = sub.add_parser("presets", help="list the shipped figure presets")
+    pr = sub.add_parser("presets", help="list the shipped figure presets",
+                        allow_abbrev=False)
     pr.add_argument("--format", choices=["csv", "json"], default="csv")
 
     command("check", "run ETCR / equation-of-motion diagnostics")
@@ -174,7 +176,7 @@ def _cmd_presets(args) -> int:
     else:
         sys.stdout.write("name,witnesses,delta_omega1,g,gt_start,gt_stop,gt_count\n")
         for name, cfg in avail.items():
-            floats = (cfg.params.to_model().delta_omega1, cfg.params.g,
+            floats = (cfg.params.delta_omega1, cfg.params.g,
                       cfg.gt_grid.start, cfg.gt_grid.stop)
             sys.stdout.write(f"{name},{len(cfg.witnesses)},{','.join(map(_fmt, floats))},"
                              f"{cfg.gt_grid.count}\n")
@@ -205,29 +207,30 @@ def _cmd_check(args, overrides) -> int:
     rng = np.random.default_rng(cfg.seed)
     params = cfg.params.to_model()
     delta = params.delta_omega1
-    scale = abs(delta) if delta != 0.0 else 1.0
-    g0 = 0.05 * scale
-    t = 1.0 / scale
-    p0 = ModelParams(params.omega_a, params.omega_b, params.omega_c, g0)
-
-    # residuals at the synthetic frequencies, as the oracle propagates: at
-    # optical ones the EOM defect is a difference of terms ~ω_a‖x‖
-    synth = ModelParams.from_detuning(delta, g0)
+    # the residuals are scale-free, so they are measured in units of |Δω₁|:
+    # the EOM defect, a rate ~|Δω₁|(gt)³, cannot underflow there
+    sign = float(np.sign(delta))
+    unit = ModelParams.from_detuning(sign, 0.05)
     ok = True
     report = []
-    r0 = etcr_residual(ModelParams.from_detuning(delta, 0.0), t, CHECK_CUTOFFS)
+    r0 = etcr_residual(ModelParams.from_detuning(sign, 0.0), 1.0, CHECK_CUTOFFS)
     report.append(f"etcr residual (g=0): {r0:.3e}")
     ok &= r0 < 1e-12
-    etcr_slope = residual_scaling_slope(synth, t, CHECK_CUTOFFS, "etcr")
-    eom_slope = residual_scaling_slope(synth, t, CHECK_CUTOFFS, "eom")
+    etcr_slope = residual_scaling_slope(unit, 1.0, CHECK_CUTOFFS, "etcr")
+    eom_slope = residual_scaling_slope(unit, 1.0, CHECK_CUTOFFS, "eom")
     report.append(f"etcr residual scaling slope: {etcr_slope:.3f}")
     report.append(f"eom  residual scaling slope: {eom_slope:.3f}")
     ok &= etcr_slope >= 2.5 and eom_slope >= 2.5
 
+    # the coefficient identities at the configured scale, where sweeps
+    # evaluate the coefficients
+    scale = abs(delta) if delta != 0.0 else 1.0
+    g0 = 0.05 * scale
+    t = 1.0 / scale
     for trial in range(3):
         gg = g0 * rng.uniform(0.3, 1.0)
         tt = t * rng.uniform(0.3, 1.5)
-        ident = _coefficient_defect(ModelParams(p0.omega_a, p0.omega_b, p0.omega_c, gg), tt)
+        ident = _coefficient_defect(ModelParams.from_detuning(delta, gg), tt)
         report.append(f"coefficient identities (trial {trial}): {ident:.3e}")
         ok &= ident < 1e-13
     report.append("check: " + ("PASS" if ok else "FAIL"))

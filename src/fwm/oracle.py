@@ -268,18 +268,17 @@ def witness_grid(wids, states, params: ModelParams, times
     return out, np.array([mom[s].real for s in _TOTALS])
 
 
-def run(wids, params: ModelParams, inp: CoherentInput, times,
-        cutoffs: tuple[int, int, int] | None = None) -> tuple[np.ndarray, dict]:
+def run(wids, params: ModelParams, inp: CoherentInput, times) -> tuple[np.ndarray, dict]:
     """(witness, time) oracle values of the coherent input ``inp`` under
     ``params``, and diagnostics of the run.
 
-    The basis has ``cutoffs``, or ``cutoffs_for(inp)`` when None.  The
-    diagnostics hold the cutoffs, the dimension, the clipped transitions and
-    the largest |‖ψ(t)‖ − 1| and drifts of the charges n_a + 2n_b and
-    n_b − n_c from ψ0 over the grid.  Raises CutoffError when the cutoffs
-    cannot hold the input.
+    The basis has the cutoffs ``cutoffs_for(inp)``.  The diagnostics hold
+    the cutoffs, the dimension, the clipped transitions and the largest
+    |‖ψ(t)‖ − 1| and drifts of the charges n_a + 2n_b and n_b − n_c from ψ0
+    over the grid.  Raises CutoffError when no cutoff below 10 000 holds
+    the input.
     """
-    basis = FockBasis(cutoffs or cutoffs_for(inp))
+    basis = FockBasis(cutoffs_for(inp))
     psi0 = coherent_state(basis, inp)
     H = build_hamiltonian(params, basis)
     values, totals = witness_grid(wids, evolve_grid(H, psi0, times), params, times)
@@ -335,8 +334,7 @@ def _error_floor(params: ModelParams, inp: CoherentInput, coeffs):
     return floor
 
 
-def compare(wids, params: ModelParams, inp: CoherentInput, times,
-            cutoffs: tuple[int, int, int] | None = None) -> CompareResult:
+def compare(wids, params: ModelParams, inp: CoherentInput, times) -> CompareResult:
     """Certify closed forms against the oracle over the coupling ladder
     g, g/2, g/4 (``LADDER_RUNGS`` rungs) from the top rung ``params``.
 
@@ -359,7 +357,7 @@ def compare(wids, params: ModelParams, inp: CoherentInput, times,
     oracle_vals, pert_vals = np.empty(shape), np.empty(shape)
     diag = {}
     for r, p in enumerate(ladder):
-        oracle_vals[r], rung = run(wids, p, inp, times, cutoffs)
+        oracle_vals[r], rung = run(wids, p, inp, times)
         diag = {k: max(v, diag.get(k, v)) if k.endswith("_drift") else v
                 for k, v in rung.items()}
         coeffs = coefficients(p, times)

@@ -4,11 +4,13 @@ A sweep walks (witness × pump phase × gt grid), evaluating closed-form
 witnesses (and optionally the Fock oracle) into one value array over the gt
 grid per (witness, phase, source) series, plus a negativity-onset summary;
 the writers expand the series into deterministic CSV or JSON rows.  All
-sweeps are parameterized in the dimensionless interaction time gt; the
-oracle always propagates with the synthetic frequency triple (Δω₁/2, 0, 0),
-which is observationally equivalent (witnesses depend on frequencies only
-through Δω₁) and keeps the Hamiltonian's spectrum at the scale of Δω₁ and g
-rather than optical frequencies.
+sweeps are parameterized in the dimensionless interaction time gt.  A run
+is configured by the coupling g and the detuning Δω₁ = 2ω_a − ω_b − ω_c
+alone, since witnesses depend on the frequencies only through Δω₁; closed
+forms and oracle both use the synthetic frequency triple (Δω₁/2, 0, 0) of
+`ModelParams.from_detuning`, which keeps the Hamiltonian's spectrum at the
+scale of Δω₁ and g rather than optical frequencies.  The oracle sizes its
+own basis to the coherent input (`fockspace.cutoffs_for`).
 """
 from __future__ import annotations
 
@@ -51,27 +53,16 @@ def _integer(name: str, value, minimum: int) -> None:
 
 @dataclass(frozen=True)
 class ParamsSpec:
-    """Either full frequencies or a {Δω₁, g} shorthand."""
+    """Coupling g and detuning Δω₁ = 2ω_a − ω_b − ω_c, in s⁻¹."""
 
     g: float
-    omega_a: float | None = None
-    omega_b: float | None = None
-    omega_c: float | None = None
-    delta_omega1: float | None = None
+    delta_omega1: float
 
     def __post_init__(self):
-        for name in ("g", "omega_a", "omega_b", "omega_c", "delta_omega1"):
-            if getattr(self, name) is not None:
-                _real(f"params.{name}", getattr(self, name))
-        # all three frequencies and no delta_omega1, or delta_omega1 alone
-        given = {v is not None for v in (self.omega_a, self.omega_b, self.omega_c)}
-        if given != {self.delta_omega1 is None}:
-            raise UsageError("params: give omega_a/omega_b/omega_c or delta_omega1, "
-                             "not both")
+        _real("params.g", self.g)
+        _real("params.delta_omega1", self.delta_omega1)
 
     def to_model(self) -> ModelParams:
-        if self.delta_omega1 is None:
-            return ModelParams(self.omega_a, self.omega_b, self.omega_c, self.g)
         return ModelParams.from_detuning(self.delta_omega1, self.g)
 
 
@@ -85,6 +76,8 @@ class InputSpec:
     def __post_init__(self):
         for name in ("alpha_abs", "beta", "gamma"):
             _real(f"input.{name}", getattr(self, name))
+        if self.alpha_abs < 0:      # a modulus: the phase is phi's
+            raise UsageError(f"input.alpha_abs must be >= 0, got {self.alpha_abs!r}")
         # one phase may be given bare, as in ``--input.phi 1.5``
         phi = self.phi if isinstance(self.phi, (list, tuple)) else (self.phi,)
         object.__setattr__(self, "phi", tuple(phi))
@@ -121,25 +114,11 @@ class GtGrid:
 
 
 @dataclass(frozen=True)
-class OracleSpec:
-    cutoffs: tuple[int, int, int] | None = None
-
-    def __post_init__(self):
-        if self.cutoffs is not None:
-            if not isinstance(self.cutoffs, (list, tuple)) or len(self.cutoffs) != 3:
-                raise UsageError(f"oracle.cutoffs must be three integers, got {self.cutoffs!r}")
-            for c in self.cutoffs:
-                _integer("oracle.cutoffs", c, 0)
-            object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
-
-
-@dataclass(frozen=True)
 class RunConfig:
     params: ParamsSpec
     input: InputSpec
     gt_grid: GtGrid
     witnesses: tuple[str, ...]
-    oracle: OracleSpec = OracleSpec()
     workers: int = 1
     seed: int = 0
 
@@ -165,13 +144,7 @@ class RunConfig:
         return [WitnessId.parse(s) for s in self.witnesses]
 
     def to_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items() if v is not None}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            return obj
-        return clean(dataclasses.asdict(self))
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -183,8 +156,7 @@ class RunConfig:
             raise UsageError(f"bad config: {exc}") from exc
 
 
-_SECTIONS = {"params": ParamsSpec, "input": InputSpec, "gt_grid": GtGrid,
-             "oracle": OracleSpec}
+_SECTIONS = {"params": ParamsSpec, "input": InputSpec, "gt_grid": GtGrid}
 
 
 def _section(cls, d, prefix: str):
@@ -330,12 +302,6 @@ def _onset(gts, values) -> float | None:
     return float(gts[i - 1] + frac * (gts[i] - gts[i - 1]))
 
 
-def _oracle_phi_payload(config: RunConfig, phi: float):
-    """The synthetic parameters the oracle propagates with, and the input."""
-    spec = config.params.to_model()
-    return ModelParams.from_detuning(spec.delta_omega1, spec.g), config.input.coherent(phi)
-
-
 def _map_phases(fn, config: RunConfig) -> list:
     """``fn((config, phi))`` for every configured phase, in order, on up to
     ``config.workers`` processes, never more than there are phases.  An
@@ -360,13 +326,11 @@ def _times(gts: np.ndarray, g: float) -> np.ndarray:
 
 
 def _oracle_values_for_phi(args) -> np.ndarray:
-    """(witness, gt) oracle values at one pump phase; raises CutoffError
-    when the cutoffs cannot hold the coherent input."""
+    """(witness, gt) oracle values at one pump phase."""
     config, phi = args
-    synth, inp = _oracle_phi_payload(config, phi)
-    times = _times(config.gt_grid.values(), synth.g).tolist()
-    return oracle_mod.run(config.witness_ids(), synth, inp, times,
-                          config.oracle.cutoffs)[0]
+    params = config.params.to_model()
+    times = _times(config.gt_grid.values(), params.g).tolist()
+    return oracle_mod.run(config.witness_ids(), params, config.input.coherent(phi), times)[0]
 
 
 def _coupled_params(config: RunConfig) -> ModelParams:
@@ -383,8 +347,7 @@ def run_sweep(config: RunConfig, oracle: bool = False):
     listed) with perturbative series first, then, with ``oracle``, the
     oracle series.
     The summary maps (witness label, phi) to the first negativity onset gt*
-    or None.  Raises CutoffError when ``oracle.cutoffs`` cannot hold the
-    coherent input.
+    or None.
     """
     wids = config.witness_ids()
     if not wids:
@@ -437,10 +400,10 @@ def certification_witnesses() -> list[str]:
 
 def _compare_phi_task(args):
     config, phi = args
-    synth, inp = _oracle_phi_payload(config, phi)
+    params = config.params.to_model()
     gts = config.gt_grid.values()
-    times = _times(gts[gts > 0.0], synth.g).tolist()
-    return oracle_mod.compare(config.witness_ids(), synth, inp, times, config.oracle.cutoffs)
+    times = _times(gts[gts > 0.0], params.g).tolist()
+    return oracle_mod.compare(config.witness_ids(), params, config.input.coherent(phi), times)
 
 
 def run_compare(config: RunConfig):
@@ -475,11 +438,12 @@ def compare_report_text(report: dict) -> str:
 
 
 def presets() -> dict[str, RunConfig]:
-    """The four figure presets (caption frequencies, amplitudes, phases)."""
+    """The four figure presets (the detuning of the caption frequencies,
+    amplitudes, phases)."""
     wa, wb, wc = FIG_OMEGAS
     delta = 2 * wa - wb - wc
     base = dict(
-        params=ParamsSpec(g=abs(delta) * 1e-3, omega_a=wa, omega_b=wb, omega_c=wc),
+        params=ParamsSpec(g=abs(delta) * 1e-3, delta_omega1=delta),
         input=InputSpec(alpha_abs=FIG_AMPLITUDES[0], phi=FIG_PHIS,
                         beta=FIG_AMPLITUDES[1], gamma=FIG_AMPLITUDES[2]),
         gt_grid=GtGrid(start=0.0, stop=0.1, count=400),

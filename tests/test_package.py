@@ -63,10 +63,9 @@ def test_option_ledger():
     """Every settable value: the config keys (each also a dotted flag) and
     each subcommand's own flags.  A new option is an edit to these lists."""
     assert list(_dotted_keys(sweep.RunConfig)) == [
-        "params.g", "params.omega_a", "params.omega_b", "params.omega_c",
-        "params.delta_omega1", "input.alpha_abs", "input.phi", "input.beta",
+        "params.g", "params.delta_omega1", "input.alpha_abs", "input.phi", "input.beta",
         "input.gamma", "gt_grid.start", "gt_grid.stop", "gt_grid.count", "witnesses",
-        "oracle.cutoffs", "workers", "seed"]
+        "workers", "seed"]
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     flags = {name: [o for a in sp._actions if a.dest != "help" for o in a.option_strings]

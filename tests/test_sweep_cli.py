@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,7 @@ from fwm import cli
 from fwm.fockspace import FockBasis, coherent_state, cutoffs_for
 from fwm.model import ModelParams
 from fwm.oracle import witness_grid
-from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, OracleSpec, ParamsSpec,
+from fwm.sweep import (CSV_HEADER, GtGrid, InputSpec, ParamsSpec,
                        RunConfig, Series, UsageError, _onset, apply_overrides,
                        default_compare_config, presets, rows_to_csv,
                        rows_to_json, run_compare, run_sweep)
@@ -42,10 +44,6 @@ class TestConfig:
         cfg = presets()["fig3"]
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
-
-    def test_round_trip_with_oracle(self):
-        cfg = tiny_config(oracle=OracleSpec(cutoffs=(8, 6, 6)))
-        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_shorthand_expands_to_synthetic(self):
         p = ParamsSpec(g=2.0, delta_omega1=-8.0).to_model()
@@ -428,7 +426,7 @@ class TestRunCompare:
             input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
             gt_grid=GtGrid(start=0.15, stop=0.3, count=2),
             witnesses=("HZ1:ab", "DUAN:ab")))
-        assert report["settings"]["oracle"] == {}
+        assert "oracle" not in report["settings"]
         assert sorted(report["witnesses"]) == ["DUAN:ab", "HZ1:ab"]
         assert [per["diagnostics"]["dimension"] > 0 for per in report["per_phi"].values()] \
             == [True, True]
@@ -486,18 +484,18 @@ class TestCli:
 
     def test_compare_without_oracle_usage_error(self):
         """compare runs the oracle from any config, a figure preset's too,
-        so cutoffs too small for the input end it with one line."""
-        out = run_cli("compare", "--preset", "fig2", "--oracle.cutoffs", "[3,2,2]")
+        so an input too large for any oracle basis ends it with one line."""
+        out = run_cli("compare", "--preset", "fig2", "--input.alpha_abs", "1e40")
         assert out.returncode == 1
         assert out.stderr.strip().splitlines() == [
-            "usage error: coherent tail 1.000e+00 above 1.0e-09; raise cutoffs (3, 2, 2)"]
+            "usage error: no cutoff below 10000 reaches tail 1e-12"]
 
     def test_single_rung_ladder_usage_error(self):
-        """The ladder is fixed at three rungs: asking for one is an unknown
-        key, reported in one line."""
+        """The ladder is fixed at three rungs: a config has no oracle
+        section to ask for one, which is reported in one line."""
         out = run_cli("compare", "--preset", "fig2", "--oracle.ladder_rungs", "1")
         assert out.returncode == 1
-        assert out.stderr.splitlines() == ["usage error: unknown key oracle.ladder_rungs"]
+        assert out.stderr.splitlines() == ["usage error: unknown key oracle"]
 
     def test_sweep_csv_deterministic(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -589,10 +587,10 @@ def assert_one_line_usage_error(code, err, *needles):
 
 
 SWEEP = ("sweep", "--preset", "fig5", "--gt_grid.count", "2")
-RESONANT = ("--params.omega_a", "1", "--params.omega_b", "1", "--params.omega_c", "1")
-# check probes g = 0.05·|Δω₁| at t = 1/|Δω₁|: here g·g underflows, gt does not
-TINY_COUPLING = ("--params.omega_a", "null", "--params.omega_b", "null", "--params.omega_c",
-                 "null", "--params.delta_omega1", "1e-300", "--params.g", "1")
+RESONANT = ("--params.delta_omega1", "0")
+# check's coefficient trials take g = 0.05·|Δω₁| at t = 1/|Δω₁|: here g·g
+# underflows, gt does not
+TINY_COUPLING = ("--params.delta_omega1", "1e-300", "--params.g", "1")
 
 # Values a user may type after --input.phi that are not a phase in [0, 2pi):
 # out-of-range and non-finite floats (repr gives 'nan', 'inf', '1e+300'),
@@ -605,16 +603,12 @@ BAD_PHASES = st.one_of(
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 
 # (dotted field, raw value) pairs that are not a valid value of the field:
-# non-integer counts, words and lists as amplitudes, cutoff lists of the
-# wrong length.
+# non-integer counts, words and lists as amplitudes.
 BAD_FIELDS = st.one_of(
     st.tuples(st.just("gt_grid.count"),
               st.floats().filter(lambda x: not x.is_integer()).map(repr)),
     st.tuples(st.sampled_from(["input.alpha_abs", "input.beta", "input.gamma"]),
               st.one_of(WORDS, st.lists(st.integers(), max_size=3).map(json.dumps))),
-    st.tuples(st.just("oracle.cutoffs"),
-              st.lists(st.integers(0, 9), max_size=5)
-              .filter(lambda c: len(c) != 3).map(json.dumps)),
 )
 
 # Values of the config field ``witnesses`` that are not a list of valid
@@ -648,8 +642,9 @@ class TestCliBoundary:
     def test_bad_field_is_one_line_usage_error(self, case):
         field, raw = case
         code, out, err = main_in_process(*SWEEP, "--oracle", f"--{field}", raw)
-        # no config section is named output, so its first key is unknown
-        needle = "unknown key output" if field.startswith("output.") else field
+        # no config section is named output or oracle, so its first key is unknown
+        section = field.split(".")[0]
+        needle = f"unknown key {section}" if section in ("output", "oracle") else field
         assert_one_line_usage_error(code, err, needle)
         assert out == ""
 
@@ -681,9 +676,8 @@ class TestCliBoundary:
         ("fig2", "1e153", "HZ1:ab values"),    # coefficients finite, |f2|²·|α|⁶ is not
     ])
     def test_overflowing_values_are_one_line_usage_error(self, preset, stop, needle):
-        zero = [a for mode in "abc" for a in (f"--params.omega_{mode}", "0")]
-        code, out, err = main_in_process("sweep", "--preset", preset, *zero,
-                                         "--params.g", "1", "--gt_grid.stop", stop,
+        code, out, err = main_in_process("sweep", "--preset", preset,
+                                         "--params.delta_omega1", "0", "--params.g", "1", "--gt_grid.stop", stop,
                                          "--gt_grid.count", "3")
         assert_one_line_usage_error(code, err, needle, "finite")
         assert out == ""
@@ -695,15 +689,12 @@ class TestCliBoundary:
          "delta_omega1 = -5.5e-154"),
         (("compare", "--params.g", "1e-323", "--gt_grid.start", "1e-17",
           "--gt_grid.stop", "1e-16"), "g > 0"),
-        (("check", "--preset", "fig2", "--params.omega_a", "1e308"),
-         "delta_omega1 must be finite"),
     ])
     def test_overflowing_compare_or_check_is_one_line_usage_error(self, argv, needle,
                                                                   tmp_path):
         """An H weight g·√n overflows, the agreement floor 4(2g/Δω₁)² of a
-        grid reaching |Δω₁|·t ≥ π overflows, the smallest ladder rung g/4
-        underflows to 0, or the detuning 2ω_a − ω_b − ω_c overflows: one
-        line, no output written."""
+        grid reaching |Δω₁|·t ≥ π overflows, or the smallest ladder rung g/4
+        underflows to 0: one line, no output written."""
         f = tmp_path / "out.json"
         code, out, err = main_in_process(*argv, "--input.phi", "0", "--gt_grid.count",
                                          "2", "--out", str(f))
@@ -820,14 +811,15 @@ class TestCliBoundary:
 
     @pytest.mark.parametrize("field, value", [("tolerance", 1e-10), ("method", "rk4")])
     def test_removed_oracle_fields_rejected(self, field, value, tmp_path):
+        """A config has no oracle section, so any former oracle field, as a
+        dotted flag or in a config file, is the unknown key oracle."""
         code, _, err = main_in_process("compare", f"--oracle.{field}", json.dumps(value))
-        assert_one_line_usage_error(code, err, field)
-        cfg = default_compare_config().to_dict()
-        cfg["oracle"][field] = value
+        assert_one_line_usage_error(code, err, "unknown key oracle")
+        cfg = {**default_compare_config().to_dict(), "oracle": {field: value}}
         path = tmp_path / "old.json"
         path.write_text(json.dumps(cfg))
         code, _, err = main_in_process("compare", "--config", str(path))
-        assert_one_line_usage_error(code, err, field)
+        assert_one_line_usage_error(code, err, "unknown key oracle")
 
     @pytest.mark.parametrize("text", [None, "{not json"])
     def test_unreadable_config_is_one_line_usage_error(self, text, tmp_path):
@@ -865,26 +857,20 @@ class TestCliBoundary:
         assert payload["witnesses"] == {}
         assert all(per["witnesses"] == {} for per in payload["per_phi"].values())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_small_oracle_cutoffs_is_one_line_usage_error(self, workers, tmp_path):
-        """Cutoffs too small for the coherent input fail the whole sweep, at
-        any worker count, before any output is written."""
-        f = tmp_path / "rows.csv"
-        code, out, err = main_in_process(*SWEEP, "--oracle", "--oracle.cutoffs", "[3,2,2]",
-                                         f"--workers={workers}", "--out", str(f))
-        assert_one_line_usage_error(code, err, "raise cutoffs (3, 2, 2)")
-        assert out == "" and not f.exists()
-
     @pytest.mark.parametrize("section, value", [
         ("oracle", "abc"), ("params", 5), ("gt_grid", [1, 2]), ("config", [1, 2])])
     def test_non_object_config_section_is_one_line_usage_error(self, section, value,
                                                                tmp_path):
+        """A section that is no JSON object, or the former section oracle
+        with any value, is refused in one line."""
         cfg = value if section == "config" else {**presets()["fig5"].to_dict(),
                                                  section: value}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, out, err = main_in_process("sweep", "--config", str(path))
-        assert_one_line_usage_error(code, err, f"{section} must be a JSON object")
+        needle = ("unknown key oracle" if section == "oracle"
+                  else f"{section} must be a JSON object")
+        assert_one_line_usage_error(code, err, needle)
         assert out == ""
 
     @pytest.mark.parametrize("extra", [("--out", "x.csv"), ("--workers", "2")])
@@ -930,25 +916,53 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, f"missing key {dotted}")
         assert out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ("sweep", "--preset", "fig2", "--params.delta_omega1", "-5"),
-        ("compare", "--params.omega_a", "3"),
-        ("sweep", "--preset", "fig2", "--params.omega_b", "null"),
+    @pytest.mark.parametrize("key, value, needle", [
+        ("params", {"omega_a": 2.4238e15}, "unknown key params.omega_a"),
+        ("params", {"omega_b": None, "omega_c": None}, "unknown key params.omega_b"),
+        ("oracle", {"cutoffs": [10, 8, 8]}, "unknown key oracle"),
+        ("oracle", {}, "unknown key oracle"),
     ])
-    def test_mixed_params_forms_are_one_line_usage_error(self, argv):
-        """Frequencies and the Δω₁ shorthand together, or a partial triple,
-        would silently drop one of them."""
-        code, out, err = main_in_process(*argv)
-        assert_one_line_usage_error(
-            code, err, "params: give omega_a/omega_b/omega_c or delta_omega1, not both")
-        assert out == ""
+    def test_removed_config_keys_are_one_line_usage_error(self, key, value, needle,
+                                                          tmp_path):
+        """params holds g and delta_omega1 alone and the oracle sizes its own
+        basis: a config file with a mode frequency or an oracle section is
+        refused in one line, before anything is written."""
+        cfg = presets()["fig5"].to_dict()
+        cfg[key] = {**cfg.get(key, {}), **value}
+        path, f = tmp_path / "old.json", tmp_path / "rows.csv"
+        path.write_text(json.dumps(cfg))
+        for command in ("sweep", "compare", "check"):
+            code, out, err = main_in_process(command, "--config", str(path), "--out", str(f))
+            assert_one_line_usage_error(code, err, needle)
+            assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("raw", ["-5", "-1e-300", "-inf"])
+    def test_negative_pump_modulus_is_one_line_usage_error(self, raw, tmp_path):
+        """input.alpha_abs is the modulus |α|; the pump phase is input.phi's.
+        A negative value would write rows labelled with a phase off by π."""
+        f = tmp_path / "rows.csv"
+        code, out, err = main_in_process("sweep", "--preset", "fig2", "--input.phi", "0",
+                                         "--input.alpha_abs", raw, "--out", str(f))
+        assert_one_line_usage_error(code, err, "input.alpha_abs")
+        assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("argv, needle", [
+        (("sweep", "--preset", "fig5", "--fo", "json"), "unknown key fo"),
+        (("sweep", "--preset", "fig5", "--ora", "true"), "unknown key ora"),
+        (("compare", "--pre", "fig5"), "unknown key pre"),
+        (("check", "--pre", "fig2"), "unknown key pre"),
+    ])
+    def test_flag_prefix_is_one_line_usage_error(self, argv, needle, tmp_path):
+        """Each flag has one spelling: a prefix of --format, --oracle or
+        --preset is an override of an unknown key, not the flag."""
+        f = tmp_path / "out"
+        code, out, err = main_in_process(*argv, "--out", str(f))
+        assert_one_line_usage_error(code, err, needle)
+        assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("argv, needle", [
         (("compare",), "no cutoff below 10000 reaches tail"),
-        (("compare", "--oracle.cutoffs", "[10,8,8]"), "raise cutoffs (10, 8, 8)"),
         (("sweep", "--preset", "fig2", "--oracle"), "input amplitudes"),
-        (("sweep", "--preset", "fig2", "--oracle", "--oracle.cutoffs", "[10,8,8]"),
-         "input amplitudes"),
     ])
     def test_huge_amplitude_with_oracle_is_one_line_usage_error(self, argv, needle,
                                                                 tmp_path):
@@ -1025,9 +1039,8 @@ class TestCliBoundary:
             "0.01", "--gt_grid.count", "2", "--out", str(f))
         assert code == 0 and out == "", err
         settings = json.loads(f.read_text())["settings"]
-        assert sorted(settings) == ["gt_grid", "input", "oracle", "params", "seed",
-                                    "witnesses", "workers"]
-        assert settings["oracle"] == {}
+        assert sorted(settings) == ["gt_grid", "input", "params", "seed", "witnesses",
+                                    "workers"]
 
     def test_sweep_config_without_output_writes_csv(self, tmp_path):
         cfg = presets()["fig5"].to_dict()
@@ -1045,11 +1058,11 @@ class TestCliBoundary:
         (("sweep", "--preset", "fig5", "--output.format", "json"), None,
          "unknown key output"),
         (("sweep", "--preset", "fig5", "--oracle.enabled", "true"), None,
-         "unknown key oracle.enabled"),
+         "unknown key oracle"),
         (("sweep",), {"output": {"format": "json"}}, "unknown key output"),
         (("compare",), {"output": {"path": "x.json"}}, "unknown key output"),
-        (("sweep",), {"oracle": {"enabled": True}}, "unknown key oracle.enabled"),
-        (("check",), {"oracle": {"enabled": False}}, "unknown key oracle.enabled"),
+        (("sweep",), {"oracle": {"enabled": True}}, "unknown key oracle"),
+        (("check",), {"oracle": {"enabled": False}}, "unknown key oracle"),
         (("compare", "--format", "json"), None, "unknown key format"),
         (("compare", "--format", "csv"), None, "unknown key format"),
         (("check", "--format", "json"), None, "unknown key format"),
@@ -1111,11 +1124,16 @@ class TestCliBoundary:
     def test_check_fails_on_perturbed_coefficients(self, params, monkeypatch):
         """check passes, detuned, resonant or at a coupling g = 5e-302 whose
         square underflows, until f2, g2 and h2 (and so f3, g3 and h3) carry
-        a 1e-9 relative error; the coefficient relations then catch it."""
+        a 1e-9 relative error; the coefficient relations then catch it.
+        Both residual slopes are measured in units of |Δω₁|, so they read
+        about 3 at any scale, and never inf."""
         from fwm import model
         argv = ("check", *params)
         code, out, _ = main_in_process(*argv)
         assert code == 0 and out.splitlines()[-1] == "check: PASS"
+        slopes = [float(line.rsplit(" ", 1)[1]) for line in out.splitlines()
+                  if "scaling slope" in line]
+        assert len(slopes) == 2 and all(abs(s - 3.0) < 0.1 for s in slopes), out
         ramp = model._ramp
         monkeypatch.setattr(model, "_ramp", lambda x: ramp(x) * (1 + 1e-9))
         code, out, _ = main_in_process(*argv)
@@ -1167,21 +1185,60 @@ def _load_perfbench_workloads():
     return module
 
 
+def load_command(argv):
+    """(parsed flags, config) of one command line, parsed and loaded as
+    the CLI does, without running it; ``presets`` loads no config."""
+    args, extra = cli._build_parser().parse_known_args(argv)
+    overrides = cli._parse_overrides(extra)
+    if args.command == "presets":
+        assert not overrides, argv
+        return args, None
+    defaults = {"sweep": None, "compare": default_compare_config(),
+                "check": presets()["fig2"]}
+    return args, cli._load_config(args, overrides, default=defaults[args.command])
+
+
 @pytest.mark.parametrize("name", ["figures", "certify", "oracle_grid"])
 def test_benchmark_command_lines_load(name, tmp_path):
     """Every job of the benchmark's workloads parses and loads its config
     as the CLI would, without running, so a CLI change that would fail
     the benchmark fails here."""
     workloads = _load_perfbench_workloads()
-    defaults = {"sweep": None, "compare": default_compare_config(),
-                "check": presets()["fig2"]}
     jobs = workloads.make(name, 0, tmp_path).jobs
     assert jobs
     for job in jobs:
-        args, extra = cli._build_parser().parse_known_args(job.argv)
-        overrides = cli._parse_overrides(extra)
-        cfg = cli._load_config(args, overrides, default=defaults[args.command])
+        args, cfg = load_command(job.argv)
         assert isinstance(cfg, RunConfig), job.name
         assert cfg.workers == 1
         if job.out is not None:
             assert args.out == str(job.out)
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``fwm`` command README shows: each line of its code blocks,
+    ``\\`` continuations joined and comments dropped, and each inline
+    code span, split into words as a shell would."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+    commands = [shlex.split(line, comments=True)
+                for block in fence.findall(text)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands += [shlex.split(span) for span in re.findall(r"`(fwm [^`]*)`", fence.sub("", text))]
+    return [words[1:] for words in commands if words[:1] == ["fwm"]]
+
+
+def test_readme_command_lines_load():
+    """Every fwm command line in README parses and loads its config as the
+    CLI would, without running, so a removed key or flag cannot leave the
+    documentation stale."""
+    commands = readme_commands()
+    assert len(commands) >= 10
+    assert ["sweep", "--preset", "fig2", "--input.alpha_abs", "5", "--input.phi",
+            "1.5707963", "--gt_grid.count", "100", "--out", "out.csv"] in commands
+    failures = []
+    for argv in commands:
+        try:
+            load_command(argv)
+        except UsageError as exc:
+            failures.append(f"fwm {' '.join(argv)}: {exc}")
+    assert failures == []
