@@ -9,8 +9,11 @@ config keys.  Any config field can be overridden with a flag of the same
 dotted path, e.g.
 ``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and the
 top-level keys the same way, as ``--workers N`` (parallel processes, at
-most one per pump phase; default 1) and ``--seed N`` (seed of ``check``'s
-random trials; default 0).
+most one per pump phase; default 1; each process also spreads the oracle's
+time chunks over the CPUs it may use) and ``--seed N`` (seed of
+``check``'s random trials; default 0).  ``check`` reads only
+``params.delta_omega1`` and ``seed``; it validates every other key and
+ignores it.
 
 Frequencies are angular (s⁻¹).  Witness values depend on the frequencies
 only through the detuning Δω₁ = 2ω_a − ω_b − ω_c, so ``params`` holds g and
@@ -42,7 +45,8 @@ CHECK_CUTOFFS = (10, 8, 8)   # per-mode cutoffs of check's residual basis
 _OVERRIDES_HELP = """\
 config overrides (any number):
   --<dotted.key> VALUE  set one config field, e.g. --input.phi 1.5
-  --workers N           parallel processes, at most one per pump phase (default 1)
+  --workers N           parallel processes, at most one per pump phase (default 1);
+                        each also spreads the oracle's time chunks over its CPUs
   --seed N              seed of check's random trials (default 0)
 """
 
@@ -58,8 +62,9 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
-        sp = sub.add_parser(name, help=help, epilog=_OVERRIDES_HELP, allow_abbrev=False,
+    def command(name, help, description=None):
+        sp = sub.add_parser(name, help=help, description=description,
+                            epilog=_OVERRIDES_HELP, allow_abbrev=False,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", help="JSON run configuration file")
         sp.add_argument("--preset", help="named preset (fig2..fig5)")
@@ -78,7 +83,10 @@ def _build_parser() -> _Parser:
                         allow_abbrev=False)
     pr.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    command("check", "run ETCR / equation-of-motion diagnostics")
+    command("check", "run ETCR / equation-of-motion diagnostics",
+            "Run the ETCR / equation-of-motion diagnostics.  The report reads only\n"
+            "params.delta_omega1 and seed; every other config key, params.g\n"
+            "included, is validated and then ignored.")
     return p
 
 

@@ -16,7 +16,8 @@ chunk, so the grid may list any nonnegative times in any order.
 phase) and `compare` (once per ladder rung).  It builds the basis, ψ0 and H,
 propagates with `evolve_grid` and reads everything it reports with
 `witness_grid`: one `fockspace.moments` call per (dim, chunk) array of the
-propagated grid reads every distinct moment the
+propagated grid (both spread their chunks over the CPUs this process may
+use, on threads) reads every distinct moment the
 witnesses need together with ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩ and ⟨N_c⟩, from which the
 norm and charge drifts come.  Every witness reads its raw moments from the
 cached recipe the closed forms compile too (`witnesses._recipe`), and is
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,6 +130,30 @@ def sector_blocks(op: ShiftOperator, basis: FockBasis) -> list[tuple[np.ndarray,
     return out
 
 
+def _on_threads(tasks: int, work) -> None:
+    """Call ``work(w, W)`` for every worker w < W = min(``tasks``, CPUs this
+    process may use); ``work(w, W)`` does tasks w, w + W, w + 2W, ….
+
+    With W = 1 the call runs inline.  Otherwise worker 0 runs in the calling
+    thread and the others on a pool that is created here and joined before
+    returning, so no thread outlives the call (and none is inherited by a
+    forked process).  Every pool thread allocates from a malloc arena of
+    its own, which keeps its peak; one thread fewer is one arena fewer.
+    numpy releases the GIL inside the large array operations of the work."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(tasks, cpus)
+    if workers <= 1:
+        work(0, 1)
+        return
+    from concurrent.futures import ThreadPoolExecutor   # here, not in every start-up
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        others = [pool.submit(work, w, workers) for w in range(1, workers)]
+        work(0, workers)
+        for done in others:
+            done.result()
+
+
 class StateGrid(list):
     """The per-time states of `evolve_grid`, in grid order, together with
     ``chunks``: the (dim, chunk) amplitude arrays whose columns they view."""
@@ -149,8 +175,9 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     phase carries at most ``TIME_CHUNK`` − 1 products' roundoff.  One real
     matmul per sector size applies V to the (re, im) pairs of the phases,
     and one ``np.take`` moves the chunk from sector order to flat order.
-    Each state is a column view of its chunk's (dim, chunk) array.  ψ(0) is
-    a copy of ψ0.
+    The chunks are propagated on `_on_threads` workers, each into its own
+    slice of one dim × T allocation.  Each state is a column view of its
+    chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
     """
     times = np.array([float(t) for t in times])
     negative = np.flatnonzero(times < 0)
@@ -172,37 +199,42 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     step_factors = np.multiply.outer(steps, -1j * energies)   # (step, dim)
     np.exp(step_factors, out=step_factors)    # in place: no second (step, dim) array
 
-    states, chunks = [], []
-    # reused by every chunk: the phases, (dim, time), and the sector-order
-    # results, (dim, time), whose space first holds the (time, dim) products
-    buffers = np.empty((2, energies.size * min(TIME_CHUNK, times.size)), dtype=np.complex128)
+    dim = energies.size
     # every chunk's (dim, time) amplitudes, back to back in one allocation:
     # freed whole with the states, it is reused whole by the next call
     # instead of being faulted in again page by page
-    grid = np.empty(energies.size * times.size, dtype=np.complex128)
-    for lo in range(0, times.size, TIME_CHUNK):
-        chunk = times[lo:lo + TIME_CHUNK]
-        phases, result = (b[:energies.size * chunk.size].reshape(-1, chunk.size)
-                          for b in buffers)
-        products = result.reshape(chunk.size, -1)   # each product runs over one contiguous row
-        np.multiply(coeffs, np.exp(-1j * chunk[0] * energies), out=products[0])
-        for j in range(1, chunk.size):
-            np.multiply(products[j - 1], step_factors[step_of[lo + j]], out=products[j])
-        phases[...] = products.T
-        at = 0
-        for v in vectors:
-            k, s, _ = v.shape
-            rows = slice(at, at + k * s)
-            np.matmul(v, phases[rows].reshape(k, s, -1).view(np.float64),
-                      out=result[rows].reshape(k, s, -1).view(np.float64))
-            at += k * s
-        amps = grid[energies.size * lo:energies.size * (lo + chunk.size)].reshape(-1, chunk.size)
-        np.take(result, to_flat, axis=0, out=amps, mode="clip")   # "raise" would buffer out
-        # witnesses vanish at t = 0 up to roundoff; returning ψ0 unchanged
-        # keeps the sign of those values independent of the eigendecomposition
-        amps[:, chunk == 0.0] = psi[:, None]
-        chunks.append(amps)
-        states.extend(FockStateVector(amplitudes=a, basis=psi0.basis) for a in amps.T)
+    grid = np.empty(dim * times.size, dtype=np.complex128)
+    chunks = [grid[dim * lo:dim * (lo + TIME_CHUNK)].reshape(dim, -1)
+              for lo in range(0, times.size, TIME_CHUNK)]
+
+    def propagate(worker: int, workers: int) -> None:
+        # reused by this worker's chunks: the phases, (dim, time), and the
+        # sector-order results, (dim, time), whose space first holds the
+        # (time, dim) products
+        buffers = np.empty((2, dim * min(TIME_CHUNK, times.size)), dtype=np.complex128)
+        for i in range(worker, len(chunks), workers):
+            lo, amps = i * TIME_CHUNK, chunks[i]
+            chunk = times[lo:lo + TIME_CHUNK]
+            phases, result = (b[:dim * chunk.size].reshape(-1, chunk.size) for b in buffers)
+            products = result.reshape(chunk.size, -1)   # each product runs over one contiguous row
+            np.multiply(coeffs, np.exp(-1j * chunk[0] * energies), out=products[0])
+            for j in range(1, chunk.size):
+                np.multiply(products[j - 1], step_factors[step_of[lo + j]], out=products[j])
+            phases[...] = products.T
+            at = 0
+            for v in vectors:
+                k, s, _ = v.shape
+                rows = slice(at, at + k * s)
+                np.matmul(v, phases[rows].reshape(k, s, -1).view(np.float64),
+                          out=result[rows].reshape(k, s, -1).view(np.float64))
+                at += k * s
+            np.take(result, to_flat, axis=0, out=amps, mode="clip")   # "raise" would buffer out
+            # witnesses vanish at t = 0 up to roundoff; returning ψ0 unchanged
+            # keeps the sign of those values independent of the eigendecomposition
+            amps[:, chunk == 0.0] = psi[:, None]
+
+    _on_threads(len(chunks), propagate)
+    states = [FockStateVector(amplitudes=a, basis=psi0.basis) for c in chunks for a in c.T]
     return StateGrid(states, chunks)
 
 
@@ -243,23 +275,27 @@ def witness_grid(wids, states, params: ModelParams, times
     """(witness, time) oracle values of propagated ``states``, and their
     (4, time) ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩.
 
-    One ``moments`` call per (dim, chunk) array reads every distinct moment
-    the witnesses and the four totals need into one (moment, time) array,
-    and each witness is then assembled once over the whole grid.  The
-    arrays are the ``chunks`` of a `StateGrid`; any other sequence of
-    states is stacked ``TIME_CHUNK`` at a time.  Values at t = 0 are
-    returned as computed, roundoff included."""
+    One ``moments`` call per (dim, chunk) array, on `_on_threads` workers,
+    reads every distinct moment the witnesses and the four totals need into
+    that chunk's columns of one (moment, time) array, and each witness is
+    then assembled once over the whole grid.  The arrays are the
+    ``chunks`` of a `StateGrid`; any other sequence of states is stacked
+    ``TIME_CHUNK`` at a time.  Values at t = 0 are returned as computed,
+    roundoff included."""
     specs = _distinct_specs(tuple(wids))
     chunks = getattr(states, "chunks", None)
     if chunks is None:
-        chunks = (np.stack([s.amplitudes for s in states[lo:lo + TIME_CHUNK]], axis=1)
-                  for lo in range(0, len(states), TIME_CHUNK))
+        chunks = [np.stack([s.amplitudes for s in states[lo:lo + TIME_CHUNK]], axis=1)
+                  for lo in range(0, len(states), TIME_CHUNK)]
     values = np.empty((len(specs), len(states)), dtype=np.complex128)
-    lo = 0
-    for amps in chunks:
-        hi = lo + amps.shape[1]
-        values[:, lo:hi] = moments(FockStateVector(amps.T, states[lo].basis), specs)
-        lo = hi
+
+    def read(worker: int, workers: int) -> None:
+        for k in range(worker, len(chunks), workers):
+            lo = k * TIME_CHUNK
+            values[:, lo:lo + chunks[k].shape[1]] = moments(
+                FockStateVector(chunks[k].T, states[lo].basis), specs)
+
+    _on_threads(len(chunks), read)
     mom = dict(zip(specs, values))
     t = np.asarray(times, dtype=float)
     out = np.empty((len(wids), len(states)))

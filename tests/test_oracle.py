@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -396,9 +399,9 @@ class TestOracleWitness:
     ])
     def test_grid_computes_each_moment_once_per_chunk(self, monkeypatch,
                                                       labels, distinct):
-        """witness_grid makes one ``moments`` call per chunk of states, each
-        carrying every distinct moment once, ⟨1⟩ and the three number
-        moments included, and its values still equal per-state
+        """witness_grid makes one ``moments`` call per chunk of states, in any
+        order, each carrying every distinct moment once, ⟨1⟩ and the three
+        number moments included, and its values still equal per-state
         evaluation."""
         params, _, psi0, H = small_setup()
         times = np.linspace(0.0, 3.0, 37)
@@ -414,7 +417,8 @@ class TestOracleWitness:
 
         monkeypatch.setattr(oracle_mod, "moments", recording)
         grid, _ = witness_grid(wids, states, params, times)
-        assert [shape[0] for shape, _ in calls] == [TIME_CHUNK, TIME_CHUNK, 5]
+        # chunks may run concurrently, so only the multiset of sizes is fixed
+        assert sorted(shape[0] for shape, _ in calls) == [5, TIME_CHUNK, TIME_CHUNK]
         for _, specs in calls:
             assert len(specs) == len(set(specs)) == distinct
             assert specs == calls[0][1]
@@ -495,6 +499,76 @@ class TestRun:
                                    "q2_drift": 3.0}
         assert set(res.diagnostics) == {"cutoffs", "dimension", "clipped_transitions",
                                         "norm_drift", "q1_drift", "q2_drift"}
+
+
+class TestChunkThreads:
+    """The oracle spreads its time chunks over min(chunks, CPUs) threads;
+    every output is bitwise the same at any thread count, and no thread
+    outlives the call."""
+
+    def on(self, monkeypatch, cpus, fn, *args):
+        """fn(*args) with this process seeing ``cpus`` CPUs, and the threads
+        other than this one that read moments: the pool threads of workers
+        1, 2, …, fewer when one finishes before the next is submitted and
+        takes it over."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        readers = set()
+
+        def recording(psi, specs):
+            readers.add(threading.get_ident())
+            return moments(psi, specs)
+
+        monkeypatch.setattr(oracle_mod, "moments", recording)
+        before = threading.active_count()
+        out = fn(*args)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        return out, readers - {threading.get_ident()}
+
+    @pytest.mark.parametrize("wids, params, inp, times", [
+        (TestRun.WIDS, ModelParams.from_detuning(-3.0, 0.4), SMALL_INPUT,
+         np.linspace(0.0, 3.0, 37)),
+        ([WitnessId.parse(s) for s in presets()["fig2"].witnesses],
+         ModelParams.from_detuning(-100.0, 1.0), CoherentInput(1.2, 0.9, 0.6),
+         np.linspace(0.0, 0.1, 400)),
+    ], ids=["cert-37", "fig2-400"])
+    def test_run_is_bitwise_equal_on_one_and_two_cpus(self, monkeypatch, wids,
+                                                      params, inp, times):
+        """37 times are chunks of 16 + 16 + 5, 400 times 25 chunks; on two
+        CPUs the calling thread and one pool thread read them, on one the
+        calling thread alone."""
+        (one, diag_one), serial = self.on(monkeypatch, 1, run, wids, params, inp, times)
+        (two, diag_two), threaded = self.on(monkeypatch, 2, run, wids, params, inp, times)
+        assert not serial and len(threaded) == 1
+        assert one.tobytes() == two.tobytes()
+        assert repr(diag_one) == repr(diag_two)
+
+    def test_run_is_bitwise_equal_on_more_threads_than_cores(self, monkeypatch):
+        """Eight workers over 25 chunks, switching threads every microsecond."""
+        args = ([WitnessId.parse(s) for s in presets()["fig2"].witnesses],
+                ModelParams.from_detuning(-100.0, 1.0), CoherentInput(1.2, 0.9, 0.6),
+                np.linspace(0.0, 0.1, 400))
+        (one, diag_one), _ = self.on(monkeypatch, 1, run, *args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (many, diag_many), threaded = self.on(monkeypatch, 8, run, *args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(threaded) <= 7
+        assert one.tobytes() == many.tobytes()
+        assert repr(diag_one) == repr(diag_many)
+
+    def test_compare_is_bitwise_equal_on_one_and_two_cpus(self, monkeypatch):
+        """compare on a 40-time grid (three chunks per rung)."""
+        args = (TestRun.WIDS, ModelParams.from_detuning(-3.0, 0.4), SMALL_INPUT,
+                np.linspace(0.1, 4.0, 40))
+        one, _ = self.on(monkeypatch, 1, compare, *args)
+        two, threaded = self.on(monkeypatch, 2, compare, *args)
+        assert threaded
+        for field in ("oracle", "perturbative", "exponent", "rel_err"):
+            assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
+        assert repr(one.diagnostics) == repr(two.diagnostics)
 
 
 class TestResonantCertification:

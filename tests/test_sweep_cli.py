@@ -188,6 +188,22 @@ class TestRunSweep:
         parallel, _ = run_sweep(RunConfig(workers=2, **base), oracle=True)
         assert rows_to_csv(serial) == rows_to_csv(parallel)
 
+    def test_parallel_workers_identical_rows_after_threaded_sweep(self, monkeypatch):
+        """40 grid times are three oracle time chunks per phase, dealt to two
+        workers on two CPUs: the calling thread and one pool thread.  The
+        in-process sweep runs that thread first; the process pool forked
+        after it gives the same CSV."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        base = dict(
+            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+            input=InputSpec(alpha_abs=0.8, phi=(0.0, math.pi / 2),
+                            beta=0.6, gamma=0.5),
+            gt_grid=GtGrid(start=0.0, stop=0.04, count=40),
+            witnesses=("HZ1:ab", "HZ1:bc"))
+        serial, _ = run_sweep(RunConfig(workers=1, **base), oracle=True)
+        parallel, _ = run_sweep(RunConfig(workers=2, **base), oracle=True)
+        assert rows_to_csv(serial) == rows_to_csv(parallel)
+
     def test_oracle_at_gt_zero_is_never_entangled(self):
         """ψ(0) is a product state: every gt = 0 oracle value is >= 0 and
         flagged false, and the unclamped witness there is roundoff only."""
@@ -538,6 +554,18 @@ class TestCli:
         assert out.stdout == ""
         assert f.read_text().splitlines()[-1] == "check: PASS"
 
+    def test_check_reads_only_detuning_and_seed(self):
+        """check validates the whole run config but its report depends on
+        params.delta_omega1 and seed alone: the other keys, params.g
+        included, leave it byte-identical."""
+        plain = main_in_process("check")
+        assert plain[0] == 0
+        ignored = ("--input.alpha_abs", "99", "--gt_grid.count", "7",
+                   "--witnesses", "[]", "--workers", "3", "--params.g", "0.5")
+        assert main_in_process("check", *ignored) == plain
+        for read in (("--seed", "7"), ("--params.delta_omega1", "-5")):
+            assert main_in_process("check", *read)[1] != plain[1], read
+
     def test_subcommand_help_names_overrides(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--help"])
@@ -548,7 +576,9 @@ class TestCli:
 
     def test_cli_paths_import_no_scipy(self, tmp_path):
         """The closed-form sweeps, check, the oracle sweep and compare run on
-        numpy alone: none of them imports scipy."""
+        numpy alone: none of them imports scipy.  Neither the start-up nor
+        these single-chunk oracle jobs (3 times each) import
+        ``concurrent.futures``: it is the cost of more than one worker."""
         runs = [["sweep", "--preset", "fig5", "--out", str(tmp_path / "fig5.csv")],
                 ["check", "--preset", "fig2"],
                 ["sweep", "--preset", "fig5", "--oracle", "--input.phi", "[0.0]",
@@ -559,15 +589,17 @@ class TestCli:
         script = ("import contextlib, io, sys\n"
                   "import fwm\n"
                   "import fwm.cli\n"
+                  "print('concurrent.futures' in sys.modules)\n"
                   f"for argv in {runs!r}:\n"
                   "    with contextlib.redirect_stdout(io.StringIO()), "
                   "contextlib.redirect_stderr(io.StringIO()):\n"
                   "        assert fwm.cli.main(argv) == 0, argv\n"
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                  "print('concurrent.futures' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=CHILD_ENV)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["False", "[]", "False"]
 
 
 def main_in_process(*argv):
