@@ -7,13 +7,10 @@ writes to stdout or to ``--out``; only ``sweep`` has a choice of format
 (``--format csv|json``) and an ``--oracle`` switch, which are flags and not
 config keys.  Any config field can be overridden with a flag of the same
 dotted path, e.g.
-``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and the
-top-level keys the same way, as ``--workers N`` (parallel processes, at
-most one per pump phase; default 1; each process also spreads the oracle's
-time chunks over the CPUs it may use) and ``--seed N`` (seed of
-``check``'s random trials; default 0).  ``check`` reads only
-``params.delta_omega1`` and ``seed``; it validates every other key and
-ignores it.
+``--input.alpha_abs 5 --input.phi 1.5707963 --gt_grid.count 100``, and a
+top-level key the same way, as ``--seed N`` (seed of ``check``'s random
+trials; default 0).  ``check`` reads only ``params.delta_omega1`` and
+``seed``; it validates every other key and ignores it.
 
 Frequencies are angular (s⁻¹).  Witness values depend on the frequencies
 only through the detuning Δω₁ = 2ω_a − ω_b − ω_c, so ``params`` holds g and
@@ -45,8 +42,6 @@ CHECK_CUTOFFS = (10, 8, 8)   # per-mode cutoffs of check's residual basis
 _OVERRIDES_HELP = """\
 config overrides (any number):
   --<dotted.key> VALUE  set one config field, e.g. --input.phi 1.5
-  --workers N           parallel processes, at most one per pump phase (default 1);
-                        each also spreads the oracle's time chunks over its CPUs
   --seed N              seed of check's random trials (default 0)
 """
 

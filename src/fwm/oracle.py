@@ -136,10 +136,10 @@ def _on_threads(tasks: int, work) -> None:
 
     With W = 1 the call runs inline.  Otherwise worker 0 runs in the calling
     thread and the others on a pool that is created here and joined before
-    returning, so no thread outlives the call (and none is inherited by a
-    forked process).  Every pool thread allocates from a malloc arena of
-    its own, which keeps its peak; one thread fewer is one arena fewer.
-    numpy releases the GIL inside the large array operations of the work."""
+    returning, so no thread outlives the call.  Every pool thread allocates
+    from a malloc arena of its own, which keeps its peak; one thread fewer
+    is one arena fewer.  numpy releases the GIL inside the large array
+    operations of the work."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(tasks, cpus)

@@ -39,15 +39,26 @@ from .oracle import build_hamiltonian, sector_blocks
 MAX_LOW_BLOCK = 2048
 
 
-def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
-    """a(t), b(t), c(t) as weighted shifts from a coefficient set."""
+@functools.lru_cache
+def _heisenberg_monomials(basis: FockBasis):
+    """The (coefficient field, ladder word product) terms of a, b and c.
+
+    Cached per basis, as `ladders` is, so their weights are read-only."""
     A, B, C = ladders(basis)
     ops = {"a": A, "b": B, "c": C, "A": A.H, "B": B.H, "C": C.H}
 
     def product(word):
-        return functools.reduce(operator.matmul, (ops[x] for x in word))
-    return tuple(functools.reduce(operator.add, (getattr(c, f) * product(w) for f, w in terms))
-                 for terms in HEISENBERG_TERMS.values())
+        out = functools.reduce(operator.matmul, (ops[x] for x in word))
+        for w in out.values():
+            w.flags.writeable = False
+        return out
+    return tuple(tuple((f, product(w)) for f, w in terms) for terms in HEISENBERG_TERMS.values())
+
+
+def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):
+    """a(t), b(t), c(t) as weighted shifts from a coefficient set."""
+    return tuple(functools.reduce(operator.add, (getattr(c, f) * op for f, op in terms))
+                 for terms in _heisenberg_monomials(basis))
 
 
 def _block_norm(M: ShiftOperator, basis: FockBasis) -> float:

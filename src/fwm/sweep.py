@@ -123,7 +123,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer("workers", self.workers, 1)
+        # pump phases run in this process; the key stays for command lines
+        # that pass --workers 1
+        if type(self.workers) is not int or self.workers != 1:
+            raise UsageError(f"workers must be 1, got {self.workers!r}")
         _integer("seed", self.seed, 0)
         if not isinstance(self.witnesses, (list, tuple)) \
                 or not all(isinstance(s, str) for s in self.witnesses):
@@ -177,7 +180,7 @@ def _section(cls, d, prefix: str):
 
 def apply_overrides(d: dict, overrides: dict[str, object]) -> dict:
     """Apply overrides of dotted paths (e.g. 'input.alpha_abs': 5) or
-    top-level keys (e.g. 'workers': 2) to a config dict."""
+    top-level keys (e.g. 'seed': 7) to a config dict."""
     out = json.loads(json.dumps(d))  # deep copy, JSON-typed
     for path, value in overrides.items():
         parts = path.split(".")
@@ -302,19 +305,6 @@ def _onset(gts, values) -> float | None:
     return float(gts[i - 1] + frac * (gts[i] - gts[i - 1]))
 
 
-def _map_phases(fn, config: RunConfig) -> list:
-    """``fn((config, phi))`` for every configured phase, in order, on up to
-    ``config.workers`` processes, never more than there are phases.  An
-    error of any phase is raised here."""
-    tasks = [(config, phi) for phi in config.input.phi]
-    workers = min(config.workers, len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor   # here, not in every start-up
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _times(gts: np.ndarray, g: float) -> np.ndarray:
     """The interaction times gt/g of a gt grid at coupling g > 0."""
     with np.errstate(over="ignore"):
@@ -323,14 +313,6 @@ def _times(gts: np.ndarray, g: float) -> np.ndarray:
         raise UsageError(f"times gt/g must be finite, got gt = {float(gts.max())!r} "
                          f"at params.g = {g!r}")
     return times
-
-
-def _oracle_values_for_phi(args) -> np.ndarray:
-    """(witness, gt) oracle values at one pump phase."""
-    config, phi = args
-    params = config.params.to_model()
-    times = _times(config.gt_grid.values(), params.g).tolist()
-    return oracle_mod.run(config.witness_ids(), params, config.input.coherent(phi), times)[0]
 
 
 def _coupled_params(config: RunConfig) -> ModelParams:
@@ -354,9 +336,10 @@ def run_sweep(config: RunConfig, oracle: bool = False):
         return [], {}
     params = _coupled_params(config)
     gts = config.gt_grid.values()
+    times = _times(gts, params.g)
     # one coefficient pass serves every series; a tuple of times keeps the
     # call's arguments hashable, as perfbench's tracer needs to count calls
-    coeffs = coefficients(params, tuple(_times(gts, params.g)))
+    coeffs = coefficients(params, tuple(times))
     series: list[Series] = []
     summary: dict[tuple[str, float], float | None] = {}
     for w in wids:
@@ -366,7 +349,8 @@ def run_sweep(config: RunConfig, oracle: bool = False):
             summary[(w.label(), phi)] = _onset(gts, vals)
 
     if oracle:
-        results = _map_phases(_oracle_values_for_phi, config)
+        results = [oracle_mod.run(wids, params, config.input.coherent(phi), times.tolist())[0]
+                   for phi in config.input.phi]
         for i, w in enumerate(wids):
             for phi, vals in zip(config.input.phi, results):
                 series.append(Series(w, phi, "oracle", gts, vals[i]))
@@ -398,23 +382,16 @@ def certification_witnesses() -> list[str]:
     return out
 
 
-def _compare_phi_task(args):
-    config, phi = args
-    params = config.params.to_model()
-    gts = config.gt_grid.values()
-    times = _times(gts[gts > 0.0], params.g).tolist()
-    return oracle_mod.compare(config.witness_ids(), params, config.input.coherent(phi), times)
-
-
 def run_compare(config: RunConfig):
     """Run the certification ladder g, g/2, g/4 for every φ; returns a
     report dict.  Raises UsageError unless g > 0."""
-    _coupled_params(config)
-    results = _map_phases(_compare_phi_task, config)
-
+    params = _coupled_params(config)
+    gts = config.gt_grid.values()
+    times = _times(gts[gts > 0.0], params.g).tolist()
     wids = config.witness_ids()
     report = {"settings": config.to_dict(), "per_phi": {}, "witnesses": {}}
-    for phi, res in zip(config.input.phi, results):
+    for phi in config.input.phi:
+        res = oracle_mod.compare(wids, params, config.input.coherent(phi), times)
         summary = oracle_mod.certification_summary(res, wids)
         report["per_phi"][_fmt(phi)] = {"diagnostics": res.diagnostics,
                                         "witnesses": summary}

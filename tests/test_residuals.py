@@ -93,6 +93,21 @@ def test_sector_norm_matches_dense_norm(cutoffs):
         assert residuals._block_norm(M, basis) == pytest.approx(dense, rel=1e-12)
 
 
+def test_cached_monomials_are_read_only():
+    """The Heisenberg monomials are built once per basis and shared by every
+    residual call, so none of their weights can be written."""
+    basis = FockBasis((5, 4, 4))
+    monomials = residuals._heisenberg_monomials(basis)
+    assert residuals._heisenberg_monomials(FockBasis((5, 4, 4))) is monomials
+    assert [[f for f, _ in terms] for terms in monomials] == [
+        [f"{x}{i}" for i in range(1, 6)] for x in "fgh"]
+    for terms in monomials:
+        for _, op in terms:
+            for w in op.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    w[(0,) * 3] = 1.0
+
+
 def test_cutoff_too_small_rejected():
     p = ModelParams.from_detuning(-2.0, 0.3)
     with pytest.raises(ConfigError):

@@ -142,67 +142,10 @@ class TestRunSweep:
         for o, p in zip(orc.value, prt.value):
             assert o == pytest.approx(p, abs=2e-4 + 5e-2 * abs(p))
 
-    @pytest.mark.parametrize("phases, pool_size", [((0.0,), None), ((0.0, 1.0), 2)])
-    def test_pool_bounded_by_phase_count(self, phases, pool_size, monkeypatch):
-        """A huge worker budget starts one process per phase at most, and
-        none for a single phase."""
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        cfg = tiny_config(
-            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
-            input=InputSpec(alpha_abs=0.8, phi=phases, beta=0.6, gamma=0.5),
-            gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
-            witnesses=("HZ1:ab",), workers=100_000)
-        series, _ = run_sweep(cfg, oracle=True)
-        assert [s.source for s in series] == ["perturbative"] * len(phases) \
-            + ["oracle"] * len(phases)
-        assert sizes == ([] if pool_size is None else [pool_size])
-
     def test_g_zero_sweep_rejected(self):
         cfg = tiny_config(params=ParamsSpec(g=0.0, delta_omega1=-1.0))
         with pytest.raises(UsageError):
             run_sweep(cfg)
-
-    def test_parallel_workers_identical_rows(self):
-        base = dict(
-            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
-            input=InputSpec(alpha_abs=0.8, phi=(0.0, math.pi / 2),
-                            beta=0.6, gamma=0.5),
-            gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
-            witnesses=("HZ1:ab", "HZ1:bc"))
-        serial, _ = run_sweep(RunConfig(workers=1, **base), oracle=True)
-        parallel, _ = run_sweep(RunConfig(workers=2, **base), oracle=True)
-        assert rows_to_csv(serial) == rows_to_csv(parallel)
-
-    def test_parallel_workers_identical_rows_after_threaded_sweep(self, monkeypatch):
-        """40 grid times are three oracle time chunks per phase, dealt to two
-        workers on two CPUs: the calling thread and one pool thread.  The
-        in-process sweep runs that thread first; the process pool forked
-        after it gives the same CSV."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        base = dict(
-            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
-            input=InputSpec(alpha_abs=0.8, phi=(0.0, math.pi / 2),
-                            beta=0.6, gamma=0.5),
-            gt_grid=GtGrid(start=0.0, stop=0.04, count=40),
-            witnesses=("HZ1:ab", "HZ1:bc"))
-        serial, _ = run_sweep(RunConfig(workers=1, **base), oracle=True)
-        parallel, _ = run_sweep(RunConfig(workers=2, **base), oracle=True)
-        assert rows_to_csv(serial) == rows_to_csv(parallel)
 
     def test_oracle_at_gt_zero_is_never_entangled(self):
         """ψ(0) is a product state: every gt = 0 oracle value is >= 0 and
@@ -561,7 +504,7 @@ class TestCli:
         plain = main_in_process("check")
         assert plain[0] == 0
         ignored = ("--input.alpha_abs", "99", "--gt_grid.count", "7",
-                   "--witnesses", "[]", "--workers", "3", "--params.g", "0.5")
+                   "--witnesses", "[]", "--input.beta", "3", "--params.g", "0.5")
         assert main_in_process("check", *ignored) == plain
         for read in (("--seed", "7"), ("--params.delta_omega1", "-5")):
             assert main_in_process("check", *read)[1] != plain[1], read
@@ -571,14 +514,19 @@ class TestCli:
             cli.main(["sweep", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--<dotted.key> VALUE", "--input.phi 1.5", "--workers N", "--seed N"):
+        for flag in ("--<dotted.key> VALUE", "--input.phi 1.5", "--seed N"):
             assert flag in out
+        assert "--workers" not in out
 
     def test_cli_paths_import_no_scipy(self, tmp_path):
         """The closed-form sweeps, check, the oracle sweep and compare run on
         numpy alone: none of them imports scipy.  Neither the start-up nor
         these single-chunk oracle jobs (3 times each) import
-        ``concurrent.futures``: it is the cost of more than one worker."""
+        ``concurrent.futures``: it is the cost of more than one worker.  A
+        two-phase oracle sweep of three time chunks per phase, on two CPUs,
+        runs its phases in this process: chunk threads import
+        ``concurrent.futures.thread``, and nothing imports
+        ``multiprocessing`` or ``concurrent.futures.process``."""
         runs = [["sweep", "--preset", "fig5", "--out", str(tmp_path / "fig5.csv")],
                 ["check", "--preset", "fig2"],
                 ["sweep", "--preset", "fig5", "--oracle", "--input.phi", "[0.0]",
@@ -586,20 +534,30 @@ class TestCli:
                  "--input.gamma", "0.5", "--gt_grid.count", "3",
                  "--out", str(tmp_path / "oracle.csv")],
                 ["compare", "--gt_grid.count", "3", "--out", str(tmp_path / "compare.json")]]
-        script = ("import contextlib, io, sys\n"
+        threaded = ["sweep", "--preset", "fig2", "--oracle", "--input.phi", "[0.0, 1.5]",
+                    "--input.alpha_abs", "0.8", "--input.beta", "0.6",
+                    "--input.gamma", "0.5", "--gt_grid.count", "40",
+                    "--out", str(tmp_path / "threaded.csv")]
+        script = ("import contextlib, io, os, sys\n"
                   "import fwm\n"
                   "import fwm.cli\n"
                   "print('concurrent.futures' in sys.modules)\n"
-                  f"for argv in {runs!r}:\n"
+                  "def run(argv):\n"
                   "    with contextlib.redirect_stdout(io.StringIO()), "
                   "contextlib.redirect_stderr(io.StringIO()):\n"
                   "        assert fwm.cli.main(argv) == 0, argv\n"
+                  f"for argv in {runs!r}:\n"
+                  "    run(argv)\n"
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-                  "print('concurrent.futures' in sys.modules)\n")
+                  "print('concurrent.futures' in sys.modules)\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  f"run({threaded!r})\n"
+                  "print([m in sys.modules for m in ('concurrent.futures.thread', "
+                  "'concurrent.futures.process', 'multiprocessing')])\n")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=CHILD_ENV)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "[]", "False"]
+        assert out.stdout.splitlines() == ["False", "[]", "False", "[True, False, False]"]
 
 
 def main_in_process(*argv):
@@ -798,9 +756,16 @@ class TestCliBoundary:
         assert out.startswith(CSV_HEADER)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(max_value=0))
-    def test_nonpositive_workers_is_one_line_usage_error(self, workers):
+    @given(workers=st.integers(max_value=0))
+    @example(workers=2)
+    def test_nonpositive_workers_is_one_line_usage_error(self, workers, tmp_path_factory):
+        """A worker count other than 1, as a flag or as a config field:
+        pump phases run in one process."""
         code, _, err = main_in_process(*SWEEP, f"--workers={workers}")
+        assert_one_line_usage_error(code, err, "workers")
+        path = tmp_path_factory.mktemp("workers") / "cfg.json"
+        path.write_text(json.dumps({**presets()["fig5"].to_dict(), "workers": workers}))
+        code, _, err = main_in_process("sweep", "--config", str(path))
         assert_one_line_usage_error(code, err, "workers")
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", "true"])
@@ -905,7 +870,7 @@ class TestCliBoundary:
         assert_one_line_usage_error(code, err, needle)
         assert out == ""
 
-    @pytest.mark.parametrize("extra", [("--out", "x.csv"), ("--workers", "2")])
+    @pytest.mark.parametrize("extra", [("--out", "x.csv"), ("--seed", "7")])
     def test_non_object_config_with_overrides_is_one_line_usage_error(
             self, extra, tmp_path, monkeypatch):
         """A config that is no JSON object is refused with one line before
