@@ -142,6 +142,48 @@ class TestRunSweep:
         for o, p in zip(orc.value, prt.value):
             assert o == pytest.approx(p, abs=2e-4 + 5e-2 * abs(p))
 
+    @pytest.mark.parametrize("phases", [(0.0,), (0.0, 1.0)])
+    def test_phases_start_no_process_pool(self, phases, monkeypatch):
+        """Pump phases run one after another in this process: no phase
+        count starts a process pool."""
+        class RefusedPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RefusedPool)
+        cfg = tiny_config(
+            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+            input=InputSpec(alpha_abs=0.8, phi=phases, beta=0.6, gamma=0.5),
+            gt_grid=GtGrid(start=0.0, stop=0.04, count=3),
+            witnesses=("HZ1:ab",))
+        series, _ = run_sweep(cfg, oracle=True)
+        assert [(s.source, s.phi) for s in series] == \
+            [("perturbative", p) for p in phases] + [("oracle", p) for p in phases]
+
+    @pytest.mark.parametrize("count", [3, 40])
+    def test_multi_phase_rows_match_single_phase_runs(self, count, monkeypatch):
+        """A two-phase oracle sweep writes, for each phase, the bytes of a
+        sweep of that phase alone.  At 40 grid times on two CPUs every phase
+        spreads three time chunks over two threads."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        base = dict(
+            params=ParamsSpec(g=0.05, delta_omega1=-5.0),
+            gt_grid=GtGrid(start=0.0, stop=0.04, count=count),
+            witnesses=("HZ1:ab", "HZ1:bc"))
+
+        def sweep(phases):
+            inp = InputSpec(alpha_abs=0.8, phi=phases, beta=0.6, gamma=0.5)
+            return run_sweep(RunConfig(input=inp, **base), oracle=True)[0]
+
+        phases = (0.0, math.pi / 2)
+        alone = {(s.source, s.witness.label(), s.phi): s
+                 for phi in phases for s in sweep((phi,))}
+        together = sweep(phases)
+        assert len(together) == len(alone) == 2 * 2 * 2
+        for s in together:
+            assert rows_to_csv([s]) == rows_to_csv(
+                [alone[(s.source, s.witness.label(), s.phi)]])
+
     def test_g_zero_sweep_rejected(self):
         cfg = tiny_config(params=ParamsSpec(g=0.0, delta_omega1=-1.0))
         with pytest.raises(UsageError):
