@@ -9,9 +9,12 @@ coupling g are
     c(t) = h1 c + h2 a²b† + h3 a²a†²c + h4 a†acbb† + h5 aa†cbb†
 
 with all fifteen coefficients closed functions of (Δω₁, g, t), where
-Δω₁ = 2ω_a − ω_b − ω_c.  `HEISENBERG_TERMS` holds these terms as data, for
-the residual checks and the closed-form witnesses alike.  Only Δω₁·t and g·t enter any observable; the ω's
-are treated as angular frequencies (s⁻¹).
+Δω₁ = 2ω_a − ω_b − ω_c.  `HEISENBERG_TERMS` is the one statement of this
+solution: each term's ladder word and its coefficient as a free phase times
+a factor and a monomial in r and s.  The coefficients, their derivatives,
+the residual checks and the closed-form witnesses all read it.  Only Δω₁·t
+and g·t enter any observable; the ω's are treated as angular frequencies
+(s⁻¹).
 
 `coefficients` takes a scalar time or an array of times; for an array every
 coefficient is an array over t, computed in one numpy pass.
@@ -29,12 +32,17 @@ import numpy as np
 # Taylor series so the two-photon-resonance limit is smooth.
 SERIES_SWITCHOVER = 1e-4
 
-# The fifteen terms of a(t), b(t), c(t) as (coefficient field, ladder word):
-# a word is an operator product read left to right, upper case the adjoint.
+# The fifteen terms of a(t), b(t), c(t) as (coefficient field, ladder word,
+# factor, monomial): a word is a product read left to right, upper case the
+# adjoint or conjugate.  A field is factor·x₁·monomial, with x₁ its mode's
+# free phase and the monomial in r = g·t·ramp(Δω₁t), s = (g·t)²·ramp2(Δω₁t).
 HEISENBERG_TERMS = {
-    "a": (("f1", "a"), ("f2", "Abc"), ("f3", "aBbCc"), ("f4", "AaaCc"), ("f5", "AaabB")),
-    "b": (("g1", "b"), ("g2", "aaC"), ("g3", "aaAAb"), ("g4", "AabcC"), ("g5", "aAbcC")),
-    "c": (("h1", "c"), ("h2", "aaB"), ("h3", "aaAAc"), ("h4", "AacbB"), ("h5", "aAcbB")),
+    "a": (("f1", "a", 1, ""), ("f2", "Abc", 2, "r"), ("f3", "aBbCc", 4, "s"),
+          ("f4", "AaaCc", -2, "s"), ("f5", "AaabB", -2, "s")),
+    "b": (("g1", "b", 1, ""), ("g2", "aaC", -1, "R"), ("g3", "aaAAb", 1, "S"),
+          ("g4", "AabcC", -2, "S"), ("g5", "aAbcC", -2, "S")),
+    "c": (("h1", "c", 1, ""), ("h2", "aaB", -1, "R"), ("h3", "aaAAc", 1, "S"),
+          ("h4", "AacbB", -2, "S"), ("h5", "aAcbB", -2, "S")),
 }
 
 
@@ -107,10 +115,9 @@ class CoherentInput:
 @dataclass(frozen=True)
 class PerturbativeCoefficients:
     """The fifteen operator coefficients at time t (arrays over t when t is
-    an array).
-
-    Exact identities: |f1| = |g1| = |h1| = 1, f4 = f5 = −f3/2,
-    g4 = g5 = −2·g3, h4 = h5 = −2·h3, and g2/g1 = h2/h1.
+    an array), named as in the paper.  `HEISENBERG_TERMS` states every
+    relation among them; |f1| = |g1| = |h1| = 1, and the power-of-two
+    factors make f4 = f5 = −f3/2, g4 = g5 = −2·g3 and h4 = h5 = −2·h3 exact.
     """
 
     f1: complex
@@ -172,6 +179,41 @@ def _ramp2(x):
                     (2.0 * s * s + 1j * (xc - np.sin(xc))) / (xc * xc))
 
 
+def _letters(params: ModelParams, t):
+    """t as a float or an array, and the value at t of each letter of the
+    product x₁·monomial in a `HEISENBERG_TERMS` row: the free phases
+    a, b, c (f1, g1, h1), r, s, and R = r̄, S = s̄."""
+    t = np.asarray(t, dtype=float)[()]
+    if np.any(t < 0):
+        raise ConfigError(f"t must be nonnegative, got {float(np.min(t))!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.multiply.outer((params.omega_a, params.omega_b, params.omega_c,
+                                    params.delta_omega1), t)
+        # (gt)² rather than g²t², which underflows for g < 1e-154 at any t
+        gt = params.g * t
+        r = gt * _ramp(phases[3])
+        s = gt * gt * _ramp2(phases[3])
+    if not np.isfinite(phases).all():
+        raise ConfigError(f"phases omega*t and delta_omega1*t must be finite, "
+                          f"got t up to {float(np.max(t))!r}")
+    return t, {**dict(zip("abc", np.exp(-1j * phases[:3]))),
+               "r": r, "R": r.conjugate(), "s": s, "S": s.conjugate()}
+
+
+def _fill(params: ModelParams, t, product) -> PerturbativeCoefficients:
+    """The coefficient set with factor·product(word) in each
+    `HEISENBERG_TERMS` row, the word being its mode (for x₁) and monomial
+    in the letters of `_letters`.  Raises ConfigError when a value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = PerturbativeCoefficients(t=t, **{
+            name: factor * product(mode + word)
+            for mode, terms in HEISENBERG_TERMS.items() for name, _, factor, word in terms})
+    if not all(np.isfinite(v).all() for k, v in vars(out).items() if k != "t"):
+        raise ConfigError(f"coefficients must be finite, got an overflow at "
+                          f"g*t up to {float(np.max(params.g * t))!r}")
+    return out
+
+
 def coefficients(params: ModelParams, t) -> PerturbativeCoefficients:
     """Evaluate all fifteen coefficients at a time t ≥ 0 or an array of them.
 
@@ -180,66 +222,23 @@ def coefficients(params: ModelParams, t) -> PerturbativeCoefficients:
     of the ramp helpers, not by an error.  Raises ConfigError when any phase
     ω·t or Δω₁·t, or any coefficient, is not finite.
     """
-    t = np.asarray(t, dtype=float)[()]
-    if np.any(t < 0):
-        raise ConfigError(f"t must be nonnegative, got {float(np.min(t))!r}")
-    g = params.g
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.multiply.outer((params.omega_a, params.omega_b, params.omega_c,
-                                    params.delta_omega1), t)
-    if not np.isfinite(phases).all():
-        raise ConfigError(f"phases omega*t and delta_omega1*t must be finite, "
-                          f"got t up to {float(np.max(t))!r}")
-    f1, g1, h1 = np.exp(-1j * phases[:3])
-    x = phases[3]
-
-    # f2 = (2g/Δω₁) f1 (1 − e^{iΔω₁t})      = 2g·t·f1·ramp(Δω₁t)
-    # f3 = (2g/Δω₁)(f2 + 2igt f1)           = 4g²t²·f1·ramp2(Δω₁t)
-    # g2 = −(g/Δω₁) g1 (1 − e^{−iΔω₁t})     = g·t·g1·ramp(−Δω₁t)
-    # g3 = −(g/Δω₁)(g2 + igt g1)            = g²t²·g1·ramp2(−Δω₁t)
-    # (gt)² rather than g²t², which underflows for g < 1e-154 at any t
-    with np.errstate(over="ignore", invalid="ignore"):
-        gt = g * t
-        rp = _ramp(x)
-        rm = _ramp(-x)
-        r2m = _ramp2(-x)
-        f2 = 2.0 * gt * f1 * rp
-        f3 = 4.0 * gt * gt * f1 * _ramp2(x)
-        g2 = gt * g1 * rm
-        g3 = gt * gt * g1 * r2m
-        h2 = gt * h1 * rm
-        h3 = gt * gt * h1 * r2m
-        out = PerturbativeCoefficients(
-            f1=f1, f2=f2, f3=f3, f4=-f3 / 2.0, f5=-f3 / 2.0,
-            g1=g1, g2=g2, g3=g3, g4=-2.0 * g3, g5=-2.0 * g3,
-            h1=h1, h2=h2, h3=h3, h4=-2.0 * h3, h5=-2.0 * h3, t=t)
-    if not all(np.isfinite(v).all() for k, v in vars(out).items() if k != "t"):
-        raise ConfigError(f"coefficients must be finite, got an overflow at "
-                          f"g*t up to {float(np.max(gt))!r}")
-    return out
+    t, values = _letters(params, t)
+    return _fill(params, t, lambda word: math.prod(values[v] for v in word))
 
 
 def coefficient_derivatives(params: ModelParams, t) -> PerturbativeCoefficients:
     """Analytic d/dt of every coefficient, in the fields of the coefficient
-    set (used by the equation-of-motion check).
+    set (used by the equation-of-motion check): the product rule on each
+    row, with ẋ₁ = −iω·x₁, ṙ = −ig·e^{iΔω₁t} and ṡ = ig·r.
 
     No Δω₁ division appears, so there is no resonant branch here.
     """
-    c = coefficients(params, t)
-    g = params.g
-    d = params.delta_omega1
-    e_p = np.exp(1j * d * c.t)
-    e_m = np.exp(-1j * d * c.t)
-    df1 = -1j * params.omega_a * c.f1
-    df2 = -1j * params.omega_a * c.f2 - 2j * g * c.f1 * e_p
-    df3 = -1j * params.omega_a * c.f3 + 2j * g * c.f2
-    dg1 = -1j * params.omega_b * c.g1
-    dg2 = -1j * params.omega_b * c.g2 - 1j * g * c.g1 * e_m
-    dg3 = -1j * params.omega_b * c.g3 + 1j * g * c.g2
-    dh1 = -1j * params.omega_c * c.h1
-    dh2 = -1j * params.omega_c * c.h2 - 1j * g * c.h1 * e_m
-    dh3 = -1j * params.omega_c * c.h3 + 1j * g * c.h2
-    return PerturbativeCoefficients(
-        f1=df1, f2=df2, f3=df3, f4=-df3 / 2.0, f5=-df3 / 2.0,
-        g1=dg1, g2=dg2, g3=dg3, g4=-2.0 * dg3, g5=-2.0 * dg3,
-        h1=dh1, h2=dh2, h3=dh3, h4=-2.0 * dh3, h5=-2.0 * dh3, t=c.t)
+    t, values = _letters(params, t)
+    r_dot = -1j * params.g * np.exp(1j * params.delta_omega1 * t)
+    s_dot = 1j * params.g * values["r"]
+    rates = {"r": r_dot, "R": r_dot.conjugate(), "s": s_dot, "S": s_dot.conjugate(),
+             **{x: -1j * w * values[x] for x, w in
+                zip("abc", (params.omega_a, params.omega_b, params.omega_c))}}
+    return _fill(params, t, lambda word: sum(
+        rates[v] * math.prod(values[u] for u in word[:k] + word[k + 1:])
+        for k, v in enumerate(word)))

@@ -10,7 +10,7 @@ exactly (equal sizes in one batched ``eigh``, real eigenvectors V) and
 ψ(t) = V e^{-iEt} V†ψ0 is formed at every grid time, ``TIME_CHUNK`` times per
 real batched matmul over the (re, im) pairs of the phases V†ψ0·e^{-iEt}.  Those
 are running products of cached step factors that restart at every
-chunk, so the grid may list any nonnegative times in any order.
+chunk, so the grid may list any finite nonnegative times in any order.
 
 `run` is the one oracle pass behind ``sweep --oracle`` (once per pump
 phase) and `compare` (once per ladder rung).  It builds the basis, ψ0 and H,
@@ -164,7 +164,7 @@ class StateGrid(list):
 
 
 def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
-    """ψ(t) = e^{-iHt}ψ0 at each time of a nonnegative grid, in any order.
+    """ψ(t) = e^{-iHt}ψ0 at each time of a finite nonnegative grid, in any order.
 
     Exact up to roundoff: every charge-sector block of H is real symmetric
     and diagonalized once, and the grid is propagated in chunks of
@@ -180,10 +180,10 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
     """
     times = np.array([float(t) for t in times])
-    negative = np.flatnonzero(times < 0)
-    if negative.size:
-        k = negative[0]
-        raise ConfigError(f"time grid must be nonnegative: times[{k}] = {float(times[k])!r}")
+    bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0)))
+    if bad.size:
+        k = bad[0]
+        raise ConfigError(f"time grid must be finite and nonnegative: times[{k}] = {float(times[k])!r}")
 
     psi = psi0.amplitudes.astype(np.complex128)
     vectors, energies, coeffs = [], [], []

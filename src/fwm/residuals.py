@@ -52,7 +52,7 @@ def _heisenberg_monomials(basis: FockBasis):
         for w in out.values():
             w.flags.writeable = False
         return out
-    return tuple(tuple((f, product(w)) for f, w in terms) for terms in HEISENBERG_TERMS.values())
+    return tuple(tuple((f, product(w)) for f, w, *_ in terms) for terms in HEISENBERG_TERMS.values())
 
 
 def _heisenberg_matrices(c: PerturbativeCoefficients, basis: FockBasis):

@@ -153,14 +153,6 @@ def _combine(wid: WitnessId, mom: dict, abs2):
             + 4 * (mom[cross] - mi * mj.conjugate()).real)
 
 
-# x_k/x_1 for the coefficient fields of a(t) (f) and of b(t), c(t) (g, h),
-# as (factor, exponents of r, r̄, s, s̄): f2 = 2r·f1, g2 = −r̄·g1, f3 = 4s·f1,
-# g3 = s̄·g1, f4 = f5 = −2s·f1, g4 = g5 = −2s̄·g1, and h as g.
-_ONE, _R, _RB, _S, _SB = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-_SIGNAL = ((1, _ONE), (-1, _RB), (1, _SB), (-2, _SB), (-2, _SB))
-_HATS = {"f": ((1, _ONE), (2, _R), (4, _S), (-2, _S), (-2, _S)), "g": _SIGNAL, "h": _SIGNAL}
-
-
 class _Series(dict):
     """{(m, e): coefficient}, truncated above second order in g: m holds the
     exponents of r, r̄ (first order) and s, s̄ (second order), e those of
@@ -226,19 +218,20 @@ def _power(letter: str, k: int) -> _Series:
     """x(t)ᵏ/x₁ᵏ for a ladder letter (upper case: the adjoint), from the
     Heisenberg table with every coefficient divided by the first one."""
     if k == 0:
-        return _Series({(_ONE, (0,) * 6): 1.0})
+        return _Series({((0,) * 4, (0,) * 6): 1.0})
     if letter.isupper():
         return _power(letter.lower(), k).conjugate()
     if k > 1:
+        for j in range(2, k):      # fill the cache upward: the recursion stays shallow
+            _power(letter, j)
         return _product(_power(letter, k - 1), _power(letter, 1), _normal_product)
     out = _Series()
-    for field, word in HEISENBERG_TERMS[letter]:
-        factor, mono = _HATS[field[0]][int(field[1:]) - 1]
-        term = _Series({(mono, (0,) * 6): float(factor)})
+    for _, word, factor, mono in HEISENBERG_TERMS[letter]:
+        term = _Series({(tuple(map(mono.count, "rRsS")), (0,) * 6): float(factor)})
         for x in word:
             e = [0] * 6
             e[2 * "abc".index(x.lower()) + x.islower()] = 1     # x† at 2i, x at 2i + 1
-            term = _product(term, _Series({(_ONE, tuple(e)): 1.0}), _normal_product)
+            term = _product(term, _Series({((0,) * 4, tuple(e)): 1.0}), _normal_product)
         out += term
     return out
 

@@ -182,15 +182,19 @@ def test_detuning_sufficiency(wa, wb, wc, shift, g, t):
 
 
 def test_derivatives_match_central_difference():
+    """Random detuned settings, exact resonance (the series branch) and
+    g = 1e-200 at gt = 0.1, each on its own time unit."""
     rng = np.random.default_rng(5)
-    for _ in range(6):
-        p = ModelParams(*rng.normal(size=3) * 2, abs(rng.normal()))
-        t = abs(rng.normal()) + 0.1
-        dt = 1e-6 / max(1.0, abs(p.delta_omega1))
+    cases = [(ModelParams(*rng.normal(size=3) * 2, abs(rng.normal())),
+              abs(rng.normal()) + 0.1, 1.0) for _ in range(6)]
+    cases += [(ModelParams(2.0, 1.0, 3.0, 0.7), 1.3, 1.0),
+              (ModelParams.from_detuning(-3e-199, 1e-200), 1e199, 1e199)]
+    for p, t, unit in cases:
+        dt = 1e-6 * unit / max(1.0, abs(p.delta_omega1) * unit)
         d = coefficient_derivatives(p, t)
         cp = coefficients(p, t + dt)
         cm = coefficients(p, t - dt)
         for k in (f"{x}{i}" for x in "fgh" for i in range(1, 6)):
             dv = getattr(d, k)
             fd = (getattr(cp, k) - getattr(cm, k)) / (2 * dt)
-            assert abs(fd - dv) < 1e-5 * max(1.0, abs(dv))
+            assert abs(fd - dv) < 1e-5 * max(1.0 / unit, abs(dv)), (p, k)

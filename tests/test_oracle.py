@@ -321,13 +321,15 @@ class TestEvolve:
             assert np.max(np.abs(psi.amplitudes - ref)) < 1e-12, t
 
     def test_bad_grid_rejected(self):
-        """The error names the first negative time only."""
+        """The error names the first negative or non-finite time only."""
         _, _, psi0, H = small_setup()
         long_grid = [*np.linspace(0.0, 1.0, 400), -1.0, -2.0]
         for times, first in (([-0.1], r"times\[0\] = -0\.1$"),
                              ([0.2, -1e-300, 0.1], r"times\[1\] = -1e-300$"),
-                             (long_grid, r"times\[400\] = -1\.0$")):
-            with pytest.raises(ConfigError, match="nonnegative: " + first):
+                             (long_grid, r"times\[400\] = -1\.0$"),
+                             ([math.nan], r"times\[0\] = nan$"),
+                             ([0.1, math.inf], r"times\[1\] = inf$")):
+            with pytest.raises(ConfigError, match="finite and nonnegative: " + first):
                 evolve_grid(H, psi0, times)
 
 

@@ -498,6 +498,16 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr.splitlines() == ["usage error: unknown key oracle"]
 
+    def test_high_witness_order_runs(self):
+        """A closed form of order 1200 compiles in a fresh process: the
+        operator powers are built upward, not by 1200-deep recursion."""
+        out = run_cli("sweep", "--preset", "fig2", "--witnesses", '["HZ1:ab:1200,1"]',
+                      "--input.alpha_abs", "0.5", "--gt_grid.count", "3",
+                      "--input.phi", "[0]")
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
+        assert len(out.stdout.splitlines()) == 1 + 3
+
     def test_sweep_csv_deterministic(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         a1 = run_cli("sweep", "--preset", "fig5", "--out", str(f1),
