@@ -176,8 +176,11 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     matmul per sector size applies V to the (re, im) pairs of the phases,
     and one ``np.take`` moves the chunk from sector order to flat order.
     The chunks are propagated on `_on_threads` workers, each into its own
-    slice of one dim × T allocation.  Each state is a column view of its
-    chunk's (dim, chunk) array.  ψ(0) is a copy of ψ0.
+    slice of one dim × T allocation, which holds the chunk's phases until
+    the ``np.take`` overwrites them; besides the step factors, each worker
+    holds one dim × ``TIME_CHUNK`` scratch for the products and the
+    sector-order results.  Each state is a column view of its chunk's
+    (dim, chunk) array.  ψ(0) is a copy of ψ0.
     """
     times = np.array([float(t) for t in times])
     bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0)))
@@ -208,24 +211,24 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
               for lo in range(0, times.size, TIME_CHUNK)]
 
     def propagate(worker: int, workers: int) -> None:
-        # reused by this worker's chunks: the phases, (dim, time), and the
-        # sector-order results, (dim, time), whose space first holds the
-        # (time, dim) products
-        buffers = np.empty((2, dim * min(TIME_CHUNK, times.size)), dtype=np.complex128)
+        # reused by this worker's chunks: first the (time, dim) products,
+        # then the sector-order results, (dim, time); the chunk's own slice
+        # of the grid holds the phases, (dim, time), in between
+        scratch = np.empty(dim * min(TIME_CHUNK, times.size), dtype=np.complex128)
         for i in range(worker, len(chunks), workers):
             lo, amps = i * TIME_CHUNK, chunks[i]
             chunk = times[lo:lo + TIME_CHUNK]
-            phases, result = (b[:dim * chunk.size].reshape(-1, chunk.size) for b in buffers)
+            result = scratch[:dim * chunk.size].reshape(-1, chunk.size)
             products = result.reshape(chunk.size, -1)   # each product runs over one contiguous row
             np.multiply(coeffs, np.exp(-1j * chunk[0] * energies), out=products[0])
             for j in range(1, chunk.size):
                 np.multiply(products[j - 1], step_factors[step_of[lo + j]], out=products[j])
-            phases[...] = products.T
+            amps[...] = products.T
             at = 0
             for v in vectors:
                 k, s, _ = v.shape
                 rows = slice(at, at + k * s)
-                np.matmul(v, phases[rows].reshape(k, s, -1).view(np.float64),
+                np.matmul(v, amps[rows].reshape(k, s, -1).view(np.float64),
                           out=result[rows].reshape(k, s, -1).view(np.float64))
                 at += k * s
             np.take(result, to_flat, axis=0, out=amps, mode="clip")   # "raise" would buffer out

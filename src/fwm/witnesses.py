@@ -25,6 +25,7 @@ only the oracle's moment reads.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import itertools
@@ -222,8 +223,10 @@ def _power(letter: str, k: int) -> _Series:
     if letter.isupper():
         return _power(letter.lower(), k).conjugate()
     if k > 1:
-        for j in range(2, k):      # fill the cache upward: the recursion stays shallow
-            _power(letter, j)
+        # first the power with the lowest set bit of k cleared, so the cache
+        # fills upward in binary steps: the recursion stays O(log² k) deep
+        # and each new power reads at most three cached ones
+        _power(letter, k & (k - 1))
         return _product(_power(letter, k - 1), _power(letter, 1), _normal_product)
     out = _Series()
     for _, word, factor, mono in HEISENBERG_TERMS[letter]:
@@ -292,10 +295,49 @@ def _amplitude(terms, inp: CoherentInput) -> complex:
     return total
 
 
+def _refuse_hidden_sign(wid: WitnessId, coeffs: PerturbativeCoefficients,
+                        inp: CoherentInput) -> None:
+    """Raise ConfigError if a value whose amplitude terms all rounded to 0
+    is negative, which would hide its entangled flag.
+
+    Every term is rebuilt from the logarithms of the amplitudes and scaled
+    so that the largest is 1, so none underflows.  A value counts as
+    negative beyond 1e-6 of the summed moduli of its scaled terms, far
+    above the roundoff of the logarithms."""
+    amps = (inp.alpha, inp.beta, inp.gamma)
+    scaled = []
+    for rows, w, terms in _plan(wid):
+        for c, ks, ds in terms:
+            if any(not x and (k or d) for x, k, d in zip(amps, ks, ds)):
+                continue       # an exact 0
+            log = math.log(abs(c)) + sum((2 * k + abs(d)) * math.log(abs(x))
+                                         for x, k, d in zip(amps, ks, ds) if k or d)
+            phase = sum(d * cmath.phase(x) for x, d in zip(amps, ds) if d)
+            scaled.append((rows, math.copysign(w, c) * cmath.exp(1j * phase), log))
+    if not scaled:
+        return
+    top = max(log for _, _, log in scaled)
+    weights, moduli = np.zeros(5), np.zeros(5)
+    for rows, unit, log in scaled:
+        a = unit * math.exp(log - top)
+        weights[rows[0]] += a.real
+        moduli[rows[0]] += abs(a)
+        if len(rows) > 1:
+            weights[rows[1]] -= a.imag
+            moduli[rows[1]] += abs(a)
+    with np.errstate(over="ignore", invalid="ignore"):    # `evaluate` checks those
+        negative = weights @ coeffs.r_powers < -1e-6 * (moduli @ np.abs(coeffs.r_powers))
+    if np.any(negative):
+        mags = ", ".join(f"{abs(z):.6g}" for z in amps)
+        raise ConfigError(f"{wid.label()} values underflow to 0 where they are negative, "
+                          f"from the input amplitudes |alpha|, |beta|, |gamma| = {mags}")
+
+
 def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
              inp: CoherentInput) -> float | np.ndarray:
     """Closed-form value of a witness: a float for a scalar t, an array over
-    t otherwise.  Raises ConfigError when any value overflows."""
+    t otherwise.  Raises ConfigError when any value overflows, or when it
+    underflows to 0 from a negative value (`_refuse_hidden_sign`)."""
     weights = [0.0] * 5
     try:
         for rows, w, terms in _plan(wid):
@@ -309,6 +351,8 @@ def evaluate(wid: WitnessId, coeffs: PerturbativeCoefficients,
         mags = ", ".join(f"{abs(z):.6g}" for z in (inp.alpha, inp.beta, inp.gamma))
         raise ConfigError(f"{wid.label()} values must be finite, got an overflow from the "
                           f"input amplitudes |alpha|, |beta|, |gamma| = {mags}")
+    if not any(weights):       # every term cancelled or underflowed
+        _refuse_hidden_sign(wid, coeffs, inp)
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.dot(weights, coeffs.r_powers)
     if not np.isfinite(value).all():

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -571,6 +572,36 @@ class TestChunkThreads:
         for field in ("oracle", "perturbative", "exponent", "rel_err"):
             assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
         assert repr(one.diagnostics) == repr(two.diagnostics)
+
+    def test_evolve_grid_holds_one_scratch_chunk_per_worker(self, monkeypatch):
+        """At oracle_grid scale (dimension 4 368, 400 times) the peak above
+        the returned dim × T grid is one (dim, ``TIME_CHUNK``) scratch per
+        worker plus the step factors: one more worker adds at most 1.5
+        chunks, and one CPU stays within one chunk, the factors and one
+        chunk of slack for the small per-sector and per-state arrays."""
+        inp = CoherentInput(1.2, 0.9, 0.6)
+        basis = FockBasis(cutoffs_for(inp))
+        psi0 = coherent_state(basis, inp)
+        H = build_hamiltonian(ModelParams.from_detuning(-100.0, 1.0), basis)
+        times = np.linspace(0.0, 0.1, 400)
+        evolve_grid(H, psi0, times)       # fills the per-basis caches
+        dim = basis.dimension
+        chunk = dim * TIME_CHUNK * 16
+        factors = np.unique(np.diff(times, prepend=0.0)).size * dim * 16
+        transient = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            tracemalloc.start()
+            try:
+                states = evolve_grid(H, psi0, times)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            transient[cpus] = peak - dim * times.size * 16
+            del states
+        assert dim == 4368
+        assert transient[2] - transient[1] <= 1.5 * chunk, transient
+        assert transient[1] <= chunk + factors + chunk, transient
 
 
 class TestResonantCertification:

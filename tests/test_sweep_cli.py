@@ -500,13 +500,15 @@ class TestCli:
 
     def test_high_witness_order_runs(self):
         """A closed form of order 1200 compiles in a fresh process: the
-        operator powers are built upward, not by 1200-deep recursion."""
+        operator powers are built upward, not by 1200-deep recursion.  At
+        |α| = 1 its amplitude powers stay finite and so do its values."""
         out = run_cli("sweep", "--preset", "fig2", "--witnesses", '["HZ1:ab:1200,1"]',
-                      "--input.alpha_abs", "0.5", "--gt_grid.count", "3",
+                      "--input.alpha_abs", "1", "--gt_grid.count", "3",
                       "--input.phi", "[0]")
         assert out.returncode == 0, out.stderr
         assert "Traceback" not in out.stderr
-        assert len(out.stdout.splitlines()) == 1 + 3
+        rows = [line.split(",") for line in out.stdout.splitlines()[1:]]
+        assert [float(r[6]) for r in rows] == pytest.approx([0.0, 411.6403087, 1617.718445])
 
     def test_sweep_csv_deterministic(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -771,6 +773,17 @@ class TestCliBoundary:
                                          "--format", fmt, "--out", str(f))
         assert_one_line_usage_error(code, err, needle, "finite")
         assert out == "" and not f.exists()
+
+    def test_underflow_hiding_a_negative_value_is_one_line_usage_error(self):
+        """|β|^800 = 0.1^800 underflows a Python float to an exact 0, and at
+        gt = 0.01 the exact value is −4.3e-795: the sweep ends with one line
+        instead of reporting 0 and ``entangled`` false."""
+        code, out, err = main_in_process("sweep", "--preset", "fig2", "--witnesses",
+                                         '["HZ2:bc:400,1"]', "--input.beta", "0.1",
+                                         "--gt_grid.count", "11", "--input.phi", "[0]")
+        assert_one_line_usage_error(code, err, "HZ2:bc:400,1 values underflow to 0",
+                                    "5, 0.1, 2")
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ("compare",),

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwm.model import SERIES_SWITCHOVER, CoherentInput, ModelParams, coefficients
+from fwm.model import SERIES_SWITCHOVER, CoherentInput, ConfigError, ModelParams, coefficients
 from fwm.sweep import Series, certification_witnesses, rows_to_csv
-from fwm.witnesses import Criterion, InvalidWitness, WitnessId, _plan, evaluate
+from fwm.witnesses import Criterion, InvalidWitness, WitnessId, _plan, _power, evaluate
 
 from bruteforce import TruthEngine
 
@@ -297,6 +297,32 @@ def test_entangled_flag_strict_negativity():
                     np.arange(values.size, dtype=float), values)
     flags = [line.split(",")[7] for line in rows_to_csv([series]).splitlines()[1:]]
     assert flags == ["true", "false", "false", "false", "true", "false"]
+
+
+def test_underflow_refused_only_where_it_hides_a_negative_value():
+    """Values whose amplitude terms all round to 0 are refused where their
+    exact value is negative (HZ2:bc:400,1 at |β| = 0.1 reads −4.3e-795 at
+    gt = 0.01), and kept as the correctly rounded 0 where it is positive
+    (HZ1:ab:200,1 at |α| = 0.1, +6.0e-396), or exactly 0 (a zero pump, and
+    DUAN, which is never negative, at amplitudes as small as 5e-324)."""
+    coeffs = coefficients(ModelParams.from_detuning(-1000.0, 1.0), np.linspace(0.0, 0.1, 11))
+    with pytest.raises(ConfigError, match="HZ2:bc:400,1 values underflow to 0 where they "
+                                          "are negative"):
+        ev("HZ2:bc:400,1", coeffs, CoherentInput.from_pump_phase(5.0, 0.0, 0.1, 2.0))
+    for label, aa in [("HZ1:ab:200,1", 0.1), ("HZ1:ab:3,1", 0.0)]:
+        assert not ev(label, coeffs, CoherentInput.from_pump_phase(aa, 0.0, 4.0, 2.0)).any()
+    for aa, bb, cc in [(0.0, 1e-100, 1.0), (0.0, 5e-324, 5e-324), (1e-200, 0.0, 0.0)]:
+        inp = CoherentInput.from_pump_phase(aa, 0.0, bb, cc)
+        for i, j in PAIRS:
+            assert (ev(f"DUAN:{i}{j}", coeffs, inp) >= 0.0).all()
+
+
+def test_cold_power_reads_few_cached_powers():
+    """A cold x(t)ᵏ/x₁ᵏ fills the cache upward: each new power reads at most
+    three cached ones, not every power below it."""
+    _power.cache_clear()
+    _power("a", 200)
+    assert _power.cache_info().hits <= 3 * 200
 
 
 def test_detuning_sufficiency_on_values():
