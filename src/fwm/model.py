@@ -11,10 +11,10 @@ coupling g are
 with all fifteen coefficients closed functions of (Δω₁, g, t), where
 Δω₁ = 2ω_a − ω_b − ω_c.  `HEISENBERG_TERMS` is the one statement of this
 solution: each term's ladder word and its coefficient as a free phase times
-a factor and a monomial in r and s.  The coefficients, their derivatives,
-the residual checks and the closed-form witnesses all read it.  Only Δω₁·t
-and g·t enter any observable; the ω's are treated as angular frequencies
-(s⁻¹).
+a factor and a monomial in r = −i·g·t·φ₁(iΔω₁t) and s = (g·t)²·φ₂(iΔω₁t),
+with the φ-functions of `_phi`.  The coefficients, their derivatives, the
+residual checks and the closed-form witnesses all read it.  Only Δω₁·t and
+g·t enter any observable; the ω's are treated as angular frequencies (s⁻¹).
 
 `coefficients` takes a scalar time or an array of times; for an array every
 coefficient is an array over t, computed in one numpy pass.
@@ -28,14 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this value of |Δω₁·t| the coefficient helpers switch to a 4-term
-# Taylor series so the two-photon-resonance limit is smooth.
-SERIES_SWITCHOVER = 1e-4
+# Below this |Δω₁·t| `_phi` sums SERIES_TERMS terms of its Taylor series (the
+# next is < 3e-19); above it each step of its recurrence loses ~1e-16/|Δω₁·t|.
+SERIES_SWITCHOVER = 1e-2
+SERIES_TERMS = 7
 
 # The fifteen terms of a(t), b(t), c(t) as (coefficient field, ladder word,
 # factor, monomial): a word is a product read left to right, upper case the
 # adjoint or conjugate.  A field is factor·x₁·monomial, with x₁ its mode's
-# free phase and the monomial in r = g·t·ramp(Δω₁t), s = (g·t)²·ramp2(Δω₁t).
+# free phase and the monomial in the letters r and s of the module docstring.
 HEISENBERG_TERMS = {
     "a": (("f1", "a", 1, ""), ("f2", "Abc", 2, "r"), ("f3", "aBbCc", 4, "s"),
           ("f4", "AaaCc", -2, "s"), ("f5", "AaabB", -2, "s")),
@@ -118,6 +119,7 @@ class PerturbativeCoefficients:
     an array), named as in the paper.  `HEISENBERG_TERMS` states every
     relation among them; |f1| = |g1| = |h1| = 1, and the power-of-two
     factors make f4 = f5 = −f3/2, g4 = g5 = −2·g3 and h4 = h5 = −2·h3 exact.
+    ``r`` is the letter r (ṙ in a set of derivatives), None in one built by hand.
     """
 
     f1: complex
@@ -136,47 +138,37 @@ class PerturbativeCoefficients:
     h4: complex
     h5: complex
     t: float
+    r: complex | None = None
 
     @functools.cached_property
     def r_powers(self) -> np.ndarray:
-        """Rows |r|², Re r, Im r, Re r², Im r² of r = f2/(2f1) = g·t·ramp(Δω₁t),
-        once per coefficient set: divided by its first coefficient, each of
-        a(t), b(t), c(t) depends on t only through r and f3/(4f1) = |r|²/2 + iτ."""
+        """Rows |r|², Re r, Im r, Re r², Im r² of the letter r of
+        `HEISENBERG_TERMS`, once per coefficient set: divided by its first
+        coefficient, each of a(t), b(t), c(t) depends on t only through r
+        and s = |r|²/2 + iτ."""
+        r = self.r
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self.f1.conjugate() * self.f2 / 2
             r2 = r * r
             return np.array([np.abs(r) ** 2, r.real, r.imag, r2.real, r2.imag])
 
 
-def _ramp(x):
-    """(1 − e^{ix}) / x elementwise, series branch below the switchover.
-
-    Equals −i at x = 0.  The closed form uses 1 − e^{ix} =
-    2sin²(x/2) − i·sin(x), which has no subtractive cancellation.  Each
-    branch sees only its own elements (the other slots hold 0 or 1), so the
-    closed form never divides by zero.
+def _phi(k: int, x):
+    """φ_k(ix) = Σₙ (ix)ⁿ/(n+k)! elementwise for real x, a φ-function of
+    exponential integrators (Hochbruck and Ostermann, Acta Numerica 19, 209
+    (2010)): φ₁ = expm1(ix)/(ix) and φ_{j+1} = (φ_j − 1/j!)/(ix) above the
+    switchover, the Taylor series below it.  Each branch sees only its own
+    elements (the other slots hold 0 or 1), so neither divides by zero.
     """
     series = np.abs(x) < SERIES_SWITCHOVER
-    xs = np.where(series, x, 0.0)
-    xc = np.where(series, 1.0, x)
-    s = np.sin(0.5 * xc)
-    return np.where(series, -1j + xs / 2.0 + 1j * xs * xs / 6.0 - xs ** 3 / 24.0,
-                    (2.0 * s * s - 1j * np.sin(xc)) / xc)
-
-
-def _ramp2(x):
-    """(1 − e^{ix} + ix) / x² elementwise, series branch below the switchover.
-
-    Equals 1/2 at x = 0.  The imaginary part (x − sin x)/x² loses relative
-    accuracy near the switchover but stays ~1e-12 below the dominant real
-    part there, keeping the whole value accurate to ~1e-12.
-    """
-    series = np.abs(x) < SERIES_SWITCHOVER
-    xs = np.where(series, x, 0.0)
-    xc = np.where(series, 1.0, x)
-    s = np.sin(0.5 * xc)
-    return np.where(series, 0.5 + 1j * xs / 6.0 - xs * xs / 24.0 - 1j * xs ** 3 / 120.0,
-                    (2.0 * s * s + 1j * (xc - np.sin(xc))) / (xc * xc))
+    ix = 1j * np.where(series, 1.0, x)
+    closed = np.expm1(ix) / ix
+    for j in range(1, k):
+        closed = (closed - 1 / math.factorial(j)) / ix
+    ixs = 1j * np.where(series, x, 0.0)
+    taylor = 0.0
+    for n in reversed(range(SERIES_TERMS)):
+        taylor = taylor * ixs + 1 / math.factorial(n + k)
+    return np.where(series, taylor, closed)
 
 
 def _letters(params: ModelParams, t):
@@ -191,8 +183,8 @@ def _letters(params: ModelParams, t):
                                     params.delta_omega1), t)
         # (gt)² rather than g²t², which underflows for g < 1e-154 at any t
         gt = params.g * t
-        r = gt * _ramp(phases[3])
-        s = gt * gt * _ramp2(phases[3])
+        r = -1j * gt * _phi(1, phases[3])
+        s = gt * gt * _phi(2, phases[3])
     if not np.isfinite(phases).all():
         raise ConfigError(f"phases omega*t and delta_omega1*t must be finite, "
                           f"got t up to {float(np.max(t))!r}")
@@ -203,9 +195,10 @@ def _letters(params: ModelParams, t):
 def _fill(params: ModelParams, t, product) -> PerturbativeCoefficients:
     """The coefficient set with factor·product(word) in each
     `HEISENBERG_TERMS` row, the word being its mode (for x₁) and monomial
-    in the letters of `_letters`.  Raises ConfigError when a value is not finite."""
+    in the letters of `_letters`, and product("r") in ``r``.  Raises
+    ConfigError when a value is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = PerturbativeCoefficients(t=t, **{
+        out = PerturbativeCoefficients(t=t, r=product("r"), **{
             name: factor * product(mode + word)
             for mode, terms in HEISENBERG_TERMS.items() for name, _, factor, word in terms})
     if not all(np.isfinite(v).all() for k, v in vars(out).items() if k != "t"):
@@ -219,7 +212,7 @@ def coefficients(params: ModelParams, t) -> PerturbativeCoefficients:
 
     Every field is an array over ``t`` for array input and a scalar for a
     scalar ``t``.  The resonant case Δω₁ → 0 is handled by the series branch
-    of the ramp helpers, not by an error.  Raises ConfigError when any phase
+    of `_phi`, not by an error.  Raises ConfigError when any phase
     ω·t or Δω₁·t, or any coefficient, is not finite.
     """
     t, values = _letters(params, t)

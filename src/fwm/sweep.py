@@ -39,11 +39,20 @@ class UsageError(ConfigError):
     """Bad run configuration or CLI usage."""
 
 
-def _real(name: str, value) -> None:
+def _real(name: str, value) -> float:
+    """``value`` as a float, so outputs read the same whether it was typed
+    1 or 1.0."""
     # unlike math.isfinite, this refuses an int beyond float range without raising
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not abs(value) <= sys.float_info.max:
         raise UsageError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _set_reals(spec, section: str, names) -> None:
+    """Check each named real field of the frozen ``spec`` and store it as a float."""
+    for name in names:
+        object.__setattr__(spec, name, _real(f"{section}.{name}", getattr(spec, name)))
 
 
 def _integer(name: str, value, minimum: int) -> None:
@@ -59,8 +68,7 @@ class ParamsSpec:
     delta_omega1: float
 
     def __post_init__(self):
-        _real("params.g", self.g)
-        _real("params.delta_omega1", self.delta_omega1)
+        _set_reals(self, "params", ("g", "delta_omega1"))
 
     def to_model(self) -> ModelParams:
         return ModelParams.from_detuning(self.delta_omega1, self.g)
@@ -74,18 +82,16 @@ class InputSpec:
     gamma: float
 
     def __post_init__(self):
-        for name in ("alpha_abs", "beta", "gamma"):
-            _real(f"input.{name}", getattr(self, name))
+        _set_reals(self, "input", ("alpha_abs", "beta", "gamma"))
         if self.alpha_abs < 0:      # a modulus: the phase is phi's
             raise UsageError(f"input.alpha_abs must be >= 0, got {self.alpha_abs!r}")
         # one phase may be given bare, as in ``--input.phi 1.5``
         phi = self.phi if isinstance(self.phi, (list, tuple)) else (self.phi,)
-        object.__setattr__(self, "phi", tuple(phi))
+        object.__setattr__(self, "phi", tuple(_real("input.phi", p) for p in phi))
         if not self.phi:
             raise UsageError("input.phi: need at least one pump phase")
         # results are keyed by phase, so a repeated one would be dropped
         for i, p in enumerate(self.phi):
-            _real("input.phi", p)
             if not (0.0 <= p < TWO_PI):
                 raise UsageError(f"input.phi: phases must lie in [0, 2pi), got {p!r}")
             if p in self.phi[:i]:
@@ -102,8 +108,7 @@ class GtGrid:
     count: int
 
     def __post_init__(self):
-        _real("gt_grid.start", self.start)
-        _real("gt_grid.stop", self.stop)
+        _set_reals(self, "gt_grid", ("start", "stop"))
         _integer("gt_grid.count", self.count, 2)
         if not (self.stop > self.start >= 0.0):
             raise UsageError(f"gt_grid must be strictly increasing from >= 0, "

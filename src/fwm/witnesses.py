@@ -98,6 +98,8 @@ class WitnessId:
     def parse(cls, text: str) -> "WitnessId":
         """Parse compact labels like HZ1:ab, HZ1:ab:2,1, TRI_HZ1:bca, TRI_SYM."""
         parts = text.strip().split(":")
+        if len(parts) > 3:
+            raise InvalidWitness(f"too many ':' fields in {text!r}")
         try:
             crit = Criterion(parts[0].upper())
         except ValueError:

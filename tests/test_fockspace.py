@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from fwm import cli
 from fwm.fockspace import (CUTOFF_HEADROOM, CUTOFF_TAIL, MAX_MOMENT_ORDER,
                            CutoffError, FockBasis, FockStateVector,
                            MomentSpec, coherent_amplitudes,
@@ -44,10 +47,11 @@ class TestCoherentState:
                              tail_tol=1e-6)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
-    def test_cutoff_too_small_raises(self):
+    @pytest.mark.parametrize("alpha", [2.5, 1e50])
+    def test_cutoff_too_small_raises(self, alpha):
         basis = FockBasis((3, 3, 3))
         with pytest.raises(CutoffError):
-            coherent_state(basis, CoherentInput(2.5, 0, 0), tail_tol=1e-9)
+            coherent_state(basis, CoherentInput(alpha, 0, 0), tail_tol=1e-9)
 
     def test_cutoff_policy_reaches_tail(self):
         inp = CoherentInput(1.2 * np.exp(0.5j), 0.9, 0.6)
@@ -55,6 +59,32 @@ class TestCoherentState:
         for z, c, extra in zip((inp.alpha, inp.beta, inp.gamma), cut, CUTOFF_HEADROOM):
             _, tail = coherent_amplitudes(c - extra, z)
             assert tail < CUTOFF_TAIL
+
+    @pytest.mark.parametrize("alpha, want", [(5.23, 71), (6.2, 90), (17, 416), (20, 549),
+                                             (30, 1119)])
+    def test_pump_cutoff_is_smallest_with_tail_below_bound(self, alpha, want):
+        """The pump cutoff less its headroom is the first n >= max(2, ⌈|α|²⌉)
+        whose Poisson tail, summed here term by term, is below CUTOFF_TAIL.
+        Near the bound or for |α| >= 17, 1 − Σ|amplitude|² cannot tell."""
+        mu = alpha * alpha
+        log_p = [-mu + m * math.log(mu) - math.lgamma(m + 1) for m in range(3 * want)]
+        terms = [math.exp(v) for v in log_p]
+
+        def tail(n):
+            return math.fsum(terms[n + 1:])
+
+        first = max(2, math.ceil(mu))
+        n = next(n for n in range(first, len(terms)) if tail(n) < CUTOFF_TAIL)
+        assert n == want
+        assert cutoffs_for(CoherentInput(alpha, 0, 0))[0] - CUTOFF_HEADROOM[0] == want
+
+    def test_large_pump_runs_the_oracle(self):
+        argv = ["sweep", "--preset", "fig2", "--oracle", "--input.alpha_abs", "20",
+                "--input.beta", "0", "--input.gamma", "0", "--gt_grid.count", "3",
+                "--input.phi", "[0]", "--witnesses", '["HZ1:ab"]']
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
 
     def test_poisson_statistics(self):
         basis = FockBasis((16, 4, 4))

@@ -105,9 +105,9 @@ class TestCoefficientBasics:
         p = ModelParams.from_detuning(-3e-199, g)
         c = coefficients(p, t)
         gt, x = g * t, p.delta_omega1 * t
-        assert c.f3 == pytest.approx(4 * gt * gt * c.f1 * model._ramp2(x), rel=1e-15)
-        assert c.g3 == pytest.approx(gt * gt * c.g1 * model._ramp2(-x), rel=1e-15)
-        assert c.h3 == pytest.approx(gt * gt * c.h1 * model._ramp2(-x), rel=1e-15)
+        assert c.f3 == pytest.approx(4 * gt * gt * c.f1 * model._phi(2, x), rel=1e-15)
+        assert c.g3 == pytest.approx(gt * gt * c.g1 * model._phi(2, -x), rel=1e-15)
+        assert c.h3 == pytest.approx(gt * gt * c.h1 * model._phi(2, -x), rel=1e-15)
         assert abs(c.f3) > 1e-3
 
 
@@ -124,6 +124,44 @@ def test_exact_identities_random(wa, wb, wc, g, t):
     assert abs(abs(c.h1) - 1) < 1e-14
     # g2 and h2 share magnitude (identical ramp factor)
     assert abs(abs(c.g2) - abs(c.h2)) <= 1e-15 * max(1.0, abs(c.g2))
+
+
+def phi_reference(k, x):
+    """φ_k(ix) = Σₙ (ix)ⁿ/(n+k)!: its first 40 terms for |x| <= 1, and
+    (e^{ix} − 1)/(ix) or (e^{ix} − 1 − ix)/(ix)² by cmath above."""
+    z = 1j * x
+    if abs(x) <= 1:
+        return sum(z ** n / math.factorial(n + k) for n in range(40))
+    return (cmath.exp(z) - 1) / z if k == 1 else (cmath.exp(z) - 1 - z) / (z * z)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_phi_matches_reference(k):
+    """Both branches of `_phi`, and each side of the switchover, to 1e-13
+    relative, for scalars and arrays alike."""
+    xs = [0.0, 1e-12, SERIES_SWITCHOVER * (1 - 1e-3), SERIES_SWITCHOVER * (1 + 1e-3),
+          0.3, 1.0, 10.0, 1e3]
+    xs += [-x for x in xs[1:]]
+    values = model._phi(k, np.array(xs))
+    for x, v in zip(xs, values):
+        want = phi_reference(k, x)
+        assert abs(v - want) <= 1e-13 * abs(want), x
+        assert model._phi(k, x) == v
+
+
+def test_r_powers_read_the_letter_r(monkeypatch):
+    """`r_powers` holds |r|², Re r, Im r, Re r², Im r² of the r of
+    `_letters`, whatever factor the f2 row of the table carries."""
+    a_terms = list(model.HEISENBERG_TERMS["a"])
+    name, word, _, monomial = a_terms[1]
+    a_terms[1] = (name, word, 3, monomial)
+    monkeypatch.setitem(model.HEISENBERG_TERMS, "a", tuple(a_terms))
+    p, t = ModelParams.from_detuning(-3.0, 0.7), np.linspace(0.0, 2.0, 9)
+    c = coefficients(p, t)
+    r = model._letters(p, t)[1]["r"]
+    assert np.allclose(c.f2, 3 * c.f1 * r)
+    assert np.array_equal(c.r_powers, [abs(r) ** 2, r.real, r.imag, (r * r).real,
+                                       (r * r).imag])
 
 
 class TestResonantLimit:

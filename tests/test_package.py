@@ -34,6 +34,39 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_every_module_definition_is_read():
+    """Every function, class and name a module defines at module level is
+    read somewhere in the package: as a name, an attribute, an imported
+    name or an ``__all__`` entry.  A helper only tests call is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(fwm.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    read.update(fwm.__all__)
+    unread = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{name}: {d}" for d in defined if d not in read]
+    assert unread == []
+
+
 def test_api_ledger():
     """The public names of ``fwm``; a new or dropped name is an edit here."""
     assert fwm.__all__ == [

@@ -319,12 +319,13 @@ class TestJsonWriter:
         assert text == '{\n  "rows": [],\n  "summary": []\n}'
 
     def test_integer_phi_from_config_byte_identical(self):
+        """A phase typed 1 is stored, and written, as 1.0."""
         d = tiny_config().to_dict()
         d["input"]["phi"] = [0, 1]
         series, summary = run_sweep(RunConfig.from_dict(d))
-        assert [type(s.phi) for s in series] == [int] * 4
+        assert [type(s.phi) for s in series] == [float] * 4
         text = assert_json_matches_reference(series, summary)
-        assert '"phi": 1,' in text
+        assert '"phi": 1.0,' in text and '"phi": 1,' not in text
 
     def test_none_onsets_and_negative_zero_byte_identical(self):
         series = one_series([-0.0, 0.0, 2.5e-300, -1e-17])
@@ -359,7 +360,7 @@ class TestCsvWriter:
         d = tiny_config().to_dict()
         d["input"]["phi"] = [0, 1]
         series, _ = run_sweep(RunConfig.from_dict(d))
-        assert [type(s.phi) for s in series] == [int] * 4
+        assert [type(s.phi) for s in series] == [float] * 4
         text = assert_csv_matches_reference(series)
         assert ",1,HZ1,ab,1,1," in text
 
@@ -696,6 +697,7 @@ class TestCliBoundary:
     @given(BAD_WITNESSES)
     @example(["HZ1:aa"])
     @example(["DUAN:ab:2,1"])
+    @example(["HZ1:ab:2,1:junk"])
     @example([5])
     @example("HZ1:ab")
     def test_bad_witnesses_are_one_line_usage_error(self, witnesses):
@@ -1185,8 +1187,9 @@ class TestCliBoundary:
     @pytest.mark.parametrize("params", [(), RESONANT, TINY_COUPLING])
     def test_check_fails_on_perturbed_coefficients(self, params, monkeypatch):
         """check passes, detuned, resonant or at a coupling g = 5e-302 whose
-        square underflows, until f2, g2 and h2 (and so f3, g3 and h3) carry
-        a 1e-9 relative error; the coefficient relations then catch it.
+        square underflows, until φ₁, and so the letter r in f2, g2 and h2,
+        carries a 1e-9 relative error; the relations tying those to f3, g3
+        and h3 then catch it.
         Both residual slopes are measured in units of |Δω₁|, so they read
         about 3 at any scale, and never inf."""
         from fwm import model
@@ -1196,8 +1199,9 @@ class TestCliBoundary:
         slopes = [float(line.rsplit(" ", 1)[1]) for line in out.splitlines()
                   if "scaling slope" in line]
         assert len(slopes) == 2 and all(abs(s - 3.0) < 0.1 for s in slopes), out
-        ramp = model._ramp
-        monkeypatch.setattr(model, "_ramp", lambda x: ramp(x) * (1 + 1e-9))
+        phi = model._phi
+        monkeypatch.setattr(model, "_phi",
+                            lambda k, x: phi(k, x) * (1 + 1e-9) if k == 1 else phi(k, x))
         code, out, _ = main_in_process(*argv)
         assert code == 2
         lines = out.splitlines()
@@ -1210,6 +1214,23 @@ class TestCliBoundary:
 class TestConfigRoundTrip:
     """The configs the CLI prints load back as --config files and give the
     same results."""
+
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--preset", "fig5", "--format", "json", "--gt_grid.count", "3"),
+        ("compare",)])
+    def test_integer_and_float_spellings_give_same_bytes(self, command):
+        """Every real config field is stored as a float, so a value typed 1
+        or 1.0 writes the same output."""
+        spellings = {"params.g": ("1", "1.0"), "params.delta_omega1": ("-100", "-100.0"),
+                     "input.phi": ("[0]", "[0.0]"), "input.alpha_abs": ("1", "1.0"),
+                     "input.beta": ("1", "1.0"), "gt_grid.stop": ("1", "1.0")}
+        outputs = set()
+        for i in (0, 1):
+            argv = [x for key, raws in spellings.items() for x in (f"--{key}", raws[i])]
+            code, out, err = main_in_process(*command, *argv)
+            assert code == 0, err
+            outputs.add(out)
+        assert len(outputs) == 1
 
     def test_preset_json_reproduces_sweeps(self, tmp_path):
         code, out, _ = main_in_process("presets", "--format", "json")

@@ -268,6 +268,11 @@ class TestWitnessIds:
         with pytest.raises(InvalidWitness):
             WitnessId.parse("HZ1:ab:0,2")
 
+    @pytest.mark.parametrize("label", ["HZ1:ab:2,1:junk", "DUAN:ab::", "TRI_SYM:abc:1,1:"])
+    def test_extra_field_rejected(self, label):
+        with pytest.raises(InvalidWitness, match="too many"):
+            WitnessId.parse(label)
+
     def test_parse_round_trip(self):
         for label in ["HZ1:ab", "HZ2:bc:1,2", "HZ1:ac:3,1", "DUAN:bc",
                       "TRI_HZ1:bca", "TRI_SYM:abc"]:
