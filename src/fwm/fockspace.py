@@ -3,7 +3,9 @@ ladder operators.
 
 The flat index runs row-major over (n_a, n_b, n_c); amplitudes reshape to a
 (N_a+1, N_b+1, N_c+1) tensor, and a stack of states with (T, dim)
-amplitudes to a (T, N_a+1, N_b+1, N_c+1) one.  A moment
+amplitudes to a (T, N_a+1, N_b+1, N_c+1) one.  A state may also hold
+only the amplitudes at a listed set of flat indices (`FockStateVector.index`,
+the oracle's propagated sectors) and be 0 elsewhere.  A moment
 ⟨a†ᵖaᵠb†ʳbˢc†ᵘcᵛ⟩ = ⟨(aᵖbʳcᵘ)ψ | (aᵠbˢcᵛ)ψ⟩ applies only annihilation
 powers, so on the flat index it is Σₘ conj(ψ[m])·W[m]·ψ[m+D]: D is the
 moment's occupation offset, and W holds its ladder weights inside its bra
@@ -68,14 +70,30 @@ class FockBasis:
 
 @dataclass
 class FockStateVector:
-    """Complex (dim,) amplitudes over a FockBasis, or a (T, dim) stack of
-    states."""
+    """Complex (n,) amplitudes over a FockBasis, or a (T, n) stack of
+    states.
+
+    ``index`` lists the n flat box indices the amplitudes occupy, in
+    ascending order, and the state is 0 on every other index; None means the
+    whole box, n = dimension."""
 
     amplitudes: np.ndarray
     basis: FockBasis
+    index: np.ndarray | None = None
+
+    def box(self) -> np.ndarray:
+        """The amplitudes over the whole box, (…, dimension): the amplitudes
+        themselves when ``index`` is None, otherwise a zero-filled copy,
+        the transpose of a C-ordered (dimension, …) array."""
+        if self.index is None:
+            return self.amplitudes
+        lead = self.amplitudes.shape[:-1]
+        out = np.zeros((self.basis.dimension, math.prod(lead)), dtype=self.amplitudes.dtype)
+        out[self.index] = self.amplitudes.reshape(-1, self.index.size).T
+        return out.T.reshape(lead + (self.basis.dimension,))
 
     def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.amplitudes.shape[:-1] + self.basis.shape)
+        return self.box().reshape(self.amplitudes.shape[:-1] + self.basis.shape)
 
 
 def _log_magnitudes(z: complex, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +101,8 @@ def _log_magnitudes(z: complex, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     for z ≠ 0; e^{−|z|²/2} is 0 long before |z| = 1e100, and the cap keeps
     |z|² finite."""
     n = np.arange(lo, hi)
-    log_fact = math.lgamma(lo + 1) + np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    # log n! per n: a running sum of log n would carry its roundoff upward
+    log_fact = np.array([math.lgamma(k + 1) for k in range(lo, hi)])
     return n, -min(abs(z), 1e100) ** 2 / 2 + n * math.log(abs(z)) - log_fact / 2
 
 
@@ -209,11 +228,12 @@ def moments(psi: FockStateVector, specs) -> np.ndarray:
     product of two contiguous slices, D apart, of the (dim, stack)
     amplitudes is contracted with their stacked weights in one real matrix
     product.  A stack of (T, dim) amplitudes that is the transpose of a
-    C-ordered (dim, T) array is read without a copy.
+    C-ordered (dim, T) array is read without a copy; a state with an
+    ``index`` is first expanded into the box (`FockStateVector.box`).
     """
     specs = tuple(specs)
     lead = psi.amplitudes.shape[:-1]
-    amps = psi.amplitudes.reshape(-1, psi.basis.dimension).T      # (dim, T)
+    amps = psi.box().reshape(-1, psi.basis.dimension).T      # (dim, T)
     plan = _moment_plan(specs, psi.basis.shape)
     out = np.zeros((len(specs), amps.shape[1]), dtype=np.complex128)
     width = max((w.shape[1] for *_, w in plan), default=0)

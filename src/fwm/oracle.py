@@ -12,12 +12,17 @@ real batched matmul over the (re, im) pairs of the phases V†ψ0·e^{-iEt}.  Th
 are running products of cached step factors that restart at every
 chunk, so the grid may list any finite nonnegative times in any order.
 
+Each sector keeps its probability for all t, and a sector where ψ0 is 0
+stays 0, so `evolve_grid` diagonalizes, propagates and stores only the
+sectors where ψ0 is not; `run`'s ψ0 (`pruned_input`) is zeroed on the
+smallest sectors that together hold at most ``SECTOR_TAIL`` of the input.
+
 `run` is the one oracle pass behind ``sweep --oracle`` (once per pump
 phase) and `compare` (once per ladder rung).  It builds the basis, ψ0 and H,
 propagates with `evolve_grid` and reads everything it reports with
-`witness_grid`: one `fockspace.moments` call per (dim, chunk) array of the
-propagated grid (both spread their chunks over the CPUs this process may
-use, on threads) reads every distinct moment the
+`witness_grid`: one `fockspace.moments` call per chunk of the propagated
+grid, expanded into the box (both spread their chunks over the CPUs this
+process may use, on threads) reads every distinct moment the
 witnesses need together with ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩ and ⟨N_c⟩, from which the
 norm and charge drifts come.  Every witness reads its raw moments from the
 cached recipe the closed forms compile too (`witnesses._recipe`), and is
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -44,6 +50,8 @@ from .witnesses import Criterion, WitnessId, _combine, _recipe, _spec
 
 TIME_CHUNK = 16   # grid times propagated and witnessed together; bounds the temporaries
                   # and each chain of phase step products
+SECTOR_TAIL = 1e-18   # input probability `pruned_input` leaves out, over whole charge
+                      # sectors; the basis cutoffs leave out fockspace.CUTOFF_TAIL per mode
 PUMP = (2, -1, -1)   # occupation shift of a²b†c†, which moves n_b up by one
 LADDER_RUNGS = 3     # compare's couplings g, g/2, g/4
 
@@ -156,7 +164,7 @@ def _on_threads(tasks: int, work) -> None:
 
 class StateGrid(list):
     """The per-time states of `evolve_grid`, in grid order, together with
-    ``chunks``: the (dim, chunk) amplitude arrays whose columns they view."""
+    ``chunks``: the (n, chunk) amplitude arrays whose columns they view."""
 
     def __init__(self, states, chunks: list[np.ndarray]):
         super().__init__(states)
@@ -166,9 +174,14 @@ class StateGrid(list):
 def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     """ψ(t) = e^{-iHt}ψ0 at each time of a finite nonnegative grid, in any order.
 
-    Exact up to roundoff: every charge-sector block of H is real symmetric
-    and diagonalized once, and the grid is propagated in chunks of
-    ``TIME_CHUNK`` times.  A chunk's phases c e^{-iEt}, with c = V†ψ0, are
+    Exact up to roundoff: every charge-sector block of H where ψ0 is not 0
+    is real symmetric and diagonalized once, and the grid is propagated in
+    chunks of ``TIME_CHUNK`` times.  A sector where ψ0 is 0 stays 0, so it
+    is skipped: no ``eigh``, no propagation and no storage.  The n
+    propagated amplitudes are stored in flat order, and every state's
+    ``index`` lists the flat box indices they occupy; it is None when no
+    sector is skipped, and then n = dimension.  A ψ0 that is 0 everywhere
+    raises ConfigError.  A chunk's phases c e^{-iEt}, with c = V†ψ0, are
     one direct exp at its first time times c, then a running product of
     step factors e^{-iE(t_k − t_{k−1})}; each distinct step is exponentiated
     once for the whole grid.  The product restarts at every chunk, so each
@@ -176,11 +189,11 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
     matmul per sector size applies V to the (re, im) pairs of the phases,
     and one ``np.take`` moves the chunk from sector order to flat order.
     The chunks are propagated on `_on_threads` workers, each into its own
-    slice of one dim × T allocation, which holds the chunk's phases until
+    slice of one n × T anonymous mapping, which holds the chunk's phases until
     the ``np.take`` overwrites them; besides the step factors, each worker
-    holds one dim × ``TIME_CHUNK`` scratch for the products and the
+    holds one n × ``TIME_CHUNK`` scratch for the products and the
     sector-order results.  Each state is a column view of its chunk's
-    (dim, chunk) array.  ψ(0) is a copy of ψ0.
+    (n, chunk) array.  ψ(0) is a copy of ψ0 on the index.
     """
     times = np.array([float(t) for t in times])
     bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0)))
@@ -188,25 +201,38 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
         k = bad[0]
         raise ConfigError(f"time grid must be finite and nonnegative: times[{k}] = {float(times[k])!r}")
 
-    psi = psi0.amplitudes.astype(np.complex128)
-    vectors, energies, coeffs = [], [], []
+    psi = psi0.box().astype(np.complex128)
+    if not psi.any():
+        raise ConfigError("psi0 is 0 on every charge sector: no state to propagate")
+    vectors, energies, coeffs, kept = [], [], [], []
     for idx, blocks in sector_blocks(H.shifts, H.basis):
+        live = np.any(psi[idx] != 0, axis=1)      # a sector where ψ0 is 0 stays 0
+        if not live.any():
+            continue
+        idx, blocks = idx[live], blocks[live]
         e, v = np.linalg.eigh(blocks)
         vectors.append(v)
         energies.append(e.ravel())
         coeffs.append(np.einsum("kji,kj->ki", v, psi[idx]).ravel())
+        kept.append(idx.ravel())
     energies, coeffs = np.concatenate(energies), np.concatenate(coeffs)   # sector order
-    # the sector-order position of every flat index
-    to_flat = np.argsort(np.concatenate([idx.ravel() for idx in charge_sectors(H.basis)]))
+    kept = np.concatenate(kept)
+    to_flat = np.argsort(kept)    # the sector-order position of every propagated flat index
+    index = kept[to_flat] if kept.size < H.basis.dimension else None
+    if index is not None:
+        psi = psi[index]
     steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     step_factors = np.multiply.outer(steps, -1j * energies)   # (step, dim)
     np.exp(step_factors, out=step_factors)    # in place: no second (step, dim) array
 
     dim = energies.size
-    # every chunk's (dim, time) amplitudes, back to back in one allocation:
-    # freed whole with the states, it is reused whole by the next call
-    # instead of being faulted in again page by page
-    grid = np.empty(dim * times.size, dtype=np.complex128)
+    # every chunk's (n, time) amplitudes, back to back in one anonymous
+    # mapping whose pages go back to the system with the states: on the heap
+    # a block the caller allocates while they live can pin their space, and
+    # the next call's grid then lands above it with both resident
+    grid = np.frombuffer(mmap.mmap(-1, max(16 * dim * times.size, 1),
+                                   flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+                         dtype=np.complex128, count=dim * times.size)
     chunks = [grid[dim * lo:dim * (lo + TIME_CHUNK)].reshape(dim, -1)
               for lo in range(0, times.size, TIME_CHUNK)]
 
@@ -237,7 +263,8 @@ def evolve_grid(H: Hamiltonian, psi0: FockStateVector, times) -> StateGrid:
             amps[:, chunk == 0.0] = psi[:, None]
 
     _on_threads(len(chunks), propagate)
-    states = [FockStateVector(amplitudes=a, basis=psi0.basis) for c in chunks for a in c.T]
+    states = [FockStateVector(amplitudes=a, basis=psi0.basis, index=index)
+              for c in chunks for a in c.T]
     return StateGrid(states, chunks)
 
 
@@ -278,13 +305,15 @@ def witness_grid(wids, states, params: ModelParams, times
     """(witness, time) oracle values of propagated ``states``, and their
     (4, time) ⟨1⟩, ⟨N_a⟩, ⟨N_b⟩, ⟨N_c⟩.
 
-    One ``moments`` call per (dim, chunk) array, on `_on_threads` workers,
+    One ``moments`` call per (n, chunk) array, on `_on_threads` workers,
     reads every distinct moment the witnesses and the four totals need into
     that chunk's columns of one (moment, time) array, and each witness is
     then assembled once over the whole grid.  The arrays are the
     ``chunks`` of a `StateGrid`; any other sequence of states is stacked
-    ``TIME_CHUNK`` at a time.  Values at t = 0 are returned as computed,
-    roundoff included."""
+    ``TIME_CHUNK`` at a time.  States with an ``index`` (all the same) are
+    read through one zeroed (dimension, chunk) box per worker, into which
+    each chunk writes only its n rows.  Values at t = 0 are returned as
+    computed, roundoff included."""
     specs = _distinct_specs(tuple(wids))
     chunks = getattr(states, "chunks", None)
     if chunks is None:
@@ -293,10 +322,17 @@ def witness_grid(wids, states, params: ModelParams, times
     values = np.empty((len(specs), len(states)), dtype=np.complex128)
 
     def read(worker: int, workers: int) -> None:
+        basis, index = states[0].basis, states[0].index
+        # an indexed chunk is expanded into this worker's box; the rows off
+        # the index are never written, so they stay 0
+        box = None if index is None else np.zeros((basis.dimension, chunks[0].shape[1]),
+                                                  dtype=np.complex128)
         for k in range(worker, len(chunks), workers):
-            lo = k * TIME_CHUNK
-            values[:, lo:lo + chunks[k].shape[1]] = moments(
-                FockStateVector(chunks[k].T, states[lo].basis), specs)
+            lo, amps = k * TIME_CHUNK, chunks[k]
+            if box is not None:
+                box[index, :amps.shape[1]] = amps
+                amps = box[:, :amps.shape[1]]
+            values[:, lo:lo + amps.shape[1]] = moments(FockStateVector(amps.T, basis), specs)
 
     _on_threads(len(chunks), read)
     mom = dict(zip(specs, values))
@@ -307,18 +343,47 @@ def witness_grid(wids, states, params: ModelParams, times
     return out, np.array([mom[s].real for s in _TOTALS])
 
 
+def pruned_input(inp: CoherentInput) -> tuple[FockStateVector, dict]:
+    """`run`'s ψ0, and its diagnostics ``propagated`` and ``dropped_mass``.
+
+    ψ0 is the coherent input ``inp`` on the basis of ``cutoffs_for(inp)``,
+    zeroed on the charge sectors whose input probability, summed from the
+    smallest sector up, stays ≤ ``SECTOR_TAIL``.  H keeps each sector's
+    probability for all t, so that sum, ``dropped_mass``, is the one error
+    this adds; `evolve_grid` then propagates only the other sectors, whose
+    ``propagated`` states it stores.  ψ0 is not renormalized."""
+    psi0 = coherent_state(FockBasis(cutoffs_for(inp)), inp)
+    psi = psi0.amplitudes
+    sectors = charge_sectors(psi0.basis)
+    probs = np.concatenate([np.sum(np.abs(psi[idx]) ** 2, axis=1) for idx in sectors])
+    order = np.argsort(probs, kind="stable")
+    tail = np.cumsum(probs[order])
+    dropped = np.searchsorted(tail, SECTOR_TAIL, side="right")
+    drop = np.zeros(probs.size, dtype=bool)
+    drop[order[:dropped]] = True
+    at = propagated = 0
+    for idx in sectors:
+        gone = drop[at:at + len(idx)]
+        psi[idx[gone]] = 0.0
+        propagated += idx[~gone].size
+        at += len(idx)
+    return psi0, {"propagated": propagated,
+                  "dropped_mass": float(tail[dropped - 1]) if dropped else 0.0}
+
+
 def run(wids, params: ModelParams, inp: CoherentInput, times) -> tuple[np.ndarray, dict]:
     """(witness, time) oracle values of the coherent input ``inp`` under
     ``params``, and diagnostics of the run.
 
-    The basis has the cutoffs ``cutoffs_for(inp)``.  The diagnostics hold
-    the cutoffs, the dimension, the clipped transitions and the largest
-    |‖ψ(t)‖ − 1| and drifts of the charges n_a + 2n_b and n_b − n_c from ψ0
-    over the grid.  Raises CutoffError when no cutoff below 10 000 holds
-    the input.
+    The basis has the cutoffs ``cutoffs_for(inp)``, and ψ0 is
+    `pruned_input`'s.  The diagnostics hold the cutoffs, the dimension, the
+    clipped transitions, the number of propagated states and the dropped
+    input probability, and the largest |‖ψ(t)‖ − 1| and drifts of the
+    charges n_a + 2n_b and n_b − n_c from ψ0 over the grid.  Raises
+    CutoffError when no cutoff below 10 000 holds the input.
     """
-    basis = FockBasis(cutoffs_for(inp))
-    psi0 = coherent_state(basis, inp)
+    psi0, pruning = pruned_input(inp)
+    basis = psi0.basis
     H = build_hamiltonian(params, basis)
     values, totals = witness_grid(wids, evolve_grid(H, psi0, times), params, times)
     # ψ(0) is the separable product input, so no witness can certify
@@ -329,7 +394,7 @@ def run(wids, params: ModelParams, inp: CoherentInput, times) -> tuple[np.ndarra
     _, na0, nb0, nc0 = moments(psi0, _TOTALS).real
     diagnostics = {
         "cutoffs": basis.cutoffs, "dimension": basis.dimension,
-        "clipped_transitions": H.clipped_transitions,
+        "clipped_transitions": H.clipped_transitions, **pruning,
         "norm_drift": float(np.max(np.abs(np.sqrt(norm2) - 1.0), initial=0.0)),
         "q1_drift": float(np.max(np.abs(na + 2 * nb - (na0 + 2 * nb0)), initial=0.0)),
         "q2_drift": float(np.max(np.abs(nb - nc - (nb0 - nc0)), initial=0.0)),

@@ -78,6 +78,18 @@ class TestCoherentState:
         assert n == want
         assert cutoffs_for(CoherentInput(alpha, 0, 0))[0] - CUTOFF_HEADROOM[0] == want
 
+    def test_large_amplitude_probabilities_sum_to_one(self):
+        """log n! is taken per n, not as a running sum of log n, whose
+        roundoff drifts upward with n: at |z| = 30 the probabilities over
+        n < 3 000 sum to 1 within 2e-13 (the running sum read 1 − 4.6e-12),
+        and the cutoffs stay where the running sum put them."""
+        amps, _ = coherent_amplitudes(2999, 30.0)
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 2e-13
+        assert cutoffs_for(CoherentInput(1.2, 0.9, 0.6)) == (20, 15, 12)
+        assert cutoffs_for(CoherentInput(5, 4, 2)) == (72, 53, 27)
+        assert [cutoffs_for(CoherentInput(a, 0, 0))[0]
+                for a in (5.23, 6.2, 17, 20, 30)] == [75, 94, 420, 553, 1123]
+
     def test_large_pump_runs_the_oracle(self):
         argv = ["sweep", "--preset", "fig2", "--oracle", "--input.alpha_abs", "20",
                 "--input.beta", "0", "--input.gamma", "0", "--gt_grid.count", "3",

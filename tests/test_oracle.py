@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -448,7 +449,7 @@ class TestRun:
         seen = []
 
         def scaled(H, psi0, times):
-            states = [FockStateVector(s.amplitudes * (1 + step * (k + 1)), s.basis)
+            states = [FockStateVector(s.amplitudes * (1 + step * (k + 1)), s.basis, s.index)
                       for k, s in enumerate(evolve_grid(H, psi0, times))]
             seen.append((psi0, states))
             return states
@@ -472,7 +473,8 @@ class TestRun:
         values with those at t = 0 raised to 0."""
         params = ModelParams.from_detuning(-3.0, 0.4)
         values, diag = run(self.WIDS, params, SMALL_INPUT, self.TIMES)
-        psi0 = coherent_state(FockBasis(diag["cutoffs"]), SMALL_INPUT)
+        psi0, _ = oracle_mod.pruned_input(SMALL_INPUT)
+        assert psi0.basis.cutoffs == diag["cutoffs"]
         states = evolve_grid(build_hamiltonian(params, psi0.basis), psi0, self.TIMES)
         raw, _ = witness_grid(self.WIDS, states, params, self.TIMES)
         assert raw[:, 0].min() < 0.0
@@ -501,7 +503,133 @@ class TestRun:
         assert res.diagnostics == {**rungs[0], "norm_drift": 3.0, "q1_drift": 3.0,
                                    "q2_drift": 3.0}
         assert set(res.diagnostics) == {"cutoffs", "dimension", "clipped_transitions",
+                                        "propagated", "dropped_mass",
                                         "norm_drift", "q1_drift", "q2_drift"}
+
+
+class TestSectorPruning:
+    """`run` propagates only the charge sectors that hold the input: ψ0 is
+    zeroed where its sectors' probability, summed from the smallest up,
+    stays ≤ SECTOR_TAIL, and `evolve_grid` skips every sector where ψ0 is 0."""
+
+    def test_vacuum_mode_sectors_are_skipped_exactly(self):
+        """With γ = 0, ψ0 is 0 on every sector with n_b < n_c, so fewer than
+        ``dimension`` amplitudes are stored; through ``tensor()`` each state
+        still matches scipy's expm_multiply on the clipped (8, 6, 6) basis,
+        and witness_grid reads the indexed states as their box expansion."""
+        params, basis, _, H = small_setup()
+        psi0 = coherent_state(basis, CoherentInput(0.8, 0.6, 0.0), tail_tol=1e-6)
+        assert H.clipped_transitions == 91
+        times = np.linspace(0.0, 4.0, 37)
+        states = evolve_grid(H, psi0, times)
+        index = states[0].index
+        assert index is not None and index.size < basis.dimension
+        assert np.array_equal(index, np.unique(index))
+        assert np.all(psi0.amplitudes[np.setdiff1d(np.arange(basis.dimension), index)] == 0)
+        for t, psi in zip(times, states):
+            assert psi.amplitudes.shape == index.shape and psi.index is index
+            ref = spla.expm_multiply((-1j * t) * H.matrix, psi0.amplitudes)
+            assert np.max(np.abs(psi.tensor().ravel() - ref)) < 1e-12, t
+        wids = TestRun.WIDS
+        boxed = [FockStateVector(s.box(), s.basis) for s in states]
+        assert all(b.index is None and b.amplitudes.size == basis.dimension for b in boxed)
+        for got, want in zip(witness_grid(wids, states, params, times),
+                             witness_grid(wids, boxed, params, times)):
+            assert np.array_equal(got, want)
+
+    def test_zero_input_refused(self):
+        """A ψ0 that is 0 on every sector leaves nothing to propagate."""
+        _, basis, _, H = small_setup()
+        with pytest.raises(ConfigError, match="psi0 is 0"):
+            evolve_grid(H, FockStateVector(np.zeros(basis.dimension), basis), [1.0])
+
+    def test_pruned_input_drops_the_smallest_sectors(self):
+        """The dropped sectors are the smallest by probability, their sum is
+        the reported ``dropped_mass`` ≤ SECTOR_TAIL, one more sector would
+        exceed it, and ``propagated`` counts the states of the others."""
+        inp = CoherentInput(1.2, 0.9, 0.6)
+        psi0, info = oracle_mod.pruned_input(inp)
+        full = coherent_state(psi0.basis, inp)
+        probs = [np.sum(np.abs(full.amplitudes[idx]) ** 2, axis=1)
+                 for idx in charge_sectors(psi0.basis)]
+        kept = [np.any(psi0.amplitudes[idx] != 0, axis=1) for idx in charge_sectors(psi0.basis)]
+        dropped = np.concatenate([p[~k] for p, k in zip(probs, kept)])
+        live = np.concatenate([p[k] for p, k in zip(probs, kept)])
+        assert info["dropped_mass"] == pytest.approx(dropped.sum(), rel=1e-12)
+        assert 0.0 < info["dropped_mass"] <= oracle_mod.SECTOR_TAIL
+        assert info["dropped_mass"] + live.min() > oracle_mod.SECTOR_TAIL
+        assert dropped.max() <= live.min()
+        assert info["propagated"] == sum(idx[k].size for idx, k
+                                         in zip(charge_sectors(psi0.basis), kept))
+        assert (info["propagated"], psi0.basis.dimension) == (2728, 4368)
+        for idx, k in zip(charge_sectors(psi0.basis), kept):
+            assert np.array_equal(psi0.amplitudes[idx[k]], full.amplitudes[idx[k]])
+
+    def test_compare_moves_within_its_budget(self, monkeypatch):
+        """Over compare's three shipped phases, against SECTOR_TAIL = 0 (no
+        sector dropped): exponent_min within 1e-8, max_rel_err within 1e-9
+        relative and no pass flag changed; every rung drops the same
+        ``dropped_mass`` ≤ SECTOR_TAIL."""
+        rungs = []
+
+        def recording(*args):
+            values, diag = run(*args)
+            rungs.append(diag)
+            return values, diag
+
+        monkeypatch.setattr(oracle_mod, "run", recording)
+        config = default_compare_config()
+        pruned = run_compare(config)
+        assert len(rungs) == 3 * len(config.input.phi)
+        for phase in range(len(config.input.phi)):
+            masses = {d["dropped_mass"] for d in rungs[3 * phase:3 * phase + 3]}
+            assert len(masses) == 1 and 0.0 < masses.pop() <= oracle_mod.SECTOR_TAIL
+        assert all(d["propagated"] < d["dimension"] for d in rungs)
+        monkeypatch.setattr(oracle_mod, "SECTOR_TAIL", 0.0)
+        whole = run_compare(config)
+        assert all(per["diagnostics"]["dropped_mass"] == 0.0
+                   and per["diagnostics"]["propagated"] == per["diagnostics"]["dimension"]
+                   for per in whole["per_phi"].values())
+        assert pruned["witnesses"].keys() == whole["witnesses"].keys()
+        for label, got in pruned["witnesses"].items():
+            want = whole["witnesses"][label]
+            assert got["passed"] == want["passed"], label
+            assert abs(got["exponent_min"] - want["exponent_min"]) <= 1e-8, label
+            assert got["max_rel_err"] == pytest.approx(want["max_rel_err"], rel=1e-9), label
+
+    RUN_ONCE = """
+import os, sys
+import numpy as np
+os.sched_getaffinity = lambda pid: {0}
+import fwm.oracle as oracle
+from fwm.model import CoherentInput, ModelParams
+from fwm.sweep import presets
+from fwm.witnesses import WitnessId
+oracle.SECTOR_TAIL = float(sys.argv[1])
+oracle.run([WitnessId.parse(s) for s in presets()["fig2"].witnesses],
+           ModelParams.from_detuning(-100.0, 1.0), CoherentInput(1.2, 0.9, 0.6),
+           np.linspace(0.0, 0.1, 400))
+print(next(line.split()[1] for line in open("/proc/self/status")
+           if line.startswith("VmHWM:")))
+"""
+
+    def test_run_peak_memory_falls_at_oracle_grid_scale(self):
+        """One run at the oracle_grid benchmark's settings (fig2 witnesses,
+        400 times, dimension 4 368) in a fresh process on one CPU: its peak
+        RSS (VmHWM, which unlike ru_maxrss starts afresh at exec) is at
+        least 8 MB below that of the unpruned box (SECTOR_TAIL = 0), as the
+        stored grid holds 2 728 of the 4 368 amplitudes per time (17.5
+        against 28.0 MB).  tracemalloc cannot weigh this, as the grid is an
+        anonymous mapping it does not see."""
+        peak_kb = {}
+        for tail in ("0", repr(oracle_mod.SECTOR_TAIL)):
+            out = subprocess.run([sys.executable, "-c", self.RUN_ONCE, tail],
+                                 capture_output=True, text=True, timeout=300,
+                                 env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+            assert out.returncode == 0, out.stderr
+            peak_kb[tail] = int(out.stdout)
+        whole, pruned = peak_kb.values()
+        assert whole - pruned >= 8e3, peak_kb
 
 
 class TestChunkThreads:
@@ -578,7 +706,9 @@ class TestChunkThreads:
         the returned dim × T grid is one (dim, ``TIME_CHUNK``) scratch per
         worker plus the step factors: one more worker adds at most 1.5
         chunks, and one CPU stays within one chunk, the factors and one
-        chunk of slack for the small per-sector and per-state arrays."""
+        chunk of slack for the small per-sector and per-state arrays.  The
+        grid is an anonymous mapping, which tracemalloc does not see, so
+        its whole traced peak lies above the grid."""
         inp = CoherentInput(1.2, 0.9, 0.6)
         basis = FockBasis(cutoffs_for(inp))
         psi0 = coherent_state(basis, inp)
@@ -597,7 +727,8 @@ class TestChunkThreads:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            transient[cpus] = peak - dim * times.size * 16
+            transient[cpus] = peak
+            assert sum(c.nbytes for c in states.chunks) == dim * times.size * 16
             del states
         assert dim == 4368
         assert transient[2] - transient[1] <= 1.5 * chunk, transient
@@ -670,6 +801,7 @@ class TestResonantCertification:
         assert merged[worst]["max_rel_err"] == pytest.approx(1.07e-2, rel=0.01)
         (per,) = report["per_phi"].values()
         assert set(per["diagnostics"]) == {"cutoffs", "dimension", "clipped_transitions",
+                                           "propagated", "dropped_mass",
                                            "norm_drift", "q1_drift", "q2_drift"}
         assert max(per["diagnostics"][k] for k in ("norm_drift", "q1_drift",
                                                    "q2_drift")) <= 1e-9

@@ -1297,6 +1297,21 @@ def test_benchmark_command_lines_load(name, tmp_path):
             assert args.out == str(job.out)
 
 
+@pytest.mark.parametrize("name", ["oracle_grid", "certify"])
+def test_benchmark_runs_clean(name):
+    """One pass of an oracle workload of the benchmark, run as a user runs
+    it: every output passes the benchmark's own checks, against its
+    recorded reference and through its drift probe, which reads every
+    propagated state over the box."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
+                          "--seconds", "0"], cwd=root, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stderr
+    last = json.loads(out.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), out.stderr
+
+
 def readme_commands() -> list[list[str]]:
     """Every ``fwm`` command README shows: each line of its code blocks,
     ``\\`` continuations joined and comments dropped, and each inline
