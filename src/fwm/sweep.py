@@ -214,30 +214,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _render(template: str, columns) -> str:
-    """``template`` once per row, its ``%`` fields filled from the
-    equal-length ``columns`` in turn by one ``%`` call."""
-    k, n = len(columns), len(columns[0])
-    flat = [None] * (k * n)
-    for j, column in enumerate(columns):
-        flat[j::k] = column
-    return template * n % tuple(flat)
-
-
-def _gt_column(columns: dict, gt: np.ndarray, fmt: str) -> list[str]:
-    """``gt`` formatted with ``fmt``, once per distinct grid in ``columns``."""
-    key = (gt.dtype.str, gt.tobytes())
-    if key not in columns:
-        columns[key] = _render(fmt + ",", [gt.tolist()]).split(",")[:-1]
-    return columns[key]
-
-
-def _flags(values: np.ndarray) -> list[str]:
-    return np.where(values < 0.0, "true", "false").tolist()
-
-
-def _escape(text: str) -> str:
-    return text.replace("%", "%%")
+def _column(fmt: str, values: np.ndarray) -> list[str]:
+    """Each of ``values`` formatted with ``fmt``, by one ``%`` call."""
+    return ((fmt + "\n") * len(values) % tuple(values.tolist())).splitlines()
 
 
 CSV_HEADER = "gt,phi,criterion,modes,m,n,value,entangled,source"
@@ -246,19 +225,27 @@ CSV_HEADER = "gt,phi,criterion,modes,m,n,value,entangled,source"
 def rows_to_csv(series) -> str:
     """One row per (series, gt); a value is entangled when it is negative.
 
-    Floats are written as ``f"{x:.17g}"`` with -0.0 as 0.0.  Each series'
-    rows are rendered by one ``%`` call on a row template with the fixed
-    fields filled in, and each distinct gt grid is formatted once per call;
-    the bytes are those of one f-string per value.
+    Floats are written as ``f"{x:.17g}"`` with -0.0 as 0.0.  Each row is
+    joined from its gt, the series' fixed fields, its value and a fixed end
+    holding the flag and source; the gt and value columns are rendered by
+    one ``%`` call each, each distinct gt grid once per call.  The bytes
+    are those of one f-string per value.
     """
     gt_columns: dict[tuple, list[str]] = {}
     blocks = [CSV_HEADER + "\n"]
     for s in series:
         w = s.witness
-        fixed = _escape(f"{_fmt(s.phi)},{w.criterion.value},{w.mode_string},{w.m},{w.n}")
-        blocks.append(_render(f"%s,{fixed},%.17g,%s,{_escape(s.source)}\n", [
-            _gt_column(gt_columns, s.gt + 0.0, "%.17g"),   # + 0.0 turns -0.0 into 0.0
-            (s.value + 0.0).tolist(), _flags(s.value)]))
+        gt = s.gt + 0.0   # -0.0 is written as 0
+        key = (gt.dtype.str, gt.tobytes())
+        if key not in gt_columns:
+            gt_columns[key] = _column("%.17g", gt)
+        rows = [f",{_fmt(s.phi)},{w.criterion.value},{w.mode_string},{w.m},{w.n},"] \
+            * (4 * len(gt))
+        rows[0::4] = gt_columns[key]
+        rows[2::4] = _column("%.17g", s.value + 0.0)
+        rows[3::4] = np.where(s.value < 0.0, f",true,{s.source}\n",
+                              f",false,{s.source}\n").tolist()
+        blocks.append("".join(rows))
     return "".join(blocks)
 
 
@@ -266,10 +253,11 @@ def rows_to_json(series, summary) -> str:
     """Strict RFC 8259 JSON with the rows of `rows_to_csv`: the bytes of
     ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.
 
-    Rows are rendered as ``json`` would, keys in sorted order, by one ``%``
-    call per series on a row template holding the fixed fields through
-    ``json.dumps``; ``gt`` and ``value`` go through ``float.__repr__``, each
-    distinct gt grid once per call.
+    Rows are written as ``json`` would, keys in sorted order.  Each row is
+    joined from a fixed head holding the flag, its gt, the series' other
+    fields through ``json.dumps``, its value and a fixed end; ``gt`` and
+    ``value`` go through ``float.__repr__``, by one ``%`` call per column,
+    each distinct gt grid once per call.
     """
     gt_columns: dict[tuple, list[str]] = {}
     blocks = []
@@ -277,19 +265,26 @@ def rows_to_json(series, summary) -> str:
         if not (np.isfinite(s.gt).all() and np.isfinite(s.value).all()):
             raise ValueError("Out of range float values are not JSON compliant")
         w = s.witness
-        crit, m, modes, n, phi, source = (_escape(json.dumps(x)) for x in (
+        crit, m, modes, n, phi, source = (json.dumps(x) for x in (
             w.criterion.value, w.m, w.mode_string, w.n, s.phi, s.source))
-        template = (f'    {{\n      "criterion": {crit},\n      "entangled": %s,'
-                    f'\n      "gt": %s,\n      "m": {m},\n      "modes": {modes},'
-                    f'\n      "n": {n},\n      "phi": {phi},\n      "source": {source},'
-                    f'\n      "value": %r\n    }},\n')
-        blocks.append(_render(template, [
-            _flags(s.value), _gt_column(gt_columns, s.gt, "%r"), s.value.tolist()]))
+        head = f'    {{\n      "criterion": {crit},\n      "entangled": '
+        key = (s.gt.dtype.str, s.gt.tobytes())
+        if key not in gt_columns:
+            gt_columns[key] = _column("%r", s.gt)
+        rows = [f',\n      "m": {m},\n      "modes": {modes},\n      "n": {n},'
+                f'\n      "phi": {phi},\n      "source": {source},\n      "value": '] \
+            * (5 * len(s.gt))
+        rows[0::5] = np.where(s.value < 0.0, head + 'true,\n      "gt": ',
+                              head + 'false,\n      "gt": ').tolist()
+        rows[1::5] = gt_columns[key]
+        rows[3::5] = _column("%r", s.value)
+        rows[4::5] = ["\n    },\n"] * len(s.gt)
+        if rows:   # a series on an empty grid has no rows
+            blocks.append("".join(rows))
     tail = json.dumps({"summary": [
         {"witness": label, "phi": phi, "onset_gt": onset}
         for (label, phi), onset in summary.items()]},
         indent=2, sort_keys=True, allow_nan=False)
-    blocks = [b for b in blocks if b]   # a series on an empty grid has no rows
     if blocks:
         blocks[-1] = blocks[-1][:-2]   # every row but the last ends in ",\n"
     body = ["[\n", *blocks, "\n  ]"] if blocks else ["[]"]

@@ -373,17 +373,35 @@ class TestCsvWriter:
         series, _ = run_sweep(tiny_config(witnesses=()))
         assert assert_csv_matches_reference(series) == CSV_HEADER + "\n"
 
-    def test_series_on_different_grids_byte_identical(self):
+    def test_series_on_different_grids_byte_identical(self, monkeypatch):
         """Each series keeps its own gt column when two grids (and an
-        empty one, also last) share a call; JSON too."""
+        empty one, also last) share a call; JSON too.  A grid that starts
+        at -0.0 shares the +0.0 grid's column in CSV, which writes both
+        as 0, and has its own in JSON, which writes -0.0."""
         coarse, = one_series([0.5, -0.25, 1.0])
+        signed = coarse._replace(gt=np.array([-0.0, 0.05, 0.1]))
         fine = coarse._replace(gt=np.linspace(0.0, 0.1, 5), value=np.linspace(1.0, -1.0, 5),
                                source="oracle")
         empty = coarse._replace(gt=np.empty(0), value=np.empty(0))
-        series = [coarse, fine, empty, coarse, fine, empty]
+        series = [coarse, signed, fine, empty, coarse, fine, empty]
+        from fwm import sweep as sweep_mod
+        rendered, render = [], sweep_mod._column
+
+        def column(fmt, values):
+            rendered.append(repr(values.tolist()))   # repr keeps the sign of -0.0
+            return render(fmt, values)
+
+        monkeypatch.setattr(sweep_mod, "_column", column)
         text = assert_csv_matches_reference(series)
-        assert len(text.splitlines()) == 1 + 2 * (3 + 5)
-        assert_json_matches_reference(series, {})
+        assert len(text.splitlines()) == 1 + 3 * 3 + 2 * 5
+        assert text.splitlines()[4:7] == text.splitlines()[1:4]   # -0.0 is written as 0
+        assert (rendered.count("[0.0, 0.05, 0.1]"), rendered.count("[-0.0, 0.05, 0.1]")) \
+            == (1, 0)
+        rendered.clear()
+        text = assert_json_matches_reference(series, {})
+        assert '"gt": -0.0,' in text and '"gt": 0.0,' in text
+        assert (rendered.count("[0.0, 0.05, 0.1]"), rendered.count("[-0.0, 0.05, 0.1]")) \
+            == (1, 1)
 
 
 def reference_onset(gts, values):
@@ -1297,12 +1315,14 @@ def test_benchmark_command_lines_load(name, tmp_path):
             assert args.out == str(job.out)
 
 
-@pytest.mark.parametrize("name", ["oracle_grid", "certify"])
+@pytest.mark.parametrize("name", ["oracle_grid", "certify", "figures"])
 def test_benchmark_runs_clean(name):
-    """One pass of an oracle workload of the benchmark, run as a user runs
-    it: every output passes the benchmark's own checks, against its
-    recorded reference and through its drift probe, which reads every
-    propagated state over the box."""
+    """One pass of a workload of the benchmark, run as a user runs it:
+    every output passes the benchmark's own checks.  Each is compared with
+    its recorded reference; the figures workload also checks that each of
+    its fig2-fig5 sweeps, as CSV and JSON, and ``check`` writes the same
+    bytes on every pass, and the oracle workloads send every propagated
+    state through the drift probe, which reads it over the box."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
                           "--seconds", "0"], cwd=root, capture_output=True, text=True,
