@@ -15,7 +15,7 @@ from .oracle import (CompareResult, Hamiltonian, build_hamiltonian,
                      witness_grid)
 from .residuals import eom_residual, etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, Series, UsageError, default_compare_config,
-                    presets, run_compare, run_sweep)
+                    presets, rows_to_csv, rows_to_json, run_compare, run_sweep)
 from .witnesses import Criterion, InvalidWitness, WitnessId, evaluate
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "witness_grid",
     "eom_residual", "etcr_residual", "residual_scaling_slope",
     "RunConfig", "Series", "UsageError", "default_compare_config",
-    "presets", "run_compare", "run_sweep",
+    "presets", "rows_to_csv", "rows_to_json", "run_compare", "run_sweep",
     "Criterion", "InvalidWitness", "WitnessId", "evaluate",
     "__version__",
 ]

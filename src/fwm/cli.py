@@ -1,8 +1,8 @@
 """Command-line front end: sweep, compare, presets, check.
 
 Exit codes: 0 success, 1 usage error (also when an amplitude overflows a
-closed form or needs an oracle cutoff above 10 000, or ``--out`` cannot be
-written), 2 when a ``check`` diagnostic fails.  Every command
+closed form or needs an oracle cutoff above 10 000, or ``--out`` or stdout
+cannot be written), 2 when a ``check`` diagnostic fails.  Every command
 writes to stdout or to ``--out``; only ``sweep`` has a choice of format
 (``--format csv|json``) and an ``--oracle`` switch, which are flags and not
 config keys.  Any config field can be overridden with a flag of the same
@@ -23,14 +23,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from .model import ConfigError, ModelParams, coefficients
 from .residuals import etcr_residual, residual_scaling_slope
 from .sweep import (RunConfig, UsageError, _fmt, apply_overrides, compare_report_text,
-                    default_compare_config, presets, rows_to_csv, rows_to_json,
+                    csv_blocks, default_compare_config, json_blocks, presets,
                     run_compare, run_sweep)
 
 EXIT_OK = 0
@@ -137,24 +139,51 @@ def _load_config(args, overrides, default=None) -> RunConfig:
     return RunConfig.from_dict(apply_overrides(base, overrides))
 
 
-def _emit(text: str, path: str | None):
-    if not path:
-        sys.stdout.write(text)
+def _emit(blocks: Iterable[str], path: str | None):
+    """Write the text ``blocks`` to ``path``, or to stdout without one,
+    each block as it comes, so a sweep never holds its whole output.
+
+    The sweep writers raise every error but a failed write before their
+    first block, so a failed run writes nothing.  A failed write is a
+    usage error, ``cannot write <path>`` or ``cannot write stdout``, and
+    may leave a partial file or stream.
+    """
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(blocks)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         return
+    if sys.stdout is None:      # started with descriptor 1 closed
+        raise UsageError("cannot write stdout: it is closed")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+        _discard_stdout()
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
+def _discard_stdout():
+    """Point stdout's descriptor at /dev/null: the interpreter flushes what
+    stdout's buffer still holds at exit, and that flush must not fail too."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):   # not backed by a descriptor, or closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     series, summary = run_sweep(cfg, oracle=args.oracle)
     if args.format == "json":
-        _emit(rows_to_json(series, summary), args.out)
+        _emit(json_blocks(series, summary), args.out)
     else:
-        _emit(rows_to_csv(series), args.out)
+        _emit(csv_blocks(series), args.out)
     n_witness = len(cfg.witnesses)
     sys.stderr.write(f"{n_witness} witnesses evaluated\n")
     for (label, phi), onset in summary.items():
@@ -166,7 +195,7 @@ def _cmd_sweep(args, overrides) -> int:
 def _cmd_compare(args, overrides) -> int:
     cfg = _load_config(args, overrides, default=default_compare_config())
     report = run_compare(cfg)
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(report, indent=2, sort_keys=True) + "\n"], args.out)
     sys.stderr.write(compare_report_text(report))
     return EXIT_OK
 
@@ -175,14 +204,15 @@ def _cmd_presets(args) -> int:
     avail = presets()
     if args.format == "json":
         payload = {name: cfg.to_dict() for name, cfg in avail.items()}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        lines = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     else:
-        sys.stdout.write("name,witnesses,delta_omega1,g,gt_start,gt_stop,gt_count\n")
+        lines = ["name,witnesses,delta_omega1,g,gt_start,gt_stop,gt_count\n"]
         for name, cfg in avail.items():
             floats = (cfg.params.delta_omega1, cfg.params.g,
                       cfg.gt_grid.start, cfg.gt_grid.stop)
-            sys.stdout.write(f"{name},{len(cfg.witnesses)},{','.join(map(_fmt, floats))},"
-                             f"{cfg.gt_grid.count}\n")
+            lines.append(f"{name},{len(cfg.witnesses)},{','.join(map(_fmt, floats))},"
+                         f"{cfg.gt_grid.count}\n")
+    _emit(lines, None)
     return EXIT_OK
 
 
@@ -237,7 +267,7 @@ def _cmd_check(args, overrides) -> int:
         report.append(f"coefficient identities (trial {trial}): {ident:.3e}")
         ok &= ident < 1e-13
     report.append("check: " + ("PASS" if ok else "FAIL"))
-    _emit("\n".join(report) + "\n", args.out)
+    _emit(["\n".join(report) + "\n"], args.out)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -231,8 +231,17 @@ def rows_to_csv(series) -> str:
     one ``%`` call each, each distinct gt grid once per call.  The bytes
     are those of one f-string per value.
     """
+    return "".join(csv_blocks(series))
+
+
+def csv_blocks(series) -> Iterator[str]:
+    """The text of `rows_to_csv` as blocks: the header, then one block per
+    series.  A caller that writes each block as it comes holds at most one
+    series' rendered rows.  Rendering raises no error, so only a failed
+    write can end the output early.
+    """
     gt_columns: dict[tuple, list[str]] = {}
-    blocks = [CSV_HEADER + "\n"]
+    yield CSV_HEADER + "\n"
     for s in series:
         w = s.witness
         gt = s.gt + 0.0   # -0.0 is written as 0
@@ -245,8 +254,7 @@ def rows_to_csv(series) -> str:
         rows[2::4] = _column("%.17g", s.value + 0.0)
         rows[3::4] = np.where(s.value < 0.0, f",true,{s.source}\n",
                               f",false,{s.source}\n").tolist()
-        blocks.append("".join(rows))
-    return "".join(blocks)
+        yield "".join(rows)
 
 
 def rows_to_json(series, summary) -> str:
@@ -254,20 +262,47 @@ def rows_to_json(series, summary) -> str:
     ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.
 
     Rows are written as ``json`` would, keys in sorted order.  Each row is
-    joined from a fixed head holding the flag, its gt, the series' other
-    fields through ``json.dumps``, its value and a fixed end; ``gt`` and
-    ``value`` go through ``float.__repr__``, by one ``%`` call per column,
-    each distinct gt grid once per call.
+    joined from a fixed head holding the separator and the flag, its gt,
+    the series' other fields through ``json.dumps``, its value and a fixed
+    end; ``gt`` and ``value`` go through ``float.__repr__``, by one ``%``
+    call per column, each distinct gt grid once per call.
     """
-    gt_columns: dict[tuple, list[str]] = {}
-    blocks = []
+    return "".join(json_blocks(series, summary))
+
+
+def json_blocks(series, summary) -> Iterator[str]:
+    """The text of `rows_to_json` as blocks: the opening, one block per
+    series that holds rows, then the closing with the summary.
+
+    Every error but a failed write is raised here, at the call, before any
+    block is made: a ValueError when a gt or a value of ``series`` (a
+    sequence, read twice) is not finite.  A caller that writes each block
+    as it comes so writes no byte of a payload that cannot be completed,
+    and holds at most one series' rendered rows.
+    """
     for s in series:
         if not (np.isfinite(s.gt).all() and np.isfinite(s.value).all()):
             raise ValueError("Out of range float values are not JSON compliant")
+    tail = json.dumps({"summary": [
+        {"witness": label, "phi": phi, "onset_gt": onset}
+        for (label, phi), onset in summary.items()]},
+        indent=2, sort_keys=True, allow_nan=False)
+    return _json_rows(series, tail)
+
+
+def _json_rows(series, tail: str) -> Iterator[str]:
+    # the rows go ahead of the summary-only payload ``tail``, past its opening "{\n"
+    gt_columns: dict[tuple, list[str]] = {}
+    yield '{\n  "rows": '
+    opened = False
+    for s in series:
+        if not len(s.gt):   # a series on an empty grid has no rows
+            continue
         w = s.witness
         crit, m, modes, n, phi, source = (json.dumps(x) for x in (
             w.criterion.value, w.m, w.mode_string, w.n, s.phi, s.source))
-        head = f'    {{\n      "criterion": {crit},\n      "entangled": '
+        # every row opens with the separator ",\n", the first with "[\n"
+        head = f',\n    {{\n      "criterion": {crit},\n      "entangled": '
         key = (s.gt.dtype.str, s.gt.tobytes())
         if key not in gt_columns:
             gt_columns[key] = _column("%r", s.gt)
@@ -278,18 +313,12 @@ def rows_to_json(series, summary) -> str:
                               head + 'false,\n      "gt": ').tolist()
         rows[1::5] = gt_columns[key]
         rows[3::5] = _column("%r", s.value)
-        rows[4::5] = ["\n    },\n"] * len(s.gt)
-        if rows:   # a series on an empty grid has no rows
-            blocks.append("".join(rows))
-    tail = json.dumps({"summary": [
-        {"witness": label, "phi": phi, "onset_gt": onset}
-        for (label, phi), onset in summary.items()]},
-        indent=2, sort_keys=True, allow_nan=False)
-    if blocks:
-        blocks[-1] = blocks[-1][:-2]   # every row but the last ends in ",\n"
-    body = ["[\n", *blocks, "\n  ]"] if blocks else ["[]"]
-    # the rows go ahead of the summary-only payload, past its opening "{\n"
-    return "".join(['{\n  "rows": ', *body, ",\n", tail[2:]])
+        rows[4::5] = ["\n    }"] * len(s.gt)
+        if not opened:
+            rows[0] = "[\n" + rows[0][2:]
+            opened = True
+        yield "".join(rows)
+    yield ("\n  ]" if opened else "[]") + ",\n" + tail[2:]
 
 
 def _onset(gts, values) -> float | None:

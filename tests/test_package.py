@@ -79,7 +79,7 @@ def test_api_ledger():
         "witness_grid",
         "eom_residual", "etcr_residual", "residual_scaling_slope",
         "RunConfig", "Series", "UsageError", "default_compare_config",
-        "presets", "run_compare", "run_sweep",
+        "presets", "rows_to_csv", "rows_to_json", "run_compare", "run_sweep",
         "Criterion", "InvalidWitness", "WitnessId", "evaluate",
         "__version__"]
 

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -294,14 +295,18 @@ def one_series(value, phi=0.0):
                    np.array(value, dtype=float))]
 
 
-def small_oracle_sweep():
-    """Two pump phases of three witnesses, closed form and oracle."""
-    cfg = tiny_config(
+def small_oracle_config():
+    """Two pump phases of three witnesses, at amplitudes the oracle takes."""
+    return tiny_config(
         params=ParamsSpec(g=0.05, delta_omega1=-5.0),
         input=InputSpec(alpha_abs=0.8, phi=(0.0, 1.0), beta=0.6, gamma=0.5),
         gt_grid=GtGrid(start=0.0, stop=0.04, count=5),
         witnesses=("HZ1:ab", "DUAN:bc", "TRI_SYM"))
-    series, summary = run_sweep(cfg, oracle=True)
+
+
+def small_oracle_sweep():
+    """Two pump phases of three witnesses, closed form and oracle."""
+    series, summary = run_sweep(small_oracle_config(), oracle=True)
     assert {s.source for s in series} == {"perturbative", "oracle"}
     return series, summary
 
@@ -1227,6 +1232,126 @@ class TestCliBoundary:
         trials = [float(line.rsplit(" ", 1)[1]) for line in lines
                   if line.startswith("coefficient identities")]
         assert len(trials) == 3 and min(trials) > 1e-13
+
+
+def sweep_config_file(tmp_path, case) -> tuple[Path, RunConfig, list[str]]:
+    """(config file, config, extra flags) of a small sweep: two phases of
+    two witnesses, the same with ``--witnesses '[]'``, or an oracle sweep."""
+    cfg = small_oracle_config() if case == "oracle" else tiny_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    if case == "no_witnesses":
+        return path, tiny_config(witnesses=()), ["--witnesses", "[]"]
+    return path, cfg, ["--oracle"] if case == "oracle" else []
+
+
+def run_cli_bytes(*args, **kw):
+    return subprocess.run([sys.executable, "-m", "fwm.cli", *args],
+                          capture_output=True, env=CHILD_ENV, **kw)
+
+
+DEV_FULL = Path("/dev/full")
+# stdout as users get it: block-buffered, so the interpreter flushes it
+# again at exit
+BUFFERED_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+class TestOutputStream:
+    """The CLI writes the writers' blocks as they come: the same bytes as
+    `rows_to_csv` and `rows_to_json`, no byte when rendering fails, one
+    line when a write fails, and never the whole output at once."""
+
+    @pytest.mark.parametrize("case", ["tiny", "no_witnesses", "oracle"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_writes_the_writers_bytes(self, fmt, case, tmp_path):
+        path, cfg, flags = sweep_config_file(tmp_path, case)
+        series, summary = run_sweep(cfg, oracle=case == "oracle")
+        want = rows_to_json(series, summary) if fmt == "json" else rows_to_csv(series)
+        if case == "no_witnesses":
+            assert want in (CSV_HEADER + "\n", '{\n  "rows": [],\n  "summary": []\n}')
+        argv = ("sweep", "--config", str(path), "--format", fmt, *flags)
+        out = tmp_path / f"rows.{fmt}"
+        to_file = run_cli_bytes(*argv, "--out", str(out))
+        to_stdout = run_cli_bytes(*argv)
+        assert to_file.returncode == to_stdout.returncode == 0, to_file.stderr
+        assert to_file.stdout == b""
+        assert_same_bytes(out.read_bytes().decode(), want)
+        assert_same_bytes(to_stdout.stdout.decode(), want)
+
+    @pytest.mark.parametrize("python_flags, argv", [
+        ((), ("sweep", "--preset", "fig5")),
+        ((), ("sweep", "--preset", "fig2", "--format", "json")),
+        ((), ("compare", "--input.phi", "0")),
+        ((), ("presets",)),
+        ((), ("check",)),
+        (("-u",), ("sweep", "--preset", "fig5")),
+    ])
+    def test_full_stdout_is_one_line_usage_error(self, python_flags, argv):
+        if not DEV_FULL.exists():
+            pytest.skip("no /dev/full")
+        with DEV_FULL.open("wb") as full:
+            out = subprocess.run([sys.executable, *python_flags, "-m", "fwm.cli", *argv],
+                                 stdout=full, stderr=subprocess.PIPE, text=True,
+                                 env=BUFFERED_ENV)
+        assert out.returncode == 1
+        assert out.stderr == "usage error: cannot write stdout: No space left on device\n"
+
+    def test_reader_closing_early_is_one_line_usage_error(self):
+        """A reader that stops after the first line (``| head -1``) ends the
+        sweep with one line, and nothing more at interpreter exit."""
+        proc = subprocess.Popen([sys.executable, "-m", "fwm.cli", "sweep", "--preset",
+                                 "fig2", "--format", "json"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV)
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == "usage error: cannot write stdout: Broken pipe\n"
+
+    def test_closed_stdout_is_one_line_usage_error(self):
+        out = subprocess.run(["sh", "-c", 'exec "$0" -m fwm.cli presets >&-',
+                              sys.executable], capture_output=True, text=True,
+                             env=CHILD_ENV)
+        assert out.returncode == 1
+        assert out.stderr == "usage error: cannot write stdout: it is closed\n"
+
+    def test_json_sweep_holds_one_series_at_a_time(self, tmp_path):
+        """Writing the fig2 JSON sweep (27 series, 2.6 MB) allocates less
+        than a quarter of the file at its peak: the writer renders one
+        series at a time, and no copy of the whole text is made."""
+        argv = ["sweep", "--preset", "fig2", "--format", "json", "--out"]
+        warm = tmp_path / "warm.json"
+        assert main_in_process(*argv, str(warm))[0] == 0   # imports and caches
+        out = tmp_path / "fig2.json"
+        tracemalloc.start()
+        try:
+            code = main_in_process(*argv, str(out))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = out.stat().st_size
+        assert out.read_bytes() == warm.read_bytes() and size > 2_000_000
+        assert peak < size / 4, f"peak {peak} B for a {size} B file"
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_unrenderable_json_writes_nothing(self, existing, tmp_path, monkeypatch):
+        """A value JSON cannot hold raises before --out is opened: an
+        existing file keeps its bytes, and a missing one is not made."""
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda cfg, oracle: (one_series([0.5, math.nan]), {}))
+        out = tmp_path / "rows.json"
+        if existing:
+            out.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main_in_process(*SWEEP, "--format", "json", "--out", str(out))
+        assert (out.read_bytes() == b"kept") if existing else not out.exists()
+        stdout = io.StringIO()
+        with pytest.raises(ValueError, match="JSON compliant"), \
+                contextlib.redirect_stdout(stdout):
+            cli.main([*SWEEP, "--format", "json"])
+        assert stdout.getvalue() == ""
 
 
 class TestConfigRoundTrip:
